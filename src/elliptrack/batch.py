@@ -12,15 +12,15 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateInformation, SingularInnovation, SingularPseudoCov
+from .errors import DegenerateInformation, SingularPseudoCov
 from .measurements import CenteredMeasurements, MeasurementSet, aligned_squares, \
     build_pseudo, center_measurements
-from .sequential import StepDiagnostics, _guarded_solve, axis_moments, \
-    kalman_center_update, orientation_moments, predict, step_sequential
-from .state import (AXIS_FLOOR, AxisState, DecoupledEstimate, FilterConfig,
-                    KinematicState, MotionModel, OrientationState,
-                    clamp_axis_variance, shape_matrix, symmetrize_psd,
-                    wrap_angle)
+from .sequential import StepDiagnostics, _guarded_solve, _update_or_skip, \
+    axis_moments, kalman_center_update, orientation_moments, predict, \
+    step_sequential, update_axis
+from .state import (AxisState, DecoupledEstimate, FilterConfig, KinematicState,
+                    MotionModel, OrientationState, clamp_axis_variance,
+                    shape_matrix, wrap_angle)
 
 
 def batch_update_kinematics(kin: KinematicState, measurements: MeasurementSet,
@@ -41,19 +41,11 @@ def batch_update_axis(axis: AxisState, centered: CenteredMeasurements,
     """Stacked-pseudo-measurement update of the semi-axes.
 
     All per-measurement moments are evaluated at the prediction, so the
-    stacked covariance is block diagonal with one repeated 2x2 block and
-    the update reduces to a single solve against the summed innovation.
-    Applies the psi variance clamp afterwards when configured.
+    stacked update is :func:`update_axis` applied to every aligned square
+    at once. Applies the psi variance clamp afterwards when configured.
     """
     mom = axis_moments(axis, orient, centered.W, cfg)
-    stacked_a = aligned_squares(centered.s, orient.mean)
-    innovation_sum = (stacked_a - mom.expected_a).sum(axis=0)
-    gain = _guarded_solve(mom.cov_aa, mom.cross_ap.T,
-                          SingularPseudoCov("axis pseudo-measurement covariance "
-                                            "is ill-conditioned")).T
-    mean = axis.mean + gain @ innovation_sum
-    cov = symmetrize_psd(axis.cov - len(centered) * gain @ mom.cross_ap.T)
-    updated = AxisState(np.maximum(mean, AXIS_FLOOR), cov)
+    updated = update_axis(axis, aligned_squares(centered.s, orient.mean), mom)
     if cfg.psi is not None:
         updated = clamp_axis_variance(updated, cfg.psi)
     return updated
@@ -108,26 +100,13 @@ def step_batch(est: DecoupledEstimate, measurements: MeasurementSet,
         return step_sequential(est, measurements, motion, cfg,
                                diagnostics=diagnostics)
     pred = predict(est, motion)
-    kin = pred.kin
-    try:
-        shape_est = shape_matrix(pred.orient.mean, pred.axis.mean)
-        kin = batch_update_kinematics(pred.kin, measurements, shape_est, cfg)
-    except SingularInnovation:
-        if diagnostics is not None:
-            diagnostics.skipped_kinematics += 1
+    shape_est = shape_matrix(pred.orient.mean, pred.axis.mean)
     centered = center_measurements(measurements, pred.kin, cfg.R)
-    axis = pred.axis
-    try:
-        axis = batch_update_axis(pred.axis, centered, pred.orient, cfg)
-    except SingularPseudoCov:
-        if diagnostics is not None:
-            diagnostics.skipped_axis += 1
-    orient = pred.orient
-    try:
-        orient = batch_update_orientation(pred.orient, centered, pred.axis, cfg)
-    except DegenerateInformation:
-        pass  # orientation exactly known; the prior is the posterior
-    except SingularPseudoCov:
-        if diagnostics is not None:
-            diagnostics.skipped_orientation += 1
+    kin = _update_or_skip(diagnostics, "kinematics", batch_update_kinematics,
+                          pred.kin, measurements, shape_est, cfg)
+    axis = _update_or_skip(diagnostics, "axis", batch_update_axis,
+                           pred.axis, centered, pred.orient, cfg)
+    orient = _update_or_skip(diagnostics, "orientation",
+                             batch_update_orientation,
+                             pred.orient, centered, pred.axis, cfg)
     return DecoupledEstimate(kin, axis, orient)

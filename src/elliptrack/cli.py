@@ -19,7 +19,8 @@ from . import __version__
 from .errors import ConfigError, EllipTrackError, MalformedRecord, \
     StepMisalignment
 from .measurements import MeasurementSet, SourceDistribution
-from .metrics import EllipseParams, gwd_squared, orientation_error
+from .metrics import EllipseParams, ellipse_from_estimate, gwd_squared, \
+    orientation_error
 from .sequential import StepDiagnostics
 from .simulation import FILTER_KINDS, ScenarioConfig, TrajectorySpec, \
     builtin_scenarios, run_scenario, sample_run_data, step_function
@@ -184,16 +185,25 @@ def estimate_from_dict(data: dict) -> DecoupledEstimate:
 
 
 def _read_jsonl(path: str) -> list:
-    """Parse a JSON Lines file, reporting the failing line number."""
+    """Parse a JSON Lines file of objects, reporting the failing line number.
+
+    Blank lines are skipped; a file without a single record is malformed.
+    """
     rows = []
+    line_number = 0
     with open(path, "r", encoding="utf-8") as fh:
         for line_number, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                rows.append(json.loads(line))
+                row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise MalformedRecord(line_number, str(exc)) from exc
+            if not isinstance(row, dict):
+                raise MalformedRecord(line_number, "not a JSON object")
+            rows.append(row)
+    if not rows:
+        raise MalformedRecord(line_number, f"{path} holds no records")
     return rows
 
 
@@ -231,10 +241,16 @@ def cmd_track(args) -> int:
         try:
             t = int(row["t"])
             meas = MeasurementSet(np.array(row["measurements"], dtype=float).reshape(-1, 2))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedRecord(line_number, str(exc)) from exc
+        if not np.isfinite(meas.points).all():
+            raise MalformedRecord(line_number, "non-finite measurement value")
         est = step(est, meas, cfg.motion, fcfg, diagnostics=diagnostics)
-        lines.append(json.dumps(estimate_to_dict(t, est)))
+        try:
+            lines.append(json.dumps(estimate_to_dict(t, est), allow_nan=False))
+        except ValueError as exc:
+            raise MalformedRecord(line_number, "the estimate after this step "
+                                  "is not finite") from exc
     _write_atomic(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -243,11 +259,15 @@ def _ellipse_from_row(row: dict, line_number: int, kind: str) -> EllipseParams:
     try:
         if kind == "truth":
             body = row["truth"]
-            return EllipseParams(body["center"], body["theta"], body["axes"])
-        est = estimate_from_dict(row)
-        return EllipseParams(est.kin.center, est.orient.mean, est.axis.mean)
+            ellipse = EllipseParams(body["center"], body["theta"], body["axes"])
+        else:
+            ellipse = ellipse_from_estimate(estimate_from_dict(row))
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedRecord(line_number, str(exc)) from exc
+    values = [*ellipse.center, ellipse.theta, *ellipse.semi_axes]
+    if not np.isfinite(values).all():
+        raise MalformedRecord(line_number, f"non-finite {kind} value")
+    return ellipse
 
 
 def cmd_eval(args) -> int:
@@ -264,8 +284,10 @@ def cmd_eval(args) -> int:
                                    f"{est_row.get('t')} vs {truth_row.get('t')}")
         est_ellipse = _ellipse_from_row(est_row, line_number, "estimate")
         truth_ellipse = _ellipse_from_row(truth_row, line_number, "truth")
-        records.append((est_row["t"],
-                        gwd_squared(est_ellipse, truth_ellipse),
+        gwd_sq = gwd_squared(est_ellipse, truth_ellipse)
+        if not np.isfinite(gwd_sq):
+            raise MalformedRecord(line_number, "squared distance overflows")
+        records.append((est_row["t"], gwd_sq,
                         orientation_error(est_ellipse.theta, truth_ellipse.theta)))
     out = ["t,gwd_sq,orient_err"]
     out.extend(f"{t},{g!r},{o!r}" for t, g, o in records)
@@ -277,7 +299,8 @@ def cmd_eval(args) -> int:
         "mean_orient_err": float(np.mean([o for _, _, o in records])),
     }
     summary_path = args.summary_out or _default_summary_path(args.out)
-    _write_atomic(summary_path, json.dumps(summary, indent=2) + "\n")
+    _write_atomic(summary_path,
+                  json.dumps(summary, indent=2, allow_nan=False) + "\n")
     return 0
 
 

@@ -64,9 +64,8 @@ class CenteredMeasurements:
 
 @dataclass(frozen=True)
 class PseudoMeasurements:
-    """Quadratic pseudo-measurements: squares (a) and squares+cross (b)."""
-    a: np.ndarray  # (M, 2): s1^2, s2^2
-    b: np.ndarray  # (M, 3): s1^2, s2^2, s1*s2
+    """Quadratic pseudo-measurements b = (s1^2, s2^2, s1*s2), one row each."""
+    b: np.ndarray  # (M, 3)
 
 
 def sample_measurements(center, theta, axes, lam, noise_cov, source,
@@ -123,15 +122,16 @@ def center_measurements(measurements: MeasurementSet,
 def build_pseudo(centered: CenteredMeasurements) -> PseudoMeasurements:
     """Quadratic pseudo-measurements of the centered points.
 
-    a = (s1^2, s2^2) holds the squares; b = (s1^2, s2^2, s1*s2) adds the
-    cross-term needed by the orientation update. The first two components
-    of b are bitwise equal to a. The orientation update consumes b as is;
-    the axis update squares the points in the object-aligned frame
-    instead (see :func:`aligned_squares`).
+    b = (s1^2, s2^2, s1*s2) holds the squares and the cross-term, the
+    entries whose expectations are (C11, C22, C12) of the centered-
+    measurement covariance C_s (see :func:`orientation_moments`). The
+    orientation update consumes b as is; the axis update squares the
+    points in the object-aligned frame instead (see
+    :func:`aligned_squares`).
     """
     squares = centered.s ** 2
     cross = centered.s[:, 0] * centered.s[:, 1]
-    return PseudoMeasurements(a=squares, b=np.column_stack((squares, cross)))
+    return PseudoMeasurements(b=np.column_stack((squares, cross)))
 
 
 def aligned_squares(s: np.ndarray, theta: float) -> np.ndarray:

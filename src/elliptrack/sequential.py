@@ -10,12 +10,12 @@ source moment match plus a first-order treatment of the orientation
 uncertainty.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import SingularInnovation, SingularPseudoCov
+from .errors import DegenerateInformation, SingularInnovation, SingularPseudoCov
 from .measurements import MeasurementSet, aligned_squares, build_pseudo, \
     center_measurements
 from .state import (AXIS_FLOOR, H_CENTER, AxisState, DecoupledEstimate,
@@ -25,15 +25,6 @@ from .state import (AXIS_FLOOR, H_CENTER, AxisState, DecoupledEstimate,
 
 # Condition-number guard for the linear solves replacing symbolic inverses.
 COND_LIMIT = 1e12
-
-# Selection matrices mapping vec(2x2) to (m11, m22, m21) and (m11, m22, m12);
-# applied to a Kronecker square they extract the quadratic-form moments.
-QUAD_SELECT = np.array([[1.0, 0.0, 0.0, 0.0],
-                        [0.0, 0.0, 0.0, 1.0],
-                        [0.0, 1.0, 0.0, 0.0]])
-QUAD_SELECT_ALT = np.array([[1.0, 0.0, 0.0, 0.0],
-                            [0.0, 0.0, 0.0, 1.0],
-                            [0.0, 0.0, 1.0, 0.0]])
 
 UPDATE_ORDER = ("kinematics", "axis", "orientation")
 
@@ -62,29 +53,19 @@ class AxisMoments:
     expected_a: np.ndarray  # E(a), 2-vector
     cov_aa: np.ndarray      # Cov(a), 2x2
     cross_ap: np.ndarray    # Cov(a, axes), diagonal 2x2
-    w_theta: np.ndarray     # axis-aligned centered-measurement covariance
 
 
 @dataclass(frozen=True)
 class OrientationMoments:
     """Moments of the orientation pseudo-measurement b at a snapshot.
 
-    Also keeps the intermediates needed by the batch information-form
-    update and by tests: the scaled-rotation matrix S, its angle
-    derivatives J1/J2, the source (C_I) and angle-uncertainty (C_II)
-    contributions, the total centered-measurement covariance C_s, and the
-    sensitivity vector M of E(b) to the angle.
+    ``m_vec`` is the sensitivity M of E(b) to the angle; the batch
+    information-form update linearizes b with it.
     """
     expected_b: np.ndarray   # E(b), 3-vector
     cov_bb: np.ndarray       # Cov(b), 3x3
     cross_btheta: np.ndarray # Cov(b, theta) as a 1x3 row
-    s_mat: np.ndarray = field(repr=False)
-    j1: np.ndarray = field(repr=False)
-    j2: np.ndarray = field(repr=False)
-    cov_source: np.ndarray = field(repr=False)  # C_I
-    cov_angle: np.ndarray = field(repr=False)   # C_II
-    cov_centered: np.ndarray = field(repr=False)  # C_s
-    m_vec: np.ndarray = field(repr=False)
+    m_vec: np.ndarray        # dE(b)/dtheta of the source term, 3-vector
 
 
 def _guarded_solve(mat: np.ndarray, rhs: np.ndarray, exc) -> np.ndarray:
@@ -158,16 +139,23 @@ def axis_moments(axis: AxisState, orient: OrientationState,
                        [off, 2.0 * expected_a[1] ** 2]])
     cross_ap = np.diag([2.0 * cfg.c * p[0] * cov_p[0, 0],
                         2.0 * cfg.c * p[1] * cov_p[1, 1]])
-    return AxisMoments(expected_a, cov_aa, cross_ap, w_theta)
+    return AxisMoments(expected_a, cov_aa, cross_ap)
 
 
 def update_axis(axis: AxisState, a: np.ndarray, mom: AxisMoments) -> AxisState:
-    """Linear update of the semi-axes from one pseudo-measurement a."""
+    """Linear update of the semi-axes from one or more pseudo-measurements.
+
+    ``a`` is one row (s1^2, s2^2) or a stack of M rows that all share the
+    moments ``mom``. The stacked covariance is then block diagonal with
+    one repeated block, so the gain is that of a single row, the
+    innovations add up, and the covariance correction scales by M.
+    """
+    rows = np.asarray(a, dtype=float).reshape(-1, 2)
     gain = _guarded_solve(mom.cov_aa, mom.cross_ap.T,
                           SingularPseudoCov("axis pseudo-measurement covariance "
                                             "is ill-conditioned")).T
-    mean = axis.mean + gain @ (np.asarray(a, dtype=float) - mom.expected_a)
-    cov = symmetrize_psd(axis.cov - gain @ mom.cross_ap.T)
+    mean = axis.mean + gain @ (rows - mom.expected_a).sum(axis=0)
+    cov = symmetrize_psd(axis.cov - len(rows) * gain @ mom.cross_ap.T)
     return AxisState(np.maximum(mean, AXIS_FLOOR), cov)
 
 
@@ -176,11 +164,13 @@ def orientation_moments(axis: AxisState, orient: OrientationState,
     """Moments of b = (s1^2, s2^2, s1*s2) under the current estimate.
 
     The centered measurement is modeled as s = R(theta) diag(l) h + w
-    with h ~ N(0, c I). Its covariance C_s combines the noise, the source
-    spread S C_h S^T, and a first-order term for the angle uncertainty
-    built from the derivatives J1, J2 of the rows of S. The moments of
-    the quadratic b then follow from Gaussian fourth-moment identities
-    via the Kronecker square of C_s.
+    with h ~ N(0, c I). Its covariance C_s combines the noise W, the
+    source spread c S S^T with S = R(theta) diag(l), and a first-order
+    term for the angle uncertainty built from the angle derivatives J1,
+    J2 of the rows of S. E(b) reads (C11, C22, C12) off the symmetric
+    C_s. Treating s as zero-mean Gaussian, Isserlis' theorem gives each
+    entry of Cov(b) as products of two entries of C_s:
+    Cov(s_i s_j, s_k s_l) = C_ik C_jl + C_il C_jk.
     """
     theta, var_theta = orient.mean, orient.var
     l1, l2 = axis.mean
@@ -188,25 +178,24 @@ def orientation_moments(axis: AxisState, orient: OrientationState,
     sin_t, cos_t = np.sin(theta), np.cos(theta)
     j1 = np.array([-l1 * sin_t, -l2 * cos_t])
     j2 = np.array([l1 * cos_t, -l2 * sin_t])
-
-    cov_source = cfg.c * (s_mat @ s_mat.T)
     jj = np.array([[j1 @ j1, j1 @ j2],
                    [j2 @ j1, j2 @ j2]])
-    cov_angle = var_theta * cfg.c * jj
-    cov_centered = np.asarray(w, dtype=float) + cov_source + cov_angle
+    cov_s = (np.asarray(w, dtype=float) + cfg.c * (s_mat @ s_mat.T)
+             + var_theta * cfg.c * jj)
 
-    expected_b = QUAD_SELECT @ cov_centered.flatten(order="F")
-    # Kronecker square of C_s, built without np.kron's per-call overhead.
-    kron_sq = np.einsum("ij,kl->ikjl", cov_centered, cov_centered).reshape(4, 4)
-    cov_bb = QUAD_SELECT @ kron_sq @ (QUAD_SELECT + QUAD_SELECT_ALT).T
+    (c11, c12), (_, c22) = cov_s.tolist()
+    expected_b = np.array([c11, c22, c12])
+    cov_bb = np.array([
+        [2.0 * (c11 * c11), 2.0 * (c12 * c12), 2.0 * (c11 * c12)],
+        [2.0 * (c12 * c12), 2.0 * (c22 * c22), 2.0 * (c22 * c12)],
+        [2.0 * (c11 * c12), 2.0 * (c22 * c12), c11 * c22 + c12 * c12],
+    ])
     s1, s2 = s_mat[0], s_mat[1]
     m_vec = cfg.c * np.array([2.0 * s1 @ j1,
                               2.0 * s2 @ j2,
                               s1 @ j2 + s2 @ j1])
     cross_btheta = (var_theta * m_vec).reshape(1, 3)
-    return OrientationMoments(expected_b, cov_bb, cross_btheta,
-                              s_mat, j1, j2, cov_source, cov_angle,
-                              cov_centered, m_vec)
+    return OrientationMoments(expected_b, cov_bb, cross_btheta, m_vec)
 
 
 def update_orientation(orient: OrientationState, b: np.ndarray,
@@ -219,6 +208,25 @@ def update_orientation(orient: OrientationState, b: np.ndarray,
     mean = wrap_angle(orient.mean + float(gain @ innovation))
     var = orient.var - float(gain @ mom.cross_btheta.ravel())
     return OrientationState(mean, max(var, 0.0))
+
+
+def _update_or_skip(diagnostics: Optional[StepDiagnostics], component: str,
+                    update, prior, *args):
+    """Return ``update(prior, *args)``, or ``prior`` if the update is skipped.
+
+    An ill-conditioned solve skips the update and counts it in
+    ``diagnostics`` under ``component``. Degenerate information (an
+    orientation already known exactly) keeps the prior without a count.
+    """
+    try:
+        return update(prior, *args)
+    except DegenerateInformation:
+        return prior
+    except (SingularInnovation, SingularPseudoCov):
+        if diagnostics is not None:
+            counter = "skipped_" + component
+            setattr(diagnostics, counter, getattr(diagnostics, counter) + 1)
+        return prior
 
 
 def step_sequential(est: DecoupledEstimate, measurements: MeasurementSet,
@@ -236,6 +244,9 @@ def step_sequential(est: DecoupledEstimate, measurements: MeasurementSet,
     alone, the result is identical for every permutation. Ill-conditioned
     single updates are skipped and counted rather than aborting the step.
     """
+    for component in order:
+        if component not in UPDATE_ORDER:
+            raise ValueError(f"unknown component {component!r}")
     pred = predict(est, motion)
     if len(measurements) == 0:
         return pred
@@ -244,37 +255,21 @@ def step_sequential(est: DecoupledEstimate, measurements: MeasurementSet,
     w = centered.W
 
     current = pred
-    for i in range(len(measurements)):
-        snapshot = current
-        parts = {"kinematics": snapshot.kin, "axis": snapshot.axis,
-                 "orientation": snapshot.orient}
+    for z, s, b in zip(measurements.points, centered.s, pseudo.b):
+        snap = current
+        axis, orient = snap.axis, snap.orient
+        calls = {
+            "kinematics": (update_kinematics, snap.kin, z,
+                           shape_matrix(orient.mean, axis.mean), cfg),
+            "axis": (update_axis, axis, aligned_squares(s, orient.mean),
+                     axis_moments(axis, orient, w, cfg)),
+            "orientation": (update_orientation, orient, b,
+                            orientation_moments(axis, orient, w, cfg)),
+        }
+        parts = {"kinematics": snap.kin, "axis": axis, "orientation": orient}
         for component in order:
-            if component == "kinematics":
-                try:
-                    shape_est = shape_matrix(snapshot.orient.mean, snapshot.axis.mean)
-                    parts["kinematics"] = update_kinematics(
-                        snapshot.kin, measurements.points[i], shape_est, cfg)
-                except SingularInnovation:
-                    if diagnostics is not None:
-                        diagnostics.skipped_kinematics += 1
-            elif component == "axis":
-                try:
-                    mom_a = axis_moments(snapshot.axis, snapshot.orient, w, cfg)
-                    a_i = aligned_squares(centered.s[i], snapshot.orient.mean)[0]
-                    parts["axis"] = update_axis(snapshot.axis, a_i, mom_a)
-                except SingularPseudoCov:
-                    if diagnostics is not None:
-                        diagnostics.skipped_axis += 1
-            elif component == "orientation":
-                try:
-                    mom_b = orientation_moments(snapshot.axis, snapshot.orient, w, cfg)
-                    parts["orientation"] = update_orientation(
-                        snapshot.orient, pseudo.b[i], mom_b)
-                except SingularPseudoCov:
-                    if diagnostics is not None:
-                        diagnostics.skipped_orientation += 1
-            else:
-                raise ValueError(f"unknown component {component!r}")
+            parts[component] = _update_or_skip(diagnostics, component,
+                                               *calls[component])
         current = DecoupledEstimate(parts["kinematics"], parts["axis"],
                                     parts["orientation"])
     return current

@@ -5,6 +5,12 @@ from elliptrack import (AxisState, DecoupledEstimate, FilterConfig,
                         KinematicState, MotionModel, OrientationState,
                         constant_velocity_transition)
 
+# Selection matrix mapping vec(2x2) (column-major) to (m11, m22, m21);
+# applied to s (x) s it yields the pseudo-measurement b = (s1^2, s2^2, s1*s2).
+QUAD_SELECT = np.array([[1.0, 0.0, 0.0, 0.0],
+                        [0.0, 0.0, 0.0, 1.0],
+                        [0.0, 1.0, 0.0, 0.0]])
+
 
 def assert_symmetric_psd(mat, sym_tol=1e-10, eig_tol=-1e-10):
     mat = np.asarray(mat)

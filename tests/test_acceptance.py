@@ -21,10 +21,11 @@ from elliptrack.cli import main
 from elliptrack.measurements import (CenteredMeasurements, CenteringMode,
                                      aligned_squares)
 from elliptrack.metrics import EllipseParams
-from elliptrack.sequential import QUAD_SELECT, axis_moments
+from elliptrack.sequential import axis_moments
 from elliptrack.simulation import TrajectorySpec
 
-from conftest import assert_symmetric_psd, make_estimate, make_motion
+from conftest import (QUAD_SELECT, assert_symmetric_psd, make_estimate,
+                      make_motion)
 
 SEED = 20240811
 RUNS = 500

@@ -3,9 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from elliptrack import (AxisState, DegenerateInformation, FilterConfig,
-                        KinematicState, MeasurementSet, OrientationState,
-                        predict, rot, shape_matrix, step_batch, step_sequential)
+from elliptrack import (AxisState, DecoupledEstimate, DegenerateInformation,
+                        FilterConfig, KinematicState, MeasurementSet,
+                        OrientationState, StepDiagnostics, predict, rot,
+                        shape_matrix, step_batch, step_sequential)
 from elliptrack.batch import (batch_update_axis, batch_update_kinematics,
                               batch_update_orientation)
 from elliptrack.measurements import (CenteredMeasurements, CenteringMode,
@@ -123,7 +124,7 @@ class TestBatchOrientation:
         orient = OrientationState(0.0, 0.3)
         cfg = FilterConfig(R=np.diag([1.2, 0.8]), c=0.25)
         mom = orientation_moments(axis, orient, cfg.R, cfg)
-        c11, c22 = mom.cov_centered[0, 0], mom.cov_centered[1, 1]
+        c11, c22 = mom.expected_b[0], mom.expected_b[1]
         s = np.array([[np.sqrt(2 * c11), 0.0], [0.0, np.sqrt(2 * c22)]])
         centered = CenteredMeasurements(s, cfg.R, CenteringMode.BATCH)
         out = batch_update_orientation(orient, centered, axis, cfg)
@@ -256,3 +257,29 @@ class TestStepBatch:
             assert_symmetric_psd(est.kin.cov)
             assert_symmetric_psd(est.axis.cov)
             assert est.orient.var >= 0.0
+
+    @pytest.mark.parametrize("theta_var, skipped_orientation",
+                             [(0.1, 1), (0.0, 0)])
+    def test_ill_conditioned_updates_are_skipped_and_counted(
+            self, default_config, theta_var, skipped_orientation):
+        # an absurdly elongated axis estimate drives every batch solve past
+        # the condition guard: each update is counted once and falls back
+        # to the prediction. A zero orientation variance leaves nothing to
+        # update there, which is not counted as a skip.
+        est = DecoupledEstimate(
+            kin=KinematicState(np.zeros(4), np.diag([1.0, 1.0, 0.0, 0.0])),
+            axis=AxisState([1e9, 1e-3], np.diag([1.0, 1.0])),
+            orient=OrientationState(0.0, theta_var),
+        )
+        motion = make_motion(q_pos=0.0, q_vel=0.0, q_theta=0.0)
+        z = MeasurementSet([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        diag = StepDiagnostics()
+        out = step_batch(est, z, motion, default_config, diagnostics=diag)
+        assert diag.as_dict() == {"skipped_kinematics": 1, "skipped_axis": 1,
+                                  "skipped_orientation": skipped_orientation}
+        pred = predict(est, motion)
+        assert np.array_equal(out.kin.mean, pred.kin.mean)
+        assert np.array_equal(out.kin.cov, pred.kin.cov)
+        assert np.array_equal(out.axis.mean, pred.axis.mean)
+        assert np.array_equal(out.axis.cov, pred.axis.cov)
+        assert out.orient == pred.orient

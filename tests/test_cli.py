@@ -112,6 +112,34 @@ class TestTrack:
                      "--out", str(out)]) == 4
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_measurement_exits_4(self, tmp_path, capsys, token):
+        meas = tmp_path / "m.jsonl"
+        meas.write_text('{"t": 1, "measurements": [[1.0, 2.0], [3.0, 1.0]]}\n'
+                        '{"t": 2, "measurements": [[%s, 2.0], [3.0, 1.0]]}\n'
+                        % token)
+        assert main(["track", str(meas), "--scenario", "moderate",
+                     "--out", str(tmp_path / "est.jsonl")]) == 4
+        err = capsys.readouterr().err
+        assert "line 2" in err and "non-finite" in err
+        assert not (tmp_path / "est.jsonl").exists()
+
+    @pytest.mark.parametrize("kind", ["sequential", "batch"])
+    def test_overflowing_estimate_exits_4(self, tmp_path, capsys, kind):
+        # 1e308 is finite, but its square is not: the step that reads it
+        # would write a non-finite estimate
+        meas = tmp_path / "m.jsonl"
+        meas.write_text('{"t": 1, "measurements": [[1.0, 2.0], [3.0, 1.0]]}\n'
+                        '{"t": 2, "measurements": [[1e308, 2.0], [3, 1]]}\n')
+        out = tmp_path / "est.jsonl"
+        with np.errstate(all="ignore"):
+            code = main(["track", str(meas), "--scenario", "moderate",
+                         "--filter", kind, "--out", str(out)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "line 2" in err and "not finite" in err
+        assert not out.exists()
+
 
 class TestEval:
     def _simulate(self, tmp_path, seed=9):
@@ -178,6 +206,50 @@ class TestEval:
             "\n".join(sim.read_text().splitlines()[:40]) + "\n")
         out = tmp_path / "errors.csv"
         assert main(["eval", str(est), str(truncated), "--out", str(out)]) == 5
+
+    def test_non_object_line_exits_4(self, tmp_path, capsys):
+        sim = self._simulate(tmp_path)
+        est = tmp_path / "est.jsonl"
+        self._estimates_from_truth(sim, est)
+        lines = est.read_text().splitlines()
+        lines[2] = "[1, 2]"
+        est.write_text("\n".join(lines) + "\n")
+        assert main(["eval", str(est), str(sim),
+                     "--out", str(tmp_path / "errors.csv")]) == 4
+        assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("empty", ["estimates", "truth", "both"])
+    def test_file_without_records_exits_4(self, tmp_path, empty):
+        sim = self._simulate(tmp_path)
+        est = tmp_path / "est.jsonl"
+        self._estimates_from_truth(sim, est)
+        if empty in ("estimates", "both"):
+            est.write_text("")
+        if empty in ("truth", "both"):
+            sim.write_text("\n")
+        out = tmp_path / "errors.csv"
+        assert main(["eval", str(est), str(sim), "--out", str(out)]) == 4
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [("center", float("nan")),
+                                              ("theta", float("inf")),
+                                              ("axes", float("nan")),
+                                              ("center", 1e300)])
+    def test_non_finite_truth_or_error_exits_4(self, tmp_path, capsys,
+                                              field, value):
+        sim = self._simulate(tmp_path)
+        est = tmp_path / "est.jsonl"
+        self._estimates_from_truth(sim, est)
+        rows = read_jsonl(sim)
+        body = rows[4]["truth"]
+        body[field] = [value, 1.0] if field != "theta" else value
+        sim.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        out = tmp_path / "errors.csv"
+        with np.errstate(over="ignore"):
+            code = main(["eval", str(est), str(sim), "--out", str(out)])
+        assert code == 4
+        assert "line 5" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPipeline:

@@ -98,11 +98,13 @@ class TestAxisMoments:
         assert mom.cov_aa[0, 0] > 0 and mom.cov_aa[1, 1] > 0
 
     def test_noise_alignment(self, default_config):
-        # at theta = pi/2 the aligned noise swaps its diagonal
+        # at theta = pi/2 the aligned noise swaps its diagonal, so
+        # E(a) = (0.5, 2.0) + c (l1^2, l2^2)
         w = np.diag([2.0, 0.5])
         mom = axis_moments(AxisState([3, 1], np.zeros((2, 2))),
                            OrientationState(np.pi / 2, 0.0), w, default_config)
-        np.testing.assert_allclose(np.diag(mom.w_theta), [0.5, 2.0], atol=1e-12)
+        np.testing.assert_allclose(mom.expected_a, [0.5 + 0.25 * 9, 2.0 + 0.25],
+                                   atol=1e-12)
 
 
 class TestUpdateAxis:
@@ -148,10 +150,15 @@ class TestUpdateAxis:
 
 class TestOrientationMoments:
     def test_zero_angle_variance_zeroes_terms(self, default_config):
+        # without angle uncertainty C_s is the noise plus c S S^T alone
         mom = orientation_moments(AxisState([3, 1], np.eye(2)),
                                   OrientationState(0.4, 0.0), np.eye(2),
                                   default_config)
-        np.testing.assert_array_equal(mom.cov_angle, np.zeros((2, 2)))
+        s_mat = rot(0.4) @ np.diag([3.0, 1.0])
+        cov_s = np.eye(2) + 0.25 * s_mat @ s_mat.T
+        np.testing.assert_allclose(mom.expected_b,
+                                   [cov_s[0, 0], cov_s[1, 1], cov_s[0, 1]],
+                                   atol=1e-14)
         np.testing.assert_array_equal(mom.cross_btheta, np.zeros((1, 3)))
 
     def test_axis_aligned_noise_free_case(self, default_config):
@@ -159,7 +166,6 @@ class TestOrientationMoments:
         mom = orientation_moments(AxisState([2, 1], np.zeros((2, 2))),
                                   OrientationState(0.0, 0.0),
                                   np.zeros((2, 2)), default_config)
-        np.testing.assert_allclose(mom.cov_centered, np.diag([1.0, 0.25]))
         np.testing.assert_allclose(mom.expected_b, [1.0, 0.25, 0.0])
         np.testing.assert_allclose(mom.cov_bb,
                                    np.diag([2.0, 0.125, 0.25]), atol=1e-14)
