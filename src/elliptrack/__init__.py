@@ -2,19 +2,19 @@
 
 from .batch import (batch_update_axis, batch_update_kinematics,
                     batch_update_orientation, step_batch)
-from .errors import (ConfigError, DegenerateInformation, EllipTrackError,
-                     EmptyMeasurementSet, MalformedRecord, NotPSD,
-                     SingularInnovation, SingularPseudoCov, StepMisalignment)
-from .measurements import (CenteredMeasurements, CenteringMode, MeasurementSet,
-                           PseudoMeasurements, SourceDistribution, build_pseudo,
+from .errors import (ConfigError, EllipTrackError, EmptyMeasurementSet,
+                     MalformedRecord, NotPSD, SingularInnovation,
+                     SingularPseudoCov, StepMisalignment)
+from .measurements import (CenteredMeasurements, MeasurementSet,
+                           SourceDistribution, build_pseudo,
                            center_measurements, sample_measurements)
-from .metrics import (EllipseParams, ErrorRecord, ellipse_from_estimate,
-                      gwd_squared, matrix_sqrt_2x2, orientation_error)
+from .metrics import (EllipseParams, ellipse_from_estimate, gwd_squared,
+                      matrix_sqrt_2x2, orientation_error)
 from .sequential import (AxisMoments, OrientationMoments, StepDiagnostics,
                          axis_moments, orientation_moments, predict,
                          step_sequential, update_axis, update_kinematics,
                          update_orientation)
-from .simulation import (CampaignSummary, RunResult, ScenarioConfig, StepRecord,
+from .simulation import (CampaignSummary, RunResult, ScenarioConfig,
                          TrajectorySpec, TruthState, builtin_scenarios,
                          generate_truth, run_scenario, run_single)
 from .state import (AxisState, DecoupledEstimate, FilterConfig, KinematicState,

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateInformation, SingularPseudoCov
+from .errors import SingularPseudoCov
 from .measurements import CenteredMeasurements, MeasurementSet, aligned_squares, \
     build_pseudo, center_measurements
 from .sequential import StepDiagnostics, _guarded_solve, _update_or_skip, \
@@ -60,11 +60,12 @@ def batch_update_orientation(orient: OrientationState,
     Linearizing b around the predicted angle gives a scalar measurement
     model with sensitivity M and noise covariance Gamma = C_bb minus the
     angle-uncertainty part M var M^T. Information adds per measurement,
-    so the posterior variance can only shrink.
+    so the posterior variance can only shrink. An orientation already
+    known exactly (zero prior variance) has no information form and is
+    returned as it is.
     """
     if orient.var == 0.0:
-        raise DegenerateInformation("information form undefined for zero "
-                                    "prior orientation variance")
+        return orient
     mom = orientation_moments(axis, orient, centered.W, cfg)
     m_vec = mom.m_vec
     gamma = mom.cov_bb - orient.var * np.outer(m_vec, m_vec)
@@ -76,9 +77,9 @@ def batch_update_orientation(orient: OrientationState,
         raise SingularPseudoCov("batch orientation noise covariance "
                                 "is not positive definite")
     count = len(centered)
-    pseudo = build_pseudo(centered)
     # The predicted-angle term enters every summand of the innovation.
-    xi_sum = (pseudo.b - mom.expected_b + m_vec * orient.mean).sum(axis=0)
+    xi_sum = (build_pseudo(centered) - mom.expected_b
+              + m_vec * orient.mean).sum(axis=0)
     info_prior = orient.mean / orient.var
     var = 1.0 / (1.0 / orient.var + count * info_gain)
     mean = wrap_angle(var * (info_prior + float(weighted @ xi_sum)))

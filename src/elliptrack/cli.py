@@ -7,6 +7,7 @@ between invocations.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -135,15 +136,10 @@ def resolve_scenario(name_or_path: str, seed: Optional[int] = None,
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config is not valid JSON: {exc}") from exc
         cfg = scenario_from_dict(data)
-    replacements = {}
     if seed is not None:
-        replacements["seed"] = seed
+        cfg = dataclasses.replace(cfg, seed=seed)
     if runs is not None:
-        replacements["runs"] = runs
-    if replacements:
-        fields = scenario_to_dict(cfg)
-        fields.update(replacements)
-        cfg = scenario_from_dict(fields)
+        cfg = dataclasses.replace(cfg, runs=runs)
     return cfg
 
 
@@ -185,9 +181,11 @@ def estimate_from_dict(data: dict) -> DecoupledEstimate:
 
 
 def _read_jsonl(path: str) -> list:
-    """Parse a JSON Lines file of objects, reporting the failing line number.
+    """Parse a JSON Lines file of objects into (line number, object) pairs.
 
-    Blank lines are skipped; a file without a single record is malformed.
+    Line numbers count every line of the file, so error messages point at
+    the right line even after blank lines, which are skipped. A file
+    without a single record is malformed.
     """
     rows = []
     line_number = 0
@@ -201,7 +199,7 @@ def _read_jsonl(path: str) -> list:
                 raise MalformedRecord(line_number, str(exc)) from exc
             if not isinstance(row, dict):
                 raise MalformedRecord(line_number, "not a JSON object")
-            rows.append(row)
+            rows.append((line_number, row))
     if not rows:
         raise MalformedRecord(line_number, f"{path} holds no records")
     return rows
@@ -233,11 +231,10 @@ def cmd_track(args) -> int:
     cfg = resolve_scenario(args.scenario or args.config)
     step = step_function(args.filter)
     fcfg = cfg.filter_config()
-    rows = _read_jsonl(args.measurements)
     est = cfg.prior
     diagnostics = StepDiagnostics()
     lines = []
-    for line_number, row in enumerate(rows, start=1):
+    for line_number, row in _read_jsonl(args.measurements):
         try:
             t = int(row["t"])
             meas = MeasurementSet(np.array(row["measurements"], dtype=float).reshape(-1, 2))
@@ -277,16 +274,17 @@ def cmd_eval(args) -> int:
         raise StepMisalignment(f"{len(est_rows)} estimate steps vs "
                                f"{len(truth_rows)} truth steps")
     records = []
-    for idx, (est_row, truth_row) in enumerate(zip(est_rows, truth_rows)):
-        line_number = idx + 1
+    for (est_line, est_row), (truth_line, truth_row) in zip(est_rows, truth_rows):
         if est_row.get("t") != truth_row.get("t"):
-            raise StepMisalignment(f"step index mismatch at line {line_number}: "
+            raise StepMisalignment(f"step index mismatch at estimate line "
+                                   f"{est_line}, truth line {truth_line}: "
                                    f"{est_row.get('t')} vs {truth_row.get('t')}")
-        est_ellipse = _ellipse_from_row(est_row, line_number, "estimate")
-        truth_ellipse = _ellipse_from_row(truth_row, line_number, "truth")
+        est_ellipse = _ellipse_from_row(est_row, est_line, "estimate")
+        truth_ellipse = _ellipse_from_row(truth_row, truth_line, "truth")
         gwd_sq = gwd_squared(est_ellipse, truth_ellipse)
         if not np.isfinite(gwd_sq):
-            raise MalformedRecord(line_number, "squared distance overflows")
+            raise MalformedRecord(est_line, "squared distance to truth line "
+                                  f"{truth_line} overflows")
         records.append((est_row["t"], gwd_sq,
                         orientation_error(est_ellipse.theta, truth_ellipse.theta)))
     out = ["t,gwd_sq,orient_err"]

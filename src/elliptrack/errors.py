@@ -17,10 +17,6 @@ class SingularPseudoCov(EllipTrackError):
     """A pseudo-measurement covariance is numerically singular."""
 
 
-class DegenerateInformation(EllipTrackError):
-    """Information-form update is undefined (zero prior variance)."""
-
-
 class NotPSD(EllipTrackError):
     """A matrix required to be positive semi-definite is not."""
 

@@ -29,11 +29,6 @@ class SourceDistribution(enum.Enum):
         return 0.25 if self is SourceDistribution.UNIFORM_ELLIPSE else 1.0 / 3.0
 
 
-class CenteringMode(enum.Enum):
-    BATCH = "batch"    # centered on the measurement mean
-    STREAM = "stream"  # centered on the predicted object center
-
-
 @dataclass(frozen=True)
 class MeasurementSet:
     """The 2-d point cloud observed at one time step (possibly empty)."""
@@ -52,7 +47,6 @@ class CenteredMeasurements:
     """Zero-centered measurements with the covariance of a single one."""
     s: np.ndarray
     W: np.ndarray
-    mode: CenteringMode
 
     def __post_init__(self):
         object.__setattr__(self, "s", np.asarray(self.s, dtype=float).reshape(-1, 2))
@@ -60,12 +54,6 @@ class CenteredMeasurements:
 
     def __len__(self) -> int:
         return self.s.shape[0]
-
-
-@dataclass(frozen=True)
-class PseudoMeasurements:
-    """Quadratic pseudo-measurements b = (s1^2, s2^2, s1*s2), one row each."""
-    b: np.ndarray  # (M, 3)
 
 
 def sample_measurements(center, theta, axes, lam, noise_cov, source,
@@ -101,11 +89,10 @@ def center_measurements(measurements: MeasurementSet,
                         noise_cov: np.ndarray) -> CenteredMeasurements:
     """Zero-center a measurement set for the shape updates.
 
-    With more than one measurement the sample mean is subtracted and the
-    centered-measurement covariance is just the sensor noise. With a
-    single measurement the predicted object center is subtracted instead,
-    which folds the predicted center covariance into W. The multi-
-    measurement branch never reads the predicted state.
+    With more than one measurement the sample mean is subtracted and W is
+    just the sensor noise; this branch never reads the predicted state.
+    A single measurement is centered on the predicted object center
+    instead, which folds the predicted center covariance into W.
     """
     noise_cov = np.asarray(noise_cov, dtype=float)
     m = len(measurements)
@@ -113,25 +100,25 @@ def center_measurements(measurements: MeasurementSet,
         raise EmptyMeasurementSet("cannot center an empty measurement set")
     if m > 1:
         s = measurements.points - measurements.points.mean(axis=0)
-        return CenteredMeasurements(s, noise_cov, CenteringMode.BATCH)
+        return CenteredMeasurements(s, noise_cov)
     s = measurements.points - H_CENTER @ predicted_kin.mean
     w = noise_cov + H_CENTER @ predicted_kin.cov @ H_CENTER.T
-    return CenteredMeasurements(s, w, CenteringMode.STREAM)
+    return CenteredMeasurements(s, w)
 
 
-def build_pseudo(centered: CenteredMeasurements) -> PseudoMeasurements:
-    """Quadratic pseudo-measurements of the centered points.
+def build_pseudo(centered: CenteredMeasurements) -> np.ndarray:
+    """Quadratic pseudo-measurements of the centered points, shape (M, 3).
 
-    b = (s1^2, s2^2, s1*s2) holds the squares and the cross-term, the
-    entries whose expectations are (C11, C22, C12) of the centered-
-    measurement covariance C_s (see :func:`orientation_moments`). The
-    orientation update consumes b as is; the axis update squares the
-    points in the object-aligned frame instead (see
+    Row i is b = (s1^2, s2^2, s1*s2) of centered point i: the squares and
+    the cross-term, whose expectations are (C11, C22, C12) of the
+    centered-measurement covariance C_s (see :func:`orientation_moments`).
+    The orientation update consumes these rows as they are; the axis
+    update squares the points in the object-aligned frame instead (see
     :func:`aligned_squares`).
     """
     squares = centered.s ** 2
     cross = centered.s[:, 0] * centered.s[:, 1]
-    return PseudoMeasurements(b=np.column_stack((squares, cross)))
+    return np.column_stack((squares, cross))
 
 
 def aligned_squares(s: np.ndarray, theta: float) -> np.ndarray:

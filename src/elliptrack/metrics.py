@@ -34,13 +34,6 @@ class EllipseParams:
         return shape_matrix(self.theta, self.semi_axes)
 
 
-@dataclass(frozen=True)
-class ErrorRecord:
-    """Per-step errors of an estimate against the ground truth."""
-    gwd_sq: float
-    orient_err: float
-
-
 def ellipse_from_estimate(est: DecoupledEstimate) -> EllipseParams:
     """Extract the ellipse described by a decoupled estimate's means."""
     return EllipseParams(est.kin.center, est.orient.mean, est.axis.mean)
@@ -74,14 +67,16 @@ def gwd_squared(a: EllipseParams, b: EllipseParams) -> float:
 
     Zero iff the ellipses coincide (up to the theta + pi and axis-swap
     symmetries of the shape matrix); symmetric in its arguments and
-    invariant under a joint rigid transform.
+    invariant under a joint rigid transform. NaN input gives NaN.
     """
     xa, xb = a.matrix(), b.matrix()
     root_a = matrix_sqrt_2x2(xa)
     inner = matrix_sqrt_2x2(root_a @ xb @ root_a)
     center_term = float(np.sum((a.center - b.center) ** 2))
-    # the trace term can dip epsilon-negative for identical shapes
-    return max(0.0, center_term + float(np.trace(xa + xb - 2.0 * inner)))
+    total = center_term + float(np.trace(xa + xb - 2.0 * inner))
+    # The trace term can dip epsilon-negative for identical shapes. Clamp
+    # only finite values, so a NaN or infinite distance is not scored 0.
+    return 0.0 if -np.inf < total < 0.0 else total
 
 
 def orientation_error(theta_est: float, theta_true: float) -> float:

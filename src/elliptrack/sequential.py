@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateInformation, SingularInnovation, SingularPseudoCov
+from .errors import SingularInnovation, SingularPseudoCov
 from .measurements import MeasurementSet, aligned_squares, build_pseudo, \
     center_measurements
 from .state import (AXIS_FLOOR, H_CENTER, AxisState, DecoupledEstimate,
@@ -215,13 +215,10 @@ def _update_or_skip(diagnostics: Optional[StepDiagnostics], component: str,
     """Return ``update(prior, *args)``, or ``prior`` if the update is skipped.
 
     An ill-conditioned solve skips the update and counts it in
-    ``diagnostics`` under ``component``. Degenerate information (an
-    orientation already known exactly) keeps the prior without a count.
+    ``diagnostics`` under ``component``.
     """
     try:
         return update(prior, *args)
-    except DegenerateInformation:
-        return prior
     except (SingularInnovation, SingularPseudoCov):
         if diagnostics is not None:
             counter = "skipped_" + component
@@ -251,11 +248,10 @@ def step_sequential(est: DecoupledEstimate, measurements: MeasurementSet,
     if len(measurements) == 0:
         return pred
     centered = center_measurements(measurements, pred.kin, cfg.R)
-    pseudo = build_pseudo(centered)
     w = centered.W
 
     current = pred
-    for z, s, b in zip(measurements.points, centered.s, pseudo.b):
+    for z, s, b in zip(measurements.points, centered.s, build_pseudo(centered)):
         snap = current
         axis, orient = snap.axis, snap.orient
         calls = {

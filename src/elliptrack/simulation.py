@@ -7,9 +7,11 @@ only sees the prior itself. Runs are independent and seeded individually,
 so serial and parallel campaigns produce identical aggregates.
 """
 
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -17,8 +19,8 @@ import numpy as np
 from .batch import step_batch
 from .errors import ConfigError
 from .measurements import MeasurementSet, SourceDistribution, sample_measurements
-from .metrics import EllipseParams, ErrorRecord, ellipse_from_estimate, \
-    gwd_squared, orientation_error
+from .metrics import EllipseParams, ellipse_from_estimate, gwd_squared, \
+    orientation_error
 from .sequential import StepDiagnostics, step_sequential
 from .state import (AxisState, DecoupledEstimate, FilterConfig, KinematicState,
                     MotionModel, OrientationState, constant_velocity_transition,
@@ -140,27 +142,23 @@ class ScenarioConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "R", np.asarray(self.R, dtype=float).reshape(2, 2))
-        if self.runs < 1:
-            raise ConfigError(f"need at least one run, got {self.runs}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if not isinstance(self.runs, numbers.Integral) or self.runs < 1:
+            raise ConfigError(f"need an integer number of runs >= 1, "
+                              f"got {self.runs!r}")
         if self.lam <= 0.0:
             raise ConfigError(f"Poisson rate must be positive, got {self.lam}")
         if self.fixed_count is not None and self.fixed_count < 0:
             raise ConfigError("fixed measurement count cannot be negative")
+        try:
+            self.filter_config()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def filter_config(self) -> FilterConfig:
         return FilterConfig(R=self.R, c=self.source_dist.scaling_factor,
                             psi=self.psi)
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    """One time step of one run: truth, data, estimate, and errors."""
-    t: int
-    truth: TruthState
-    measurements: MeasurementSet
-    estimate: DecoupledEstimate
-    errors: ErrorRecord
-    wall_time: float
 
 
 @dataclass
@@ -171,7 +169,6 @@ class RunResult:
     orient_err: np.ndarray
     step_time_total: float
     diagnostics: StepDiagnostics
-    records: Optional[List[StepRecord]] = None
 
 
 @dataclass(frozen=True)
@@ -223,9 +220,13 @@ def step_function(filter_kind: str):
                       f"expected one of {FILTER_KINDS}")
 
 
-def run_single(cfg: ScenarioConfig, filter_kind: str, run_index: int,
-               keep_records: bool = False) -> RunResult:
-    """Run one filter over one sampled realization of the scenario."""
+def run_single(cfg: ScenarioConfig, filter_kind: str,
+               run_index: int) -> RunResult:
+    """Run one filter over one sampled realization of the scenario.
+
+    Scores the estimate after every step against the truth and returns
+    the two error curves, the filter-step time and the skip counts.
+    """
     step = step_function(filter_kind)
     truths, measurement_sets = sample_run_data(cfg, run_index)
     fcfg = cfg.filter_config()
@@ -236,26 +237,13 @@ def run_single(cfg: ScenarioConfig, filter_kind: str, run_index: int,
     gwd = np.empty(n)
     orient = np.empty(n)
     total_time = 0.0
-    records = [] if keep_records else None
     for idx, (truth, meas) in enumerate(zip(truths, measurement_sets)):
         tic = time.perf_counter()
         est = step(est, meas, cfg.motion, fcfg, diagnostics=diagnostics)
-        wall = time.perf_counter() - tic
-        total_time += wall
-        err = ErrorRecord(
-            gwd_sq=gwd_squared(ellipse_from_estimate(est), truth.ellipse()),
-            orient_err=orientation_error(est.orient.mean, truth.theta),
-        )
-        gwd[idx] = err.gwd_sq
-        orient[idx] = err.orient_err
-        if records is not None:
-            records.append(StepRecord(idx + 1, truth, meas, est, err, wall))
-    return RunResult(run_index, gwd, orient, total_time, diagnostics, records)
-
-
-def _run_worker(args):
-    cfg, filter_kind, run_index, keep_records = args
-    return run_single(cfg, filter_kind, run_index, keep_records)
+        total_time += time.perf_counter() - tic
+        gwd[idx] = gwd_squared(ellipse_from_estimate(est), truth.ellipse())
+        orient[idx] = orientation_error(est.orient.mean, truth.theta)
+    return RunResult(run_index, gwd, orient, total_time, diagnostics)
 
 
 def summarize(cfg: ScenarioConfig, filter_kind: str,
@@ -285,23 +273,21 @@ def summarize(cfg: ScenarioConfig, filter_kind: str,
     )
 
 
-def run_scenario(cfg: ScenarioConfig, filter_kind: str, jobs: int = 1,
-                 keep_records: bool = False
+def run_scenario(cfg: ScenarioConfig, filter_kind: str, jobs: int = 1
                  ) -> Tuple[CampaignSummary, List[RunResult]]:
     """Run a full Monte-Carlo campaign, optionally across processes.
 
     Every run owns an independent seed-derived stream, so the aggregates
     do not depend on scheduling; parallel and serial execution agree
-    exactly (runtimes aside).
+    exactly (runtimes aside). The results come back in run order.
     """
     step_function(filter_kind)  # validate up front
-    tasks = [(cfg, filter_kind, r, keep_records) for r in range(cfg.runs)]
+    run = partial(run_single, cfg, filter_kind)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_worker, tasks, chunksize=8))
+            results = list(pool.map(run, range(cfg.runs), chunksize=8))
     else:
-        results = [_run_worker(task) for task in tasks]
-    results.sort(key=lambda r: r.run_index)
+        results = list(map(run, range(cfg.runs)))
     return summarize(cfg, filter_kind, results), results
 
 

@@ -18,8 +18,7 @@ from elliptrack import (AxisState, FilterConfig,
                         run_scenario, sample_measurements, step_batch,
                         step_sequential)
 from elliptrack.cli import main
-from elliptrack.measurements import (CenteredMeasurements, CenteringMode,
-                                     aligned_squares)
+from elliptrack.measurements import CenteredMeasurements, aligned_squares
 from elliptrack.metrics import EllipseParams
 from elliptrack.sequential import axis_moments
 from elliptrack.simulation import TrajectorySpec
@@ -154,7 +153,7 @@ class TestPropertySuite:
             orient = OrientationState(0.4, 0.05)
             cfg = FilterConfig(R=np.eye(2) * 0.8, c=0.25)
             s = rng.normal(size=(count, 2)) * 1.5
-            centered = CenteredMeasurements(s, cfg.R, CenteringMode.BATCH)
+            centered = CenteredMeasurements(s, cfg.R)
             reduced = batch_update_axis(axis, centered, orient, cfg)
             mom = axis_moments(axis, orient, cfg.R, cfg)
             a_stacked = aligned_squares(s, orient.mean).flatten()
@@ -191,8 +190,7 @@ class TestPropertySuite:
         from elliptrack import build_pseudo
         rng = np.random.default_rng(2)
         points = rng.normal(size=(1000, 2)) * 4
-        built = build_pseudo(CenteredMeasurements(points, np.eye(2),
-                                                  CenteringMode.BATCH)).b
+        built = build_pseudo(CenteredMeasurements(points, np.eye(2)))
         exact = all(np.array_equal(built[i], QUAD_SELECT @ np.kron(s, s))
                     for i, s in enumerate(points))
         report("criterion 6e (cross-term pseudo-measurement equals "

@@ -3,14 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from elliptrack import (AxisState, DecoupledEstimate, DegenerateInformation,
-                        FilterConfig, KinematicState, MeasurementSet,
+from elliptrack import (AxisState, DecoupledEstimate, FilterConfig, KinematicState, MeasurementSet,
                         OrientationState, StepDiagnostics, predict, rot,
                         shape_matrix, step_batch, step_sequential)
 from elliptrack.batch import (batch_update_axis, batch_update_kinematics,
                               batch_update_orientation)
-from elliptrack.measurements import (CenteredMeasurements, CenteringMode,
-                                     aligned_squares, center_measurements)
+from elliptrack.measurements import (CenteredMeasurements, aligned_squares,
+                                     center_measurements)
 from elliptrack.sequential import (axis_moments, orientation_moments,
                                    update_kinematics, update_orientation)
 
@@ -60,7 +59,7 @@ class TestBatchAxis:
         root = np.sqrt(rho)
         s = np.array([[root[0], root[1]], [-root[0], -root[1]],
                       [root[0], -root[1]]])
-        centered = CenteredMeasurements(s, cfg.R, CenteringMode.BATCH)
+        centered = CenteredMeasurements(s, cfg.R)
         out = batch_update_axis(axis, centered, orient, cfg)
         np.testing.assert_allclose(out.mean, axis.mean, atol=1e-12)
         assert np.trace(out.cov) < np.trace(axis.cov)
@@ -79,7 +78,7 @@ class TestBatchAxis:
         orient = OrientationState(0.4, 0.05)
         cfg = FilterConfig(R=np.eye(2) * 0.8, c=0.25)
         s = rng.normal(size=(count, 2)) * 1.5
-        centered = CenteredMeasurements(s, cfg.R, CenteringMode.BATCH)
+        centered = CenteredMeasurements(s, cfg.R)
         reduced = batch_update_axis(axis, centered, orient, cfg)
 
         mom = axis_moments(axis, orient, cfg.R, cfg)
@@ -99,8 +98,7 @@ class TestBatchAxis:
         orient = OrientationState(0.0, 0.05)
         cfg = FilterConfig(R=np.eye(2), c=0.25, psi=0.1)
         rng = np.random.default_rng(9)
-        centered = CenteredMeasurements(rng.normal(size=(4, 2)), cfg.R,
-                                        CenteringMode.BATCH)
+        centered = CenteredMeasurements(rng.normal(size=(4, 2)), cfg.R)
         out = batch_update_axis(axis, centered, orient, cfg)
         caps = (0.1 * out.mean) ** 2
         assert out.cov[0, 0] <= caps[0] + 1e-12
@@ -109,8 +107,7 @@ class TestBatchAxis:
     def test_without_psi_no_clamp(self):
         axis, orient, cfg = self._setup(psi=None)
         rng = np.random.default_rng(10)
-        centered = CenteredMeasurements(rng.normal(size=(4, 2)) * 3, cfg.R,
-                                        CenteringMode.BATCH)
+        centered = CenteredMeasurements(rng.normal(size=(4, 2)) * 3, cfg.R)
         out = batch_update_axis(axis, centered, orient, cfg)
         assert np.all(out.mean > 0)
         assert_symmetric_psd(out.cov)
@@ -126,7 +123,7 @@ class TestBatchOrientation:
         mom = orientation_moments(axis, orient, cfg.R, cfg)
         c11, c22 = mom.expected_b[0], mom.expected_b[1]
         s = np.array([[np.sqrt(2 * c11), 0.0], [0.0, np.sqrt(2 * c22)]])
-        centered = CenteredMeasurements(s, cfg.R, CenteringMode.BATCH)
+        centered = CenteredMeasurements(s, cfg.R)
         out = batch_update_orientation(orient, centered, axis, cfg)
         assert out.mean == pytest.approx(0.0, abs=1e-12)
         gamma = mom.cov_bb - orient.var * np.outer(mom.m_vec, mom.m_vec)
@@ -141,8 +138,7 @@ class TestBatchOrientation:
         orient = OrientationState(0.2, 0.4)
         cfg = FilterConfig(R=np.eye(2), c=0.25)
         rng = np.random.default_rng(11)
-        centered = CenteredMeasurements(rng.normal(size=(5, 2)), cfg.R,
-                                        CenteringMode.BATCH)
+        centered = CenteredMeasurements(rng.normal(size=(5, 2)), cfg.R)
         mom = orientation_moments(axis, OrientationState(0.0, 0.4), cfg.R, cfg)
         np.testing.assert_allclose(mom.m_vec, np.zeros(3), atol=1e-14)
         out = batch_update_orientation(OrientationState(0.0, 0.4), centered,
@@ -150,14 +146,12 @@ class TestBatchOrientation:
         assert out.mean == pytest.approx(0.0, abs=1e-12)
         assert out.var == pytest.approx(0.4, rel=1e-12)
 
-    def test_zero_prior_variance_raises(self):
+    def test_zero_prior_variance_returns_prior(self):
         axis = AxisState([4.0, 1.5], np.zeros((2, 2)))
         cfg = FilterConfig(R=np.eye(2), c=0.25)
-        centered = CenteredMeasurements(np.ones((3, 2)), cfg.R,
-                                        CenteringMode.BATCH)
-        with pytest.raises(DegenerateInformation):
-            batch_update_orientation(OrientationState(0.3, 0.0), centered,
-                                     axis, cfg)
+        centered = CenteredMeasurements(np.ones((3, 2)), cfg.R)
+        prior = OrientationState(0.3, 0.0)
+        assert batch_update_orientation(prior, centered, axis, cfg) is prior
 
     def test_variance_always_shrinks(self):
         rng = np.random.default_rng(12)
@@ -167,8 +161,7 @@ class TestBatchOrientation:
             orient = OrientationState(rng.uniform(-np.pi, np.pi),
                                       rng.uniform(0.01, 0.5))
             m = rng.integers(2, 10)
-            centered = CenteredMeasurements(rng.normal(size=(m, 2)) * 2, cfg.R,
-                                            CenteringMode.BATCH)
+            centered = CenteredMeasurements(rng.normal(size=(m, 2)) * 2, cfg.R)
             out = batch_update_orientation(orient, centered, axis, cfg)
             assert 0.0 < out.var <= orient.var
 
@@ -187,7 +180,7 @@ class TestBatchOrientation:
             w = np.clip(rng.multivariate_normal(np.zeros(2), cfg.R, size=2),
                         -2.0, 2.0)
             s = (rot(theta) @ np.diag(axes) @ h.T).T + w
-            centered = CenteredMeasurements(s, cfg.R, CenteringMode.BATCH)
+            centered = CenteredMeasurements(s, cfg.R)
             from_batch = batch_update_orientation(orient, centered, axis, cfg)
 
             b = np.column_stack((s ** 2, s[:, 0] * s[:, 1]))

@@ -124,6 +124,17 @@ class TestTrack:
         assert "line 2" in err and "non-finite" in err
         assert not (tmp_path / "est.jsonl").exists()
 
+    def test_blank_lines_count_in_reported_line(self, tmp_path, capsys):
+        # file line 4 holds the NaN; the blank line 1 is skipped, not dropped
+        meas = tmp_path / "m.jsonl"
+        meas.write_text('\n{"t": 1, "measurements": [[1.0, 2.0]]}\n'
+                        '{"t": 2, "measurements": [[3.0, 1.0]]}\n'
+                        '{"t": 3, "measurements": [[NaN, 2.0]]}\n')
+        assert main(["track", str(meas), "--scenario", "moderate",
+                     "--out", str(tmp_path / "est.jsonl")]) == 4
+        err = capsys.readouterr().err
+        assert "line 4" in err and "non-finite" in err
+
     @pytest.mark.parametrize("kind", ["sequential", "batch"])
     def test_overflowing_estimate_exits_4(self, tmp_path, capsys, kind):
         # 1e308 is finite, but its square is not: the step that reads it
@@ -251,6 +262,25 @@ class TestEval:
         assert "line 5" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad", ["estimates", "truth"])
+    def test_blank_lines_count_in_reported_line(self, tmp_path, capsys, bad):
+        # Two blank lines lead the file with the bad record; its fifth
+        # record is then on file line 7 there and on line 5 in the other.
+        sim = self._simulate(tmp_path)
+        est = tmp_path / "est.jsonl"
+        self._estimates_from_truth(sim, est)
+        path = est if bad == "estimates" else sim
+        rows = read_jsonl(path)
+        if bad == "estimates":
+            rows[4]["axis"]["mean"] = [float("nan"), 1.0]
+        else:
+            rows[4]["truth"]["theta"] = float("nan")
+        path.write_text("\n\n" + "".join(json.dumps(r) + "\n" for r in rows))
+        assert main(["eval", str(est), str(sim),
+                     "--out", str(tmp_path / "errors.csv")]) == 4
+        err = capsys.readouterr().err
+        assert "line 7" in err and "line 5" not in err
+
 
 class TestPipeline:
     def test_round_trip(self, tmp_path):
@@ -324,6 +354,25 @@ class TestExitCodes:
         bad.write_text("{\"name\": \"x\"}")
         assert main(["simulate", "--config", str(bad), "--seed", "1",
                      "--out", str(tmp_path / "o.jsonl")]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--scenario", "moderate", "--seed", "-5"],
+        ["mc", "moderate", "--seed", "-3", "--runs", "1"],
+        ["mc", "moderate", "--runs", "0"],
+    ])
+    def test_bad_seed_or_runs_option_exits_2(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("overrides", [{"seed": 1.5}, {"runs": 2.5},
+                                           {"seed": -1}, {"psi": 2.0}])
+    def test_bad_seed_runs_or_psi_in_config_exits_2(self, tmp_path, capsys,
+                                                    overrides):
+        config = write_config(tmp_path, **overrides)
+        assert main(["simulate", "--config", config,
+                     "--out", str(tmp_path / "o.jsonl")]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_unwritable_output_exits_3(self, tmp_path):
         assert main(["simulate", "--scenario", "moderate", "--seed", "1",

@@ -42,6 +42,12 @@ class TestGwdSquared:
         e = EllipseParams([1, 2], 0.4, [3, 1])
         assert gwd_squared(e, e) == pytest.approx(0.0, abs=1e-10)
 
+    def test_nan_center_is_not_scored_perfect(self):
+        good = EllipseParams([1, 2], 0.3, [5, 2])
+        bad = EllipseParams([np.nan, 0], 0.3, [5, 2])
+        assert np.isnan(gwd_squared(bad, good))
+        assert np.isnan(gwd_squared(good, bad))
+
     def test_concentric_circles(self):
         # Commuting shape matrices: d^2 = 2 (r1 - r2)^2
         a = EllipseParams([0, 0], 0.0, [1, 1])

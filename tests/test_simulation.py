@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from elliptrack import ConfigError, builtin_scenarios, generate_truth, \
-    run_scenario, run_single
+    run_scenario
 from elliptrack.simulation import TrajectorySpec, sample_run_data
 
 
@@ -116,6 +116,10 @@ class TestBuiltinScenarios:
             dataclasses.replace(scen, runs=0)
         with pytest.raises(ConfigError):
             dataclasses.replace(scen, lam=0.0)
+        for field, value in [("seed", -1), ("seed", 1.5), ("seed", "7"),
+                             ("runs", 2.5), ("psi", 2.0), ("psi", 0.0)]:
+            with pytest.raises(ConfigError):
+                dataclasses.replace(scen, **{field: value})
 
 
 class TestRunScenario:
@@ -161,15 +165,6 @@ class TestRunScenario:
     def test_unknown_filter_kind(self):
         with pytest.raises(ConfigError):
             run_scenario(self._small(), "up")
-
-    def test_records_align_with_curves(self):
-        cfg = self._small(runs=1)
-        result = run_single(cfg, "sequential", 0, keep_records=True)
-        assert len(result.records) == cfg.trajectory.steps
-        for idx, record in enumerate(result.records):
-            assert record.t == idx + 1
-            assert record.errors.gwd_sq == result.gwd_sq[idx]
-            assert record.errors.orient_err == result.orient_err[idx]
 
     def test_run_data_shared_between_runs_is_independent(self):
         cfg = self._small(runs=2)
