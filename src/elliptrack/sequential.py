@@ -10,6 +10,7 @@ source moment match plus a first-order treatment of the orientation
 uncertainty.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -18,10 +19,9 @@ import numpy as np
 from .errors import SingularInnovation, SingularPseudoCov
 from .measurements import MeasurementSet, aligned_squares, build_pseudo, \
     center_measurements
-from .state import (AXIS_FLOOR, H_CENTER, AxisState, DecoupledEstimate,
-                    FilterConfig, KinematicState, MotionModel,
-                    OrientationState, rot, shape_matrix, symmetrize_psd,
-                    wrap_angle)
+from .state import (AXIS_FLOOR, AxisState, DecoupledEstimate, FilterConfig,
+                    KinematicState, MotionModel, OrientationState,
+                    _shape_entries, shape_matrix, symmetrize_psd, wrap_angle)
 
 # Condition-number guard for the linear solves replacing symbolic inverses.
 COND_LIMIT = 1e12
@@ -68,18 +68,68 @@ class OrientationMoments:
     m_vec: np.ndarray        # dE(b)/dtheta of the source term, 3-vector
 
 
-def _guarded_solve(mat: np.ndarray, rhs: np.ndarray, exc) -> np.ndarray:
-    """Solve mat @ x = rhs with a condition-number guard.
+def _cross(u: list, v: list) -> list:
+    """Cross product of two 3-vectors given as lists."""
+    return [u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0]]
 
-    ``mat`` is symmetric by construction everywhere this is used, so the
-    condition number comes from the eigenvalues.
+
+def _det3(r0: list, r1: list, r2: list) -> float:
+    """Determinant of the 3x3 matrix with rows r0, r1, r2.
+
+    One elimination step with partial pivoting, then a 2x2 determinant.
+    Expanding by cofactors instead loses up to eps * kappa^2 when one
+    eigenvalue dominates; elimination is backward stable, so the result
+    is the determinant of a matrix within rounding of the input.
     """
-    if not np.all(np.isfinite(mat)):
+    m0, m1, m2 = abs(r0[0]), abs(r1[0]), abs(r2[0])
+    if m0 >= m1 and m0 >= m2:
+        top, u, v, sign = r0, r1, r2, 1.0
+    elif m1 >= m2:
+        top, u, v, sign = r1, r0, r2, -1.0
+    else:
+        top, u, v, sign = r2, r0, r1, 1.0
+    pivot = top[0]
+    if pivot == 0.0:
+        return 0.0
+    fu, fv = u[0] / pivot, v[0] / pivot
+    return sign * pivot * ((u[1] - fu * top[1]) * (v[2] - fv * top[2])
+                           - (u[2] - fu * top[2]) * (v[1] - fv * top[1]))
+
+
+def _guarded_solve(mat: np.ndarray, rhs: np.ndarray, exc) -> np.ndarray:
+    """Solve mat @ x = rhs for a 2x2 or 3x3 ``mat``, or raise ``exc``.
+
+    The solve is x = adj(A) rhs / det(A), in scalars. The guard is the
+    Frobenius condition number kappa_F = ||A||_F ||adj A||_F / |det A|,
+    which is ||A||_F ||A^-1||_F and so lies between the 2-norm condition
+    number and n times it. ``exc`` is raised for a non-finite entry or
+    when kappa_F reaches ``COND_LIMIT``. On a numerically singular matrix
+    the determinant is a rounding residue, which puts kappa_F near 1/eps,
+    far above the limit, rather than letting it collapse.
+    """
+    rows = np.asarray(mat, dtype=float).tolist()
+    entries = [x for row in rows for x in row]
+    if not all(map(math.isfinite, entries)):
         raise exc
-    eig = np.abs(np.linalg.eigvalsh(mat))
-    if eig.min() * COND_LIMIT <= eig.max() or eig.max() == 0.0:
+    norm = math.hypot(*entries)
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        adj = [[d, -b], [-c, a]]
+        det = a * d - b * c
+        norm_adj = norm
+    else:
+        # The columns of adj(A) are cross products of the rows of A.
+        r0, r1, r2 = rows
+        col0, col1, col2 = _cross(r1, r2), _cross(r2, r0), _cross(r0, r1)
+        adj = list(zip(col0, col1, col2))
+        det = _det3(r0, r1, r2)
+        norm_adj = math.hypot(*col0, *col1, *col2)
+    # Negated so that a NaN product (inf * 0) also raises.
+    if not norm * norm_adj < COND_LIMIT * abs(det):
         raise exc
-    return np.linalg.solve(mat, rhs)
+    return np.dot(adj, rhs) / det
 
 
 def predict(est: DecoupledEstimate, motion: MotionModel) -> DecoupledEstimate:
@@ -99,13 +149,18 @@ def predict(est: DecoupledEstimate, motion: MotionModel) -> DecoupledEstimate:
 
 def kalman_center_update(kin: KinematicState, z: np.ndarray,
                          effective_noise: np.ndarray) -> KinematicState:
-    """Kalman update of the kinematics against a 2-d center observation."""
-    innovation_cov = H_CENTER @ kin.cov @ H_CENTER.T + effective_noise
-    gain = _guarded_solve(innovation_cov, H_CENTER @ kin.cov,
+    """Kalman update of the kinematics against a 2-d center observation.
+
+    The center is the first two state entries, so the observation model
+    reduces to the slices ``cov[:2]`` (H P) and ``cov[:2, :2]`` (H P H^T).
+    """
+    center_rows = kin.cov[:2]
+    innovation_cov = center_rows[:, :2] + effective_noise
+    gain = _guarded_solve(innovation_cov, center_rows,
                           SingularInnovation("kinematic innovation covariance "
                                              "is ill-conditioned")).T
-    mean = kin.mean + gain @ (np.asarray(z, dtype=float) - H_CENTER @ kin.mean)
-    cov = symmetrize_psd(kin.cov - gain @ H_CENTER @ kin.cov)
+    mean = kin.mean + gain @ (np.asarray(z, dtype=float) - kin.mean[:2])
+    cov = symmetrize_psd(kin.cov - gain @ center_rows)
     return KinematicState(mean, cov)
 
 
@@ -127,19 +182,25 @@ def axis_moments(axis: AxisState, orient: OrientationState,
     makes the two axes decouple: each expected square is the aligned
     noise variance plus the scaled second moment of the axis length.
     """
-    r_neg = rot(-orient.mean)
-    w_theta = r_neg @ np.asarray(w, dtype=float) @ r_neg.T
-    p, cov_p = axis.mean, axis.cov
-    expected_a = np.array([
-        w_theta[0, 0] + cfg.c * (cov_p[0, 0] + p[0] ** 2),
-        w_theta[1, 1] + cfg.c * (cov_p[1, 1] + p[1] ** 2),
-    ])
-    off = 2.0 * w_theta[0, 1] ** 2
-    cov_aa = np.array([[2.0 * expected_a[0] ** 2, off],
-                       [off, 2.0 * expected_a[1] ** 2]])
-    cross_ap = np.diag([2.0 * cfg.c * p[0] * cov_p[0, 0],
-                        2.0 * cfg.c * p[1] * cov_p[1, 1]])
-    return AxisMoments(expected_a, cov_aa, cross_ap)
+    # The entries of W_theta = R(-theta) W R(-theta)^T.
+    cos_t, sin_t = math.cos(orient.mean), math.sin(orient.mean)
+    (w11, w12), (w21, w22) = np.asarray(w, dtype=float).tolist()
+    mixed = cos_t * sin_t * (w12 + w21)
+    aligned_1 = cos_t * cos_t * w11 + mixed + sin_t * sin_t * w22
+    aligned_2 = sin_t * sin_t * w11 - mixed + cos_t * cos_t * w22
+    aligned_12 = (cos_t * sin_t * (w22 - w11)
+                  + cos_t * cos_t * w12 - sin_t * sin_t * w21)
+    p1, p2 = axis.mean.tolist()
+    (var_1, _), (_, var_2) = axis.cov.tolist()
+    c = cfg.c
+    ea1 = aligned_1 + c * (var_1 + p1 * p1)
+    ea2 = aligned_2 + c * (var_2 + p2 * p2)
+    off = 2.0 * aligned_12 * aligned_12
+    return AxisMoments(np.array([ea1, ea2]),
+                       np.array([[2.0 * ea1 * ea1, off],
+                                 [off, 2.0 * ea2 * ea2]]),
+                       np.array([[2.0 * c * p1 * var_1, 0.0],
+                                 [0.0, 2.0 * c * p2 * var_2]]))
 
 
 def update_axis(axis: AxisState, a: np.ndarray, mom: AxisMoments) -> AxisState:
@@ -167,34 +228,34 @@ def orientation_moments(axis: AxisState, orient: OrientationState,
     with h ~ N(0, c I). Its covariance C_s combines the noise W, the
     source spread c S S^T with S = R(theta) diag(l), and a first-order
     term for the angle uncertainty built from the angle derivatives J1,
-    J2 of the rows of S. E(b) reads (C11, C22, C12) off the symmetric
-    C_s. Treating s as zero-mean Gaussian, Isserlis' theorem gives each
-    entry of Cov(b) as products of two entries of C_s:
-    Cov(s_i s_j, s_k s_l) = C_ik C_jl + C_il C_jk.
-    """
-    theta, var_theta = orient.mean, orient.var
-    l1, l2 = axis.mean
-    s_mat = rot(theta) @ np.diag([l1, l2])
-    sin_t, cos_t = np.sin(theta), np.cos(theta)
-    j1 = np.array([-l1 * sin_t, -l2 * cos_t])
-    j2 = np.array([l1 * cos_t, -l2 * sin_t])
-    jj = np.array([[j1 @ j1, j1 @ j2],
-                   [j2 @ j1, j2 @ j2]])
-    cov_s = (np.asarray(w, dtype=float) + cfg.c * (s_mat @ s_mat.T)
-             + var_theta * cfg.c * jj)
+    J2 of the rows of S. Written out, S S^T is the shape matrix X, and
+    J J^T = [[X22, -X12], [-X12, X11]], so with v = var(theta)
 
-    (c11, c12), (_, c22) = cov_s.tolist()
+        C11 = W11 + c (X11 + v X22),  C22 = W22 + c (X22 + v X11),
+        C12 = W12 + c (1 - v) X12.
+
+    E(b) reads (C11, C22, C12) off C_s. Treating s as zero-mean Gaussian,
+    Isserlis' theorem gives each entry of Cov(b) as products of two
+    entries of C_s: Cov(s_i s_j, s_k s_l) = C_ik C_jl + C_il C_jk. The
+    sensitivity is M = c (2 s1.j1, 2 s2.j2, s1.j2 + s2.j1)
+    = c (-2 X12, 2 X12, X11 - X22), with s_i and j_i the rows of S and J.
+    """
+    var_theta = orient.var
+    x11, x22, x12 = _shape_entries(orient.mean, *axis.mean.tolist())
+    (w11, w12), (_, w22) = np.asarray(w, dtype=float).tolist()
+    c = cfg.c
+    c11 = w11 + c * (x11 + var_theta * x22)
+    c22 = w22 + c * (x22 + var_theta * x11)
+    c12 = w12 + c * (1.0 - var_theta) * x12
     expected_b = np.array([c11, c22, c12])
     cov_bb = np.array([
         [2.0 * (c11 * c11), 2.0 * (c12 * c12), 2.0 * (c11 * c12)],
         [2.0 * (c12 * c12), 2.0 * (c22 * c22), 2.0 * (c22 * c12)],
         [2.0 * (c11 * c12), 2.0 * (c22 * c12), c11 * c22 + c12 * c12],
     ])
-    s1, s2 = s_mat[0], s_mat[1]
-    m_vec = cfg.c * np.array([2.0 * s1 @ j1,
-                              2.0 * s2 @ j2,
-                              s1 @ j2 + s2 @ j1])
-    cross_btheta = (var_theta * m_vec).reshape(1, 3)
+    m1, m2, m3 = -2.0 * c * x12, 2.0 * c * x12, c * (x11 - x22)
+    m_vec = np.array([m1, m2, m3])
+    cross_btheta = np.array([[var_theta * m1, var_theta * m2, var_theta * m3]])
     return OrientationMoments(expected_b, cov_bb, cross_btheta, m_vec)
 
 

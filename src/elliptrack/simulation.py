@@ -23,8 +23,8 @@ from .metrics import EllipseParams, ellipse_from_estimate, gwd_squared, \
     orientation_error
 from .sequential import StepDiagnostics, step_sequential
 from .state import (AxisState, DecoupledEstimate, FilterConfig, KinematicState,
-                    MotionModel, OrientationState, constant_velocity_transition,
-                    rot, wrap_angle)
+                    MotionModel, OrientationState, _has_psd_pivots,
+                    constant_velocity_transition, rot, wrap_angle)
 
 # Sampled true semi-axes are floored here; the shape priors put a little
 # Gaussian mass on negative lengths.
@@ -147,14 +147,53 @@ class ScenarioConfig:
         if not isinstance(self.runs, numbers.Integral) or self.runs < 1:
             raise ConfigError(f"need an integer number of runs >= 1, "
                               f"got {self.runs!r}")
-        if self.lam <= 0.0:
-            raise ConfigError(f"Poisson rate must be positive, got {self.lam}")
+        if not 0.0 < self.lam < np.inf:
+            raise ConfigError(f"Poisson rate must be positive and finite, "
+                              f"got {self.lam}")
         if self.fixed_count is not None and self.fixed_count < 0:
             raise ConfigError("fixed measurement count cannot be negative")
         try:
             self.filter_config()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        self._check_numbers()
+
+    def _check_numbers(self):
+        """Reject non-finite numbers and negative variances.
+
+        A covariance must be positive semi-definite up to rounding: its
+        symmetric part, shifted up by 1e-12 of its largest entry, must
+        pass the pivot test of :func:`symmetrize_psd`.
+        """
+        prior, motion, traj = self.prior, self.motion, self.trajectory
+        variances = {"prior orientation var": prior.orient.var,
+                     "Q_theta": motion.Q_theta,
+                     "position_jitter": traj.position_jitter,
+                     "velocity_jitter": traj.velocity_jitter}
+        covariances = {"R": self.R,
+                       "prior kinematics cov": prior.kin.cov,
+                       "prior axis cov": prior.axis.cov,
+                       "Q_kin": motion.Q_kin,
+                       "Q_axis": motion.Q_axis}
+        others = {"prior kinematics mean": prior.kin.mean,
+                  "prior axis mean": prior.axis.mean,
+                  "prior orientation mean": prior.orient.mean,
+                  "F_kin": motion.F_kin,
+                  "nominal_speed": traj.nominal_speed,
+                  "segment turn rates": [rate for _, rate in traj.segments]}
+        for name, value in {**variances, **covariances, **others}.items():
+            if not np.isfinite(value).all():
+                raise ConfigError(f"{name} must be finite, got {value}")
+        for name, value in variances.items():
+            if value < 0.0:
+                raise ConfigError(f"{name} is a variance and cannot be "
+                                  f"negative, got {value}")
+        for name, cov in covariances.items():
+            sym = cov + cov.T
+            sym.flat[::len(sym) + 1] += 1e-12 * np.abs(sym).max()
+            if not _has_psd_pivots(sym.tolist()):
+                raise ConfigError(f"{name} must be a positive semi-definite "
+                                  f"covariance, got {cov.tolist()}")
 
     def filter_config(self) -> FilterConfig:
         return FilterConfig(R=self.R, c=self.source_dist.scaling_factor,

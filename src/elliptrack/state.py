@@ -6,6 +6,7 @@ orientation. No cross-covariance between the components is ever stored;
 the decoupling is structural.
 """
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -34,24 +35,53 @@ def wrap_angle(theta: float) -> float:
     return float(wrapped)
 
 
+def _has_psd_pivots(rows: list) -> bool:
+    """True if LDL^T elimination of the symmetric ``rows`` meets no bad pivot.
+
+    Works on the upper triangle of a nested list in place. A zero pivot
+    passes only when the rest of its row is exactly zero, so an exactly
+    singular block (a noise-free velocity, say) passes while a matrix that
+    is merely close to singular must have positive pivots. NaN fails.
+    """
+    n = len(rows)
+    for k in range(n):
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        if pivot > 0.0:
+            for i in range(k + 1, n):
+                factor = pivot_row[i] / pivot
+                row = rows[i]
+                for j in range(i, n):
+                    row[j] -= factor * pivot_row[j]
+        elif pivot != 0.0 or any(pivot_row[k + 1:]):
+            return False
+    return True
+
+
 def symmetrize_psd(mat: np.ndarray) -> np.ndarray:
     """Return the symmetric PSD matrix nearest to ``mat`` in the eigen sense.
 
     Symmetrizes, then floors negative eigenvalues at zero. Kalman-style
     subtractive covariance updates can lose symmetry or pick up tiny
     negative eigenvalues in floating point; this repairs both. Idempotent
-    on symmetric PSD input.
+    on symmetric PSD input. The eigendecomposition only runs when a
+    scalar LDL^T pass (:func:`_has_psd_pivots`) finds a repair is needed.
     """
     sym = 0.5 * (mat + mat.T)
-    try:
-        # Fast path: already positive definite, nothing to repair.
-        np.linalg.cholesky(sym)
+    if _has_psd_pivots(sym.tolist()):
         return sym
-    except np.linalg.LinAlgError:
-        pass
     eigval, eigvec = np.linalg.eigh(sym)
     eigval = np.maximum(eigval, 0.0)
     return (eigvec * eigval) @ eigvec.T
+
+
+def _shape_entries(theta: float, l1: float, l2: float) -> tuple:
+    """(X11, X22, X12) of the shape matrix X, as Python floats."""
+    sq1, sq2 = l1 * l1, l2 * l2
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    return (sq1 * cos_t * cos_t + sq2 * sin_t * sin_t,
+            sq1 * sin_t * sin_t + sq2 * cos_t * cos_t,
+            (sq1 - sq2) * sin_t * cos_t)
 
 
 def shape_matrix(theta: float, axes: np.ndarray) -> np.ndarray:
@@ -60,8 +90,9 @@ def shape_matrix(theta: float, axes: np.ndarray) -> np.ndarray:
     Symmetric positive definite with eigenvalues {l1^2, l2^2}; invariant
     under theta -> theta + pi.
     """
-    r = rot(theta)
-    return r @ np.diag(np.asarray(axes, dtype=float) ** 2) @ r.T
+    l1, l2 = axes
+    x11, x22, x12 = _shape_entries(theta, float(l1), float(l2))
+    return np.array([[x11, x12], [x12, x22]])
 
 
 @dataclass(frozen=True)
@@ -167,14 +198,13 @@ def clamp_axis_variance(axis: AxisState, psi: float) -> AxisState:
     preserved; the mean is untouched. Keeps the Gaussian from putting
     significant mass on negative lengths.
     """
-    cov = axis.cov.copy()
-    scale = np.ones(2)
-    for j in range(2):
-        cap = (psi * axis.mean[j]) ** 2
-        if cov[j, j] > cap:
-            scale[j] = np.sqrt(cap / cov[j, j])
-            cov[j, j] = cap
-    factor = scale[0] * scale[1]
-    cov[0, 1] *= factor
-    cov[1, 0] *= factor
-    return replace(axis, cov=cov)
+    cov = axis.cov.tolist()
+    factor = 1.0
+    for j, length in enumerate(axis.mean.tolist()):
+        cap = (psi * length) ** 2
+        if cov[j][j] > cap:
+            factor *= math.sqrt(cap / cov[j][j])
+            cov[j][j] = cap
+    cov[0][1] *= factor
+    cov[1][0] *= factor
+    return replace(axis, cov=np.array(cov))

@@ -12,6 +12,7 @@ from elliptrack.measurements import (CenteredMeasurements, aligned_squares,
                                      center_measurements)
 from elliptrack.sequential import (axis_moments, orientation_moments,
                                    update_kinematics, update_orientation)
+from elliptrack.simulation import builtin_scenarios, sample_run_data
 
 from conftest import assert_symmetric_psd, make_estimate, make_motion
 
@@ -276,3 +277,25 @@ class TestStepBatch:
         assert np.array_equal(out.axis.mean, pred.axis.mean)
         assert np.array_equal(out.axis.cov, pred.axis.cov)
         assert out.orient == pred.orient
+
+
+class TestClosedFormStep:
+    @pytest.mark.parametrize("scenario, step",
+                             [("moderate", step_batch),
+                              ("stationary", step_sequential)])
+    def test_healthy_step_calls_no_lapack(self, monkeypatch, scenario, step):
+        cfg = builtin_scenarios(runs=1, seed=5)[scenario]
+        _, scans = sample_run_data(cfg, 0)
+        scan = next(s for s in scans if len(s) >= (2 if step is step_batch
+                                                    else 1))
+
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("LAPACK called on a healthy filter step")
+
+        for name in ("solve", "eigvalsh", "eigh", "cholesky", "inv"):
+            monkeypatch.setattr(np.linalg, name, no_lapack)
+        diagnostics = StepDiagnostics()
+        out = step(cfg.prior, scan, cfg.motion, cfg.filter_config(),
+                   diagnostics=diagnostics)
+        assert diagnostics.as_dict() == StepDiagnostics().as_dict()
+        assert np.all(np.isfinite(out.kin.cov)) and out.orient.var > 0.0

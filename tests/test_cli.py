@@ -374,6 +374,28 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o.jsonl")]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path, value", [
+        (("prior", "axis", "cov"), [[float("nan"), 0.0], [0.0, 1.0]]),
+        (("lambda",), float("inf")),
+        (("motion", "Q_theta"), -1.0),
+        (("trajectory", "position_jitter"), -1.0),
+        (("R",), [[1.0, 2.0], [2.0, 1.0]]),
+    ])
+    def test_non_finite_or_negative_variance_config_exits_2(self, tmp_path,
+                                                           capsys, path,
+                                                           value):
+        data = scenario_to_dict(builtin_scenarios()["moderate"])
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data))
+        assert main(["mc", str(config), "--runs", "1",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unwritable_output_exits_3(self, tmp_path):
         assert main(["simulate", "--scenario", "moderate", "--seed", "1",
                      "--out", str(tmp_path / "missing" / "o.jsonl")]) == 3

@@ -1,19 +1,23 @@
-"""Matrix-form oracles for the closed-form moments and the axis update.
+"""Matrix-form oracles for the closed-form moments, solve and axis update.
 
-The filters compute Cov(b) entry by entry from Isserlis' theorem and run
-one axis update for a single pseudo-measurement and for a stack of them.
-The oracles below are the general linear-algebra forms they replace: the
-Kronecker square of C_s under selection matrices, and the separate
-single-row and stacked axis updates.
+The filters compute Cov(b) entry by entry from Isserlis' theorem, solve
+their 2x2 and 3x3 systems by adjugate and determinant, and run one axis
+update for a single pseudo-measurement and for a stack of them. The
+oracles below are the general linear-algebra forms they replace: the
+Kronecker square of C_s under selection matrices, an eigenvalue
+condition guard with a LAPACK solve, and the separate single-row and
+stacked axis updates.
 """
 
 import numpy as np
+import pytest
 
 from elliptrack import AxisState, FilterConfig, OrientationState, rot
 from elliptrack.errors import SingularPseudoCov
 from elliptrack.measurements import aligned_squares
-from elliptrack.sequential import (AXIS_FLOOR, _guarded_solve, axis_moments,
-                                   orientation_moments, update_axis)
+from elliptrack.sequential import (AXIS_FLOOR, COND_LIMIT, _guarded_solve,
+                                   axis_moments, orientation_moments,
+                                   update_axis)
 from elliptrack.state import symmetrize_psd
 
 from conftest import QUAD_SELECT
@@ -45,6 +49,14 @@ def orientation_moments_oracle(axis, orient, w, cfg):
     m_vec = cfg.c * np.array([2.0 * s1 @ j1, 2.0 * s2 @ j2,
                               s1 @ j2 + s2 @ j1])
     return expected_b, cov_bb, m_vec
+
+
+def guarded_solve_oracle(mat, rhs):
+    """Eigenvalue condition guard and LAPACK solve; None means skipped."""
+    eig = np.abs(np.linalg.eigvalsh(mat))
+    if eig.min() * COND_LIMIT <= eig.max() or eig.max() == 0.0:
+        return None
+    return np.linalg.solve(mat, rhs)
 
 
 def update_axis_oracle(axis, a, mom):
@@ -140,3 +152,46 @@ def test_update_axis_matches_single_row_and_stacked_forms():
     print(f"worst relative deviation from the stacked oracle: {worst:.2e} "
           f"over {compared} cases")
     assert compared > 500 and worst <= TOL
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_guarded_solve_matches_eigenvalue_oracle(n):
+    # symmetric matrices Q diag(+-lambda) Q^T, PD or indefinite, with the
+    # condition number log-uniform in [1, 1e20]
+    rng = np.random.default_rng(23 + n)
+    worst, solved, disagree = 0.0, 0, []
+    for trial in range(4000):
+        cond = 10.0 ** rng.uniform(0.0, 20.0)
+        magnitudes = np.exp(rng.uniform(0.0, np.log(cond), size=n))
+        magnitudes[0], magnitudes[-1] = 1.0, cond
+        signs = np.ones(n) if trial % 2 else rng.choice([-1.0, 1.0], size=n)
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        mat = scale * (q * (signs * magnitudes)) @ q.T
+        mat = 0.5 * (mat + mat.T)
+        rhs = rng.normal(size=(n, 2) if trial % 3 else n)
+        expected = guarded_solve_oracle(mat, rhs)
+        try:
+            out = _guarded_solve(mat, rhs, SingularPseudoCov("skip"))
+        except SingularPseudoCov:
+            out = None
+        if not COND_LIMIT / 10.0 <= cond <= COND_LIMIT * 10.0:
+            if (out is None) != (expected is None):
+                disagree.append(cond)
+        if cond <= 1e6:
+            assert out is not None and expected is not None
+            worst = max(worst, np.abs(out - expected).max()
+                        / np.abs(expected).max())
+            solved += 1
+    print(f"worst relative deviation from the LAPACK solve: {worst:.2e} "
+          f"over {solved} cases")
+    assert not disagree
+    assert solved > 1000 and worst <= 1e-9
+
+
+def test_guarded_solve_rejects_non_finite_and_zero():
+    exc = SingularPseudoCov("skip")
+    for mat in ([[np.nan, 0.0], [0.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]],
+                np.zeros((2, 2)), np.zeros((3, 3)), np.ones((3, 3))):
+        with pytest.raises(SingularPseudoCov):
+            _guarded_solve(np.asarray(mat), np.ones(len(mat)), exc)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from elliptrack import (AxisState, FilterConfig, clamp_axis_variance, rot,
-                        shape_matrix, symmetrize_psd, wrap_angle)
+from elliptrack import (AxisState, FilterConfig, clamp_axis_variance, predict,
+                        rot, shape_matrix, symmetrize_psd, wrap_angle)
+from elliptrack.simulation import builtin_scenarios
 
 from conftest import assert_symmetric_psd
 
@@ -128,6 +129,59 @@ class TestSymmetrizePsd:
             np.testing.assert_allclose(once, psd, atol=1e-12)
             assert_symmetric_psd(symmetrize_psd(rng.normal(size=(3, 3))),
                                  sym_tol=1e-12, eig_tol=-1e-10)
+
+
+def symmetrize_psd_oracle(mat):
+    """The LAPACK form: Cholesky as the PD test, then the eigenvalue floor."""
+    sym = 0.5 * (mat + mat.T)
+    try:
+        np.linalg.cholesky(sym)
+        return sym
+    except np.linalg.LinAlgError:
+        pass
+    eigval, eigvec = np.linalg.eigh(sym)
+    return (eigvec * np.maximum(eigval, 0.0)) @ eigvec.T
+
+
+class TestSymmetrizePsdFastPath:
+    def test_block_singular_stationary_covariance_needs_no_repair(
+            self, monkeypatch):
+        cfg = builtin_scenarios()["stationary"]
+        predicted = predict(cfg.prior, cfg.motion).kin.cov
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("eigh called on a PSD matrix")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        for cov in (cfg.prior.kin.cov, predicted):
+            assert np.array_equal(symmetrize_psd(cov), 0.5 * (cov + cov.T))
+
+    def test_zero_pivot_with_nonzero_column_is_repaired(self):
+        # [[0, 1], [1, 0]] has a zero pivot but eigenvalues {-1, 1}
+        out = symmetrize_psd(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        np.testing.assert_allclose(out, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_lapack_oracle(self, n):
+        rng = np.random.default_rng(40 + n)
+        repaired = 0
+        for trial in range(600):
+            root = rng.normal(size=(n, n))
+            kind = trial % 3
+            if kind == 0:       # indefinite, asymmetric
+                mat = root
+            elif kind == 1:     # positive definite
+                mat = root @ root.T
+            else:               # singular PSD, rank n - 1, with rounding
+                mat = root[:, 1:] @ root[:, 1:].T
+            expected = symmetrize_psd_oracle(mat)
+            out = symmetrize_psd(mat)
+            scale = max(1.0, np.abs(mat).max())
+            assert np.abs(out - expected).max() <= 1e-12 * scale
+            if kind == 1:
+                assert np.array_equal(out, expected)
+            repaired += not np.array_equal(out, 0.5 * (mat + mat.T))
+        assert repaired >= 200
 
 
 class TestFilterConfig:
