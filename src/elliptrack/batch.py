@@ -4,23 +4,27 @@ The kinematics are updated with the measurement mean, the semi-axes with
 a stacked quadratic pseudo-measurement whose block-diagonal covariance
 reduces to a single 2x2 inverse, and the orientation with an
 information-form update. All three updates read only the prediction, so
-nothing is interleaved. A single measurement is delegated wholesale to
-the sequential step, which needs none of the batch approximations.
+nothing is interleaved. Of the points themselves the updates need only
+three statistics: the count M, the sample mean, and the scatter S of the
+centered points (:attr:`CenteredMeasurements.scatter`); the shape updates
+run on S in Python floats. A single measurement is delegated wholesale
+to the sequential step, which needs none of the batch approximations.
 """
 
+from operator import mul
 from typing import Optional
 
 import numpy as np
 
 from .errors import SingularPseudoCov
-from .measurements import CenteredMeasurements, MeasurementSet, aligned_squares, \
-    build_pseudo, center_measurements
+from .measurements import CenteredMeasurements, MeasurementSet, \
+    center_measurements
 from .sequential import StepDiagnostics, _guarded_solve, _update_or_skip, \
     axis_moments, kalman_center_update, orientation_moments, predict, \
     step_sequential, update_axis
 from .state import (AxisState, DecoupledEstimate, FilterConfig, KinematicState,
-                    MotionModel, OrientationState, clamp_axis_variance,
-                    shape_matrix, wrap_angle)
+                    MotionModel, OrientationState, _aligned_entries,
+                    clamp_axis_variance, shape_matrix, wrap_angle)
 
 
 def batch_update_kinematics(kin: KinematicState, measurements: MeasurementSet,
@@ -41,11 +45,14 @@ def batch_update_axis(axis: AxisState, centered: CenteredMeasurements,
     """Stacked-pseudo-measurement update of the semi-axes.
 
     All per-measurement moments are evaluated at the prediction, so the
-    stacked update is :func:`update_axis` applied to every aligned square
-    at once. Applies the psi variance clamp afterwards when configured.
+    stacked update is :func:`update_axis` on the sum of the aligned
+    squares, which is the diagonal of R(-theta) S R(-theta)^T for the
+    scatter S. Applies the psi variance clamp afterwards when configured.
     """
     mom = axis_moments(axis, orient, centered.W, cfg)
-    updated = update_axis(axis, aligned_squares(centered.s, orient.mean), mom)
+    s11, s22, s12 = centered.scatter
+    a1, a2, _ = _aligned_entries(orient.mean, s11, s12, s12, s22)
+    updated = update_axis(axis, (a1, a2), mom, len(centered))
     if cfg.psi is not None:
         updated = clamp_axis_variance(updated, cfg.psi)
     return updated
@@ -60,29 +67,31 @@ def batch_update_orientation(orient: OrientationState,
     Linearizing b around the predicted angle gives a scalar measurement
     model with sensitivity M and noise covariance Gamma = C_bb minus the
     angle-uncertainty part M var M^T. Information adds per measurement,
-    so the posterior variance can only shrink. An orientation already
+    so the posterior variance can only shrink. The pseudo-measurements
+    enter only through their sum, the scatter S. An orientation already
     known exactly (zero prior variance) has no information form and is
     returned as it is.
     """
     if orient.var == 0.0:
         return orient
     mom = orientation_moments(axis, orient, centered.W, cfg)
-    m_vec = mom.m_vec
-    gamma = mom.cov_bb - orient.var * np.outer(m_vec, m_vec)
+    m_vec = mom.m_vec.tolist()
+    gamma = [[c - orient.var * (mi * mj) for c, mj in zip(row, m_vec)]
+             for row, mi in zip(mom.cov_bb.tolist(), m_vec)]
     weighted = _guarded_solve(gamma, m_vec,
                               SingularPseudoCov("batch orientation noise "
                                                 "covariance is ill-conditioned"))
-    info_gain = float(m_vec @ weighted)
+    info_gain = sum(map(mul, m_vec, weighted))
     if info_gain < 0.0:
         raise SingularPseudoCov("batch orientation noise covariance "
                                 "is not positive definite")
     count = len(centered)
     # The predicted-angle term enters every summand of the innovation.
-    xi_sum = (build_pseudo(centered) - mom.expected_b
-              + m_vec * orient.mean).sum(axis=0)
+    xi_sum = [b - count * (e - m * orient.mean) for b, e, m
+              in zip(centered.scatter, mom.expected_b.tolist(), m_vec)]
     info_prior = orient.mean / orient.var
     var = 1.0 / (1.0 / orient.var + count * info_gain)
-    mean = wrap_angle(var * (info_prior + float(weighted @ xi_sum)))
+    mean = wrap_angle(var * (info_prior + sum(map(mul, weighted, xi_sum))))
     return OrientationState(mean, var)
 
 

@@ -9,6 +9,7 @@ a Gaussian moment match of the source distribution.
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -54,6 +55,18 @@ class CenteredMeasurements:
 
     def __len__(self) -> int:
         return self.s.shape[0]
+
+    @cached_property
+    def scatter(self) -> tuple:
+        """(S11, S22, S12) of the scatter S = sum_i s_i s_i^T, as floats.
+
+        These are the column sums of the pseudo-measurements
+        (:func:`build_pseudo`); the batch updates need nothing else of
+        the points. Formed from the centered points rather than from raw
+        second moments, so no cancellation enters.
+        """
+        (s11, s12), (_, s22) = (self.s.T @ self.s).tolist()
+        return s11, s22, s12
 
 
 def sample_measurements(center, theta, axes, lam, noise_cov, source,
@@ -112,8 +125,10 @@ def build_pseudo(centered: CenteredMeasurements) -> np.ndarray:
     Row i is b = (s1^2, s2^2, s1*s2) of centered point i: the squares and
     the cross-term, whose expectations are (C11, C22, C12) of the
     centered-measurement covariance C_s (see :func:`orientation_moments`).
-    The orientation update consumes these rows as they are; the axis
-    update squares the points in the object-aligned frame instead (see
+    The sequential orientation update consumes these rows as they are,
+    the batch one only their column sums
+    (:attr:`CenteredMeasurements.scatter`); the axis update squares the
+    points in the object-aligned frame instead (see
     :func:`aligned_squares`).
     """
     squares = centered.s ** 2

@@ -12,6 +12,7 @@ uncertainty.
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,7 +22,8 @@ from .measurements import MeasurementSet, aligned_squares, build_pseudo, \
     center_measurements
 from .state import (AXIS_FLOOR, AxisState, DecoupledEstimate, FilterConfig,
                     KinematicState, MotionModel, OrientationState,
-                    _shape_entries, shape_matrix, symmetrize_psd, wrap_angle)
+                    _aligned_entries, _psd_2x2, _shape_entries, shape_matrix,
+                    symmetrize_psd, wrap_angle)
 
 # Condition-number guard for the linear solves replacing symbolic inverses.
 COND_LIMIT = 1e12
@@ -98,10 +100,12 @@ def _det3(r0: list, r1: list, r2: list) -> float:
                            - (u[2] - fu * top[2]) * (v[1] - fv * top[1]))
 
 
-def _guarded_solve(mat: np.ndarray, rhs: np.ndarray, exc) -> np.ndarray:
+def _guarded_solve(mat, rhs, exc):
     """Solve mat @ x = rhs for a 2x2 or 3x3 ``mat``, or raise ``exc``.
 
-    The solve is x = adj(A) rhs / det(A), in scalars. The guard is the
+    ``mat`` is a nested list of floats or an array. ``rhs`` is an array,
+    and then so is x, or a list of floats, and then x is one too. The
+    solve is x = adj(A) rhs / det(A). The guard is the
     Frobenius condition number kappa_F = ||A||_F ||adj A||_F / |det A|,
     which is ||A||_F ||A^-1||_F and so lies between the 2-norm condition
     number and n times it. ``exc`` is raised for a non-finite entry or
@@ -109,27 +113,27 @@ def _guarded_solve(mat: np.ndarray, rhs: np.ndarray, exc) -> np.ndarray:
     the determinant is a rounding residue, which puts kappa_F near 1/eps,
     far above the limit, rather than letting it collapse.
     """
-    rows = np.asarray(mat, dtype=float).tolist()
-    entries = [x for row in rows for x in row]
-    if not all(map(math.isfinite, entries)):
-        raise exc
-    norm = math.hypot(*entries)
+    rows = mat.tolist() if isinstance(mat, np.ndarray) else mat
     if len(rows) == 2:
         (a, b), (c, d) = rows
-        adj = [[d, -b], [-c, a]]
+        adj = ((d, -b), (-c, a))
         det = a * d - b * c
-        norm_adj = norm
+        norm = norm_adj = math.hypot(a, b, c, d)
     else:
         # The columns of adj(A) are cross products of the rows of A.
         r0, r1, r2 = rows
         col0, col1, col2 = _cross(r1, r2), _cross(r2, r0), _cross(r0, r1)
-        adj = list(zip(col0, col1, col2))
+        adj = tuple(zip(col0, col1, col2))
         det = _det3(r0, r1, r2)
+        norm = math.hypot(*r0, *r1, *r2)
         norm_adj = math.hypot(*col0, *col1, *col2)
-    # Negated so that a NaN product (inf * 0) also raises.
-    if not norm * norm_adj < COND_LIMIT * abs(det):
+    # A non-finite entry makes the norm inf or NaN. The comparison is
+    # negated so that a NaN product (inf * 0) also raises.
+    if not (math.isfinite(norm) and norm * norm_adj < COND_LIMIT * abs(det)):
         raise exc
-    return np.dot(adj, rhs) / det
+    if isinstance(rhs, np.ndarray):
+        return np.dot(adj, rhs) / det
+    return [sum(map(mul, row, rhs)) / det for row in adj]
 
 
 def predict(est: DecoupledEstimate, motion: MotionModel) -> DecoupledEstimate:
@@ -182,14 +186,9 @@ def axis_moments(axis: AxisState, orient: OrientationState,
     makes the two axes decouple: each expected square is the aligned
     noise variance plus the scaled second moment of the axis length.
     """
-    # The entries of W_theta = R(-theta) W R(-theta)^T.
-    cos_t, sin_t = math.cos(orient.mean), math.sin(orient.mean)
     (w11, w12), (w21, w22) = np.asarray(w, dtype=float).tolist()
-    mixed = cos_t * sin_t * (w12 + w21)
-    aligned_1 = cos_t * cos_t * w11 + mixed + sin_t * sin_t * w22
-    aligned_2 = sin_t * sin_t * w11 - mixed + cos_t * cos_t * w22
-    aligned_12 = (cos_t * sin_t * (w22 - w11)
-                  + cos_t * cos_t * w12 - sin_t * sin_t * w21)
+    aligned_1, aligned_2, aligned_12 = _aligned_entries(orient.mean, w11, w12,
+                                                        w21, w22)
     p1, p2 = axis.mean.tolist()
     (var_1, _), (_, var_2) = axis.cov.tolist()
     c = cfg.c
@@ -203,21 +202,37 @@ def axis_moments(axis: AxisState, orient: OrientationState,
                                  [0.0, 2.0 * c * p2 * var_2]]))
 
 
-def update_axis(axis: AxisState, a: np.ndarray, mom: AxisMoments) -> AxisState:
-    """Linear update of the semi-axes from one or more pseudo-measurements.
+def update_axis(axis: AxisState, a, mom: AxisMoments,
+                count: int = 1) -> AxisState:
+    """Linear update of the semi-axes from ``count`` pseudo-measurements.
 
-    ``a`` is one row (s1^2, s2^2) or a stack of M rows that all share the
-    moments ``mom``. The stacked covariance is then block diagonal with
-    one repeated block, so the gain is that of a single row, the
-    innovations add up, and the covariance correction scales by M.
+    ``a`` is the sum of ``count`` aligned squares (s1^2, s2^2) that all
+    share the moments ``mom``; with the default count it is one row. The
+    stacked covariance is then block diagonal with one repeated block, so
+    the gain is that of a single row, the innovations add up to
+    a - count E(a), and the covariance correction scales by ``count``.
+    The correction can leave the covariance indefinite; it is projected
+    back onto the PSD matrices in closed form (:func:`_psd_2x2`).
     """
-    rows = np.asarray(a, dtype=float).reshape(-1, 2)
-    gain = _guarded_solve(mom.cov_aa, mom.cross_ap.T,
-                          SingularPseudoCov("axis pseudo-measurement covariance "
-                                            "is ill-conditioned")).T
-    mean = axis.mean + gain @ (rows - mom.expected_a).sum(axis=0)
-    cov = symmetrize_psd(axis.cov - len(rows) * gain @ mom.cross_ap.T)
-    return AxisState(np.maximum(mean, AXIS_FLOOR), cov)
+    a1, a2 = a
+    e1, e2 = mom.expected_a.tolist()
+    (d1, _), (_, d2) = mom.cross_ap.tolist()
+    # cross_ap is a diagonal D, so the gain is D cov_aa^-1 = X^T with
+    # X = cov_aa^-1 D.
+    (x11, x12), (x21, x22) = _guarded_solve(
+        mom.cov_aa, mom.cross_ap,
+        SingularPseudoCov("axis pseudo-measurement covariance "
+                          "is ill-conditioned")).tolist()
+    nu1, nu2 = a1 - count * e1, a2 - count * e2
+    (p1, p2) = axis.mean.tolist()
+    (c11, c12), (c21, c22) = axis.cov.tolist()
+    mean = [max(p1 + (x11 * nu1 + x21 * nu2), AXIS_FLOOR),
+            max(p2 + (x12 * nu1 + x22 * nu2), AXIS_FLOOR)]
+    c11, c12, c22 = _psd_2x2(c11 - count * (x11 * d1),
+                             0.5 * ((c12 - count * (x21 * d2))
+                                    + (c21 - count * (x12 * d1))),
+                             c22 - count * (x22 * d2))
+    return AxisState(mean, np.array([[c11, c12], [c12, c22]]))
 
 
 def orientation_moments(axis: AxisState, orient: OrientationState,
@@ -262,12 +277,14 @@ def orientation_moments(axis: AxisState, orient: OrientationState,
 def update_orientation(orient: OrientationState, b: np.ndarray,
                        mom: OrientationMoments) -> OrientationState:
     """Linear update of the orientation from one pseudo-measurement b."""
-    gain = _guarded_solve(mom.cov_bb, mom.cross_btheta.T,
+    cross = mom.cross_btheta[0].tolist()
+    gain = _guarded_solve(mom.cov_bb, cross,
                           SingularPseudoCov("orientation pseudo-measurement "
-                                            "covariance is ill-conditioned")).ravel()
-    innovation = np.asarray(b, dtype=float) - mom.expected_b
-    mean = wrap_angle(orient.mean + float(gain @ innovation))
-    var = orient.var - float(gain @ mom.cross_btheta.ravel())
+                                            "covariance is ill-conditioned"))
+    innovation = [bi - ei for bi, ei in zip(np.ravel(b).tolist(),
+                                            mom.expected_b.tolist())]
+    mean = wrap_angle(orient.mean + sum(map(mul, gain, innovation)))
+    var = orient.var - sum(map(mul, gain, cross))
     return OrientationState(mean, max(var, 0.0))
 
 
@@ -318,7 +335,7 @@ def step_sequential(est: DecoupledEstimate, measurements: MeasurementSet,
         calls = {
             "kinematics": (update_kinematics, snap.kin, z,
                            shape_matrix(orient.mean, axis.mean), cfg),
-            "axis": (update_axis, axis, aligned_squares(s, orient.mean),
+            "axis": (update_axis, axis, aligned_squares(s, orient.mean)[0],
                      axis_moments(axis, orient, w, cfg)),
             "orientation": (update_orientation, orient, b,
                             orientation_moments(axis, orient, w, cfg)),

@@ -212,7 +212,14 @@ class RunResult:
 
 @dataclass(frozen=True)
 class CampaignSummary:
-    """Aggregates over all runs of a campaign."""
+    """Aggregates over all runs of a campaign.
+
+    ``mean_step_runtime`` is the wall time of the filter-step calls alone
+    (``step_sequential`` or ``step_batch``, timed around each call), summed
+    over all runs and divided by runs x steps, in seconds per run-step.
+    Drawing the truth and measurements and scoring each estimate are
+    outside the timed calls.
+    """
     scenario: str
     filter_kind: str
     runs: int

@@ -7,7 +7,8 @@ the decoupling is structural.
 """
 
 import math
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -29,10 +30,10 @@ def rot(theta: float) -> np.ndarray:
 
 def wrap_angle(theta: float) -> float:
     """Wrap an angle to the interval (-pi, pi]."""
-    wrapped = np.mod(theta, 2.0 * np.pi)
-    if wrapped > np.pi:
-        wrapped -= 2.0 * np.pi
-    return float(wrapped)
+    wrapped = float(theta) % (2.0 * math.pi)
+    if wrapped > math.pi:
+        wrapped -= 2.0 * math.pi
+    return wrapped
 
 
 def _has_psd_pivots(rows: list) -> bool:
@@ -58,15 +59,54 @@ def _has_psd_pivots(rows: list) -> bool:
     return True
 
 
+def _psd_2x2(p11: float, p12: float, p22: float) -> tuple:
+    """(P11, P12, P22) of the PSD projection of [[p11, p12], [p12, p22]].
+
+    Input that passes :func:`_has_psd_pivots` comes back unchanged.
+    Otherwise the negative eigenvalue is floored in closed form: the
+    result is lam u u^T, with lam the larger eigenvalue and u its unit
+    eigenvector. u is built from the larger diagonal entry's side, where
+    nothing cancels, and P22 is formed as the pivot test forms it,
+    (P12 / P11) P12, so the output passes the test exactly and repairing
+    it again changes nothing. NaN propagates.
+    """
+    # The pivot test of :func:`_has_psd_pivots`, written out for 2x2.
+    if p11 > 0.0:
+        if p22 - (p12 / p11) * p12 >= 0.0:
+            return p11, p12, p22
+    elif p11 == 0.0 and p12 == 0.0 and p22 >= 0.0:
+        return p11, p12, p22
+    half_gap = 0.5 * (p11 - p22)
+    radius = math.hypot(half_gap, p12)
+    top = 0.5 * (p11 + p22) + radius
+    if top <= 0.0:
+        return 0.0, 0.0, 0.0
+    # u is proportional to (1, slope) or (slope, 1), with |slope| <= 1.
+    slope = p12 / (radius + abs(half_gap))
+    large = top / (1.0 + slope * slope)
+    off = large * slope
+    small = off * slope
+    first = large if p11 >= p22 else small
+    if first < sys.float_info.min:
+        # A subnormal pivot cannot carry P22; u is the second axis.
+        return 0.0, 0.0, large
+    return first, off, (off / first) * off
+
+
 def symmetrize_psd(mat: np.ndarray) -> np.ndarray:
     """Return the symmetric PSD matrix nearest to ``mat`` in the eigen sense.
 
     Symmetrizes, then floors negative eigenvalues at zero. Kalman-style
     subtractive covariance updates can lose symmetry or pick up tiny
     negative eigenvalues in floating point; this repairs both. Idempotent
-    on symmetric PSD input. The eigendecomposition only runs when a
+    on symmetric PSD input. A 2x2 input is handled in scalars by
+    :func:`_psd_2x2`. Larger ones run the eigendecomposition only when a
     scalar LDL^T pass (:func:`_has_psd_pivots`) finds a repair is needed.
     """
+    if len(mat) == 2:
+        (p11, p12), (p21, p22) = mat.tolist()
+        p11, p12, p22 = _psd_2x2(p11, 0.5 * (p12 + p21), p22)
+        return np.array([[p11, p12], [p12, p22]])
     sym = 0.5 * (mat + mat.T)
     if _has_psd_pivots(sym.tolist()):
         return sym
@@ -82,6 +122,21 @@ def _shape_entries(theta: float, l1: float, l2: float) -> tuple:
     return (sq1 * cos_t * cos_t + sq2 * sin_t * sin_t,
             sq1 * sin_t * sin_t + sq2 * cos_t * cos_t,
             (sq1 - sq2) * sin_t * cos_t)
+
+
+def _aligned_entries(theta: float, m11: float, m12: float, m21: float,
+                     m22: float) -> tuple:
+    """(A11, A22, A12) of A = R(-theta) M R(-theta)^T, as Python floats.
+
+    Rotates a 2x2 matrix M, given by its entries, into the frame aligned
+    with the angle ``theta``, where the two semi-axes decouple.
+    """
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    mixed = cos_t * sin_t * (m12 + m21)
+    return (cos_t * cos_t * m11 + mixed + sin_t * sin_t * m22,
+            sin_t * sin_t * m11 - mixed + cos_t * cos_t * m22,
+            cos_t * sin_t * (m22 - m11) + cos_t * cos_t * m12
+            - sin_t * sin_t * m21)
 
 
 def shape_matrix(theta: float, axes: np.ndarray) -> np.ndarray:
@@ -196,15 +251,20 @@ def clamp_axis_variance(axis: AxisState, psi: float) -> AxisState:
 
     Off-diagonal entries are rescaled so the correlation coefficient is
     preserved; the mean is untouched. Keeps the Gaussian from putting
-    significant mass on negative lengths.
+    significant mass on negative lengths. A state within both caps is
+    returned as it is.
     """
     cov = axis.cov.tolist()
     factor = 1.0
+    clamped = False
     for j, length in enumerate(axis.mean.tolist()):
         cap = (psi * length) ** 2
         if cov[j][j] > cap:
             factor *= math.sqrt(cap / cov[j][j])
             cov[j][j] = cap
+            clamped = True
+    if not clamped:
+        return axis
     cov[0][1] *= factor
     cov[1][0] *= factor
-    return replace(axis, cov=np.array(cov))
+    return AxisState(axis.mean, np.array(cov))

@@ -12,6 +12,25 @@ QUAD_SELECT = np.array([[1.0, 0.0, 0.0, 0.0],
                         [0.0, 1.0, 0.0, 0.0]])
 
 
+def pytest_collection_modifyitems(config, items):
+    """Mark the acceptance module's tests, so ``-m "not acceptance"`` skips them."""
+    for item in items:
+        if item.path.name == "test_acceptance.py":
+            item.add_marker(pytest.mark.acceptance)
+
+
+def symmetrize_psd_oracle(mat):
+    """The LAPACK form: Cholesky as the PD test, then the eigenvalue floor."""
+    sym = 0.5 * (mat + mat.T)
+    try:
+        np.linalg.cholesky(sym)
+        return sym
+    except np.linalg.LinAlgError:
+        pass
+    eigval, eigvec = np.linalg.eigh(sym)
+    return (eigvec * np.maximum(eigval, 0.0)) @ eigvec.T
+
+
 def assert_symmetric_psd(mat, sym_tol=1e-10, eig_tol=-1e-10):
     mat = np.asarray(mat)
     assert np.abs(mat - mat.T).max() <= sym_tol

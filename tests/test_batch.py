@@ -299,3 +299,25 @@ class TestClosedFormStep:
                    diagnostics=diagnostics)
         assert diagnostics.as_dict() == StepDiagnostics().as_dict()
         assert np.all(np.isfinite(out.kin.cov)) and out.orient.var > 0.0
+
+    @pytest.mark.parametrize("scenario", ["moderate", "noisy"])
+    def test_batch_campaign_repairs_without_eigh(self, monkeypatch, scenario):
+        # the axis update leaves an indefinite 2x2 covariance on many of
+        # these steps; its repair is closed-form, and the repaired matrix
+        # needs no second repair in the next prediction
+        cfg = builtin_scenarios(runs=20, seed=7)[scenario]
+        fcfg = cfg.filter_config()
+        runs = [sample_run_data(cfg, run)[1] for run in range(cfg.runs)]
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("eigh called in a batch campaign")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        diagnostics = StepDiagnostics()
+        for scans in runs:
+            est = cfg.prior
+            for scan in scans:
+                est = step_batch(est, scan, cfg.motion, fcfg,
+                                 diagnostics=diagnostics)
+            assert_symmetric_psd(est.axis.cov)
+        assert diagnostics.as_dict() == StepDiagnostics().as_dict()

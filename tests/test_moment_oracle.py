@@ -1,26 +1,32 @@
-"""Matrix-form oracles for the closed-form moments, solve and axis update.
+"""Matrix-form oracles for the closed-form moments, solves and updates.
 
 The filters compute Cov(b) entry by entry from Isserlis' theorem, solve
-their 2x2 and 3x3 systems by adjugate and determinant, and run one axis
-update for a single pseudo-measurement and for a stack of them. The
-oracles below are the general linear-algebra forms they replace: the
+their 2x2 and 3x3 systems by adjugate and determinant, run one axis
+update for a single pseudo-measurement and for the sum of a stack of
+them, and run the batch step on the count, mean and scatter of a scan.
+The oracles below are the general linear-algebra forms they replace: the
 Kronecker square of C_s under selection matrices, an eigenvalue
-condition guard with a LAPACK solve, and the separate single-row and
-stacked axis updates.
+condition guard with a LAPACK solve, the single-row and block-diagonal
+stacked axis updates, and the batch step on per-point arrays.
 """
 
 import numpy as np
 import pytest
 
-from elliptrack import AxisState, FilterConfig, OrientationState, rot
-from elliptrack.errors import SingularPseudoCov
-from elliptrack.measurements import aligned_squares
+from elliptrack import (AxisState, DecoupledEstimate, FilterConfig,
+                        KinematicState, OrientationState, StepDiagnostics,
+                        builtin_scenarios, rot, shape_matrix, step_batch,
+                        step_sequential)
+from elliptrack.errors import SingularInnovation, SingularPseudoCov
+from elliptrack.measurements import (CenteredMeasurements, aligned_squares,
+                                     build_pseudo)
 from elliptrack.sequential import (AXIS_FLOOR, COND_LIMIT, _guarded_solve,
-                                   axis_moments, orientation_moments,
-                                   update_axis)
-from elliptrack.state import symmetrize_psd
+                                   _update_or_skip, axis_moments,
+                                   orientation_moments, update_axis)
+from elliptrack.simulation import sample_run_data
+from elliptrack.state import H_CENTER, clamp_axis_variance, wrap_angle
 
-from conftest import QUAD_SELECT
+from conftest import QUAD_SELECT, symmetrize_psd_oracle
 
 # Like QUAD_SELECT but picks m12 for the cross term; QUAD_SELECT +
 # QUAD_SELECT_ALT symmetrizes the cross-term rows of the Kronecker square.
@@ -60,12 +66,10 @@ def guarded_solve_oracle(mat, rhs):
 
 
 def update_axis_oracle(axis, a, mom):
-    """The single-row axis update: one innovation, one correction."""
-    gain = _guarded_solve(mom.cov_aa, mom.cross_ap.T,
-                          SingularPseudoCov("ill-conditioned")).T
+    """Mean and covariance of the single-row axis update."""
+    gain = np.linalg.solve(mom.cov_aa, mom.cross_ap.T).T
     mean = axis.mean + gain @ (np.asarray(a, dtype=float) - mom.expected_a)
-    cov = symmetrize_psd(axis.cov - gain @ mom.cross_ap.T)
-    return AxisState(np.maximum(mean, AXIS_FLOOR), cov)
+    return mean, axis.cov - gain @ mom.cross_ap.T
 
 
 def stacked_axis_oracle(axis, stacked_a, mom):
@@ -76,6 +80,101 @@ def stacked_axis_oracle(axis, stacked_a, mom):
     mean = axis.mean + gain @ (stacked_a.ravel()
                                - np.tile(mom.expected_a, count))
     return mean, axis.cov - gain @ cross.T
+
+
+def _solve_or_raise(mat, rhs, exc):
+    solution = guarded_solve_oracle(mat, rhs)
+    if solution is None:
+        raise exc
+    return solution
+
+
+def predict_oracle(est, motion):
+    """The prediction on arrays, repaired by the eigenvalue floor."""
+    f = motion.F_kin
+    return DecoupledEstimate(
+        KinematicState(f @ est.kin.mean, symmetrize_psd_oracle(
+            f @ est.kin.cov @ f.T + motion.Q_kin)),
+        AxisState(est.axis.mean,
+                  symmetrize_psd_oracle(est.axis.cov + motion.Q_axis)),
+        OrientationState(wrap_angle(est.orient.mean),
+                         est.orient.var + motion.Q_theta))
+
+
+def batch_kinematics_oracle(kin, measurements, shape_est, cfg):
+    """Kalman update on the measurement mean with H and full products."""
+    count = len(measurements)
+    innovation_cov = (H_CENTER @ kin.cov @ H_CENTER.T
+                      + (cfg.R + cfg.c * shape_est) / count)
+    gain = _solve_or_raise(innovation_cov, H_CENTER @ kin.cov,
+                           SingularInnovation("ill-conditioned")).T
+    innovation = measurements.points.mean(axis=0) - H_CENTER @ kin.mean
+    return KinematicState(kin.mean + gain @ innovation, symmetrize_psd_oracle(
+        kin.cov - gain @ H_CENTER @ kin.cov))
+
+
+def batch_axis_oracle(axis, centered, orient, cfg):
+    """Stacked axis update on the per-point aligned squares, then the clamp."""
+    mom = axis_moments(axis, orient, centered.W, cfg)
+    rows = aligned_squares(centered.s, orient.mean)
+    gain = _solve_or_raise(mom.cov_aa, mom.cross_ap.T,
+                           SingularPseudoCov("ill-conditioned")).T
+    mean = axis.mean + gain @ (rows - mom.expected_a).sum(axis=0)
+    cov = symmetrize_psd_oracle(axis.cov - len(rows) * gain @ mom.cross_ap.T)
+    updated = AxisState(np.maximum(mean, AXIS_FLOOR), cov)
+    if cfg.psi is not None:
+        updated = clamp_axis_variance(updated, cfg.psi)
+    return updated
+
+
+def batch_orientation_oracle(orient, centered, axis, cfg):
+    """Information-form update summing the per-point pseudo-measurements."""
+    if orient.var == 0.0:
+        return orient
+    mom = orientation_moments(axis, orient, centered.W, cfg)
+    m_vec = mom.m_vec
+    gamma = mom.cov_bb - orient.var * np.outer(m_vec, m_vec)
+    weighted = _solve_or_raise(gamma, m_vec,
+                               SingularPseudoCov("ill-conditioned"))
+    info_gain = float(m_vec @ weighted)
+    if info_gain < 0.0:
+        raise SingularPseudoCov("not positive definite")
+    xi_sum = (build_pseudo(centered) - mom.expected_b
+              + m_vec * orient.mean).sum(axis=0)
+    var = 1.0 / (1.0 / orient.var + len(centered) * info_gain)
+    mean = wrap_angle(var * (orient.mean / orient.var
+                             + float(weighted @ xi_sum)))
+    return OrientationState(mean, var)
+
+
+def step_batch_oracle(est, measurements, motion, cfg, diagnostics):
+    """The batch step on (M, 2) and (M, 3) arrays of per-point terms."""
+    if len(measurements) <= 1:
+        return step_sequential(est, measurements, motion, cfg,
+                               diagnostics=diagnostics)
+    pred = predict_oracle(est, motion)
+    shape_est = shape_matrix(pred.orient.mean, pred.axis.mean)
+    centered = CenteredMeasurements(
+        measurements.points - measurements.points.mean(axis=0), cfg.R)
+    return DecoupledEstimate(
+        _update_or_skip(diagnostics, "kinematics", batch_kinematics_oracle,
+                        pred.kin, measurements, shape_est, cfg),
+        _update_or_skip(diagnostics, "axis", batch_axis_oracle,
+                        pred.axis, centered, pred.orient, cfg),
+        _update_or_skip(diagnostics, "orientation", batch_orientation_oracle,
+                        pred.orient, centered, pred.axis, cfg))
+
+
+def _relative_gap(out, ref):
+    """Largest deviation of ``out`` from ``ref``, relative per component."""
+    gaps = [np.abs(a - b).max() / np.abs(b).max()
+            for a, b in ((out.kin.mean, ref.kin.mean),
+                         (out.kin.cov, ref.kin.cov),
+                         (out.axis.mean, ref.axis.mean),
+                         (out.axis.cov, ref.axis.cov))]
+    gaps.append(abs(out.orient.var - ref.orient.var) / ref.orient.var)
+    gaps.append(abs(wrap_angle(out.orient.mean - ref.orient.mean)) / np.pi)
+    return max(gaps)
 
 
 def _random_case(rng):
@@ -132,26 +231,52 @@ def test_update_axis_matches_single_row_and_stacked_forms():
         mom = axis_moments(axis, orient, w, cfg)
         stacked = aligned_squares(rng.normal(size=(rng.integers(1, 12), 2))
                                   * 3.0, orient.mean)
-        # one row, flat or as a one-row stack, is the single-row update
-        single = update_axis_oracle(axis, stacked[0], mom)
-        for row in (stacked[0], stacked[:1]):
-            out = update_axis(axis, row, mom)
-            assert np.array_equal(out.mean, single.mean)
-            assert np.array_equal(out.cov, single.cov)
-        out = update_axis(axis, stacked, mom)
-        mean, cov = stacked_axis_oracle(axis, stacked, mom)
-        cov = 0.5 * (cov + cov.T)
-        # compare where neither the axis floor nor the PSD repair acts
-        if np.all(mean > AXIS_FLOOR) and np.linalg.eigvalsh(cov).min() > 0.0:
-            worst = max(worst,
-                        np.abs(out.mean - mean).max()
-                        / max(1.0, np.abs(mean).max()),
-                        np.abs(out.cov - cov).max()
-                        / max(1.0, np.abs(cov).max()))
-            compared += 1
-    print(f"worst relative deviation from the stacked oracle: {worst:.2e} "
-          f"over {compared} cases")
-    assert compared > 500 and worst <= TOL
+        # one row is the single-row update; a stack enters as its sum
+        pairs = ((update_axis(axis, stacked[0], mom),
+                  update_axis_oracle(axis, stacked[0], mom)),
+                 (update_axis(axis, stacked.sum(axis=0), mom, len(stacked)),
+                  stacked_axis_oracle(axis, stacked, mom)))
+        for out, (mean, cov) in pairs:
+            cov = 0.5 * (cov + cov.T)
+            # compare where neither the axis floor nor the PSD repair acts
+            if (np.all(mean > AXIS_FLOOR)
+                    and np.linalg.eigvalsh(cov).min() > 0.0):
+                worst = max(worst,
+                            np.abs(out.mean - mean).max()
+                            / max(1.0, np.abs(mean).max()),
+                            np.abs(out.cov - cov).max()
+                            / max(1.0, np.abs(cov).max()))
+                compared += 1
+    print(f"worst relative deviation from the single-row and stacked "
+          f"oracles: {worst:.2e} over {compared} cases")
+    assert compared > 1000 and worst <= TOL
+
+
+@pytest.mark.parametrize("scenario", ["moderate", "noisy", "sparse"])
+def test_step_batch_matches_array_form_oracle(scenario):
+    # every step of 20-run campaigns (psi clamp on), from the same input
+    # estimate: the scalar step on (M, mean, scatter) against the step on
+    # per-point arrays, with the eigenvalue floor as the PSD repair
+    cfg = builtin_scenarios(runs=20, seed=7)[scenario]
+    fcfg = cfg.filter_config()
+    assert fcfg.psi is not None
+    diagnostics, oracle_diagnostics = StepDiagnostics(), StepDiagnostics()
+    worst, steps = 0.0, 0
+    for run in range(cfg.runs):
+        est = cfg.prior
+        for scan in sample_run_data(cfg, run)[1]:
+            out = step_batch(est, scan, cfg.motion, fcfg,
+                             diagnostics=diagnostics)
+            ref = step_batch_oracle(est, scan, cfg.motion, fcfg,
+                                    oracle_diagnostics)
+            worst = max(worst, _relative_gap(out, ref))
+            steps += len(scan) > 1
+            est = out
+    print(f"worst relative deviation from the array-form step: {worst:.2e} "
+          f"over {steps} batch steps")
+    assert steps > 1000
+    assert diagnostics.as_dict() == oracle_diagnostics.as_dict()
+    assert worst <= TOL
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -4,8 +4,9 @@ import pytest
 from elliptrack import (AxisState, FilterConfig, clamp_axis_variance, predict,
                         rot, shape_matrix, symmetrize_psd, wrap_angle)
 from elliptrack.simulation import builtin_scenarios
+from elliptrack.state import _has_psd_pivots
 
-from conftest import assert_symmetric_psd
+from conftest import assert_symmetric_psd, symmetrize_psd_oracle
 
 
 class TestRot:
@@ -131,18 +132,6 @@ class TestSymmetrizePsd:
                                  sym_tol=1e-12, eig_tol=-1e-10)
 
 
-def symmetrize_psd_oracle(mat):
-    """The LAPACK form: Cholesky as the PD test, then the eigenvalue floor."""
-    sym = 0.5 * (mat + mat.T)
-    try:
-        np.linalg.cholesky(sym)
-        return sym
-    except np.linalg.LinAlgError:
-        pass
-    eigval, eigvec = np.linalg.eigh(sym)
-    return (eigvec * np.maximum(eigval, 0.0)) @ eigvec.T
-
-
 class TestSymmetrizePsdFastPath:
     def test_block_singular_stationary_covariance_needs_no_repair(
             self, monkeypatch):
@@ -182,6 +171,41 @@ class TestSymmetrizePsdFastPath:
                 assert np.array_equal(out, expected)
             repaired += not np.array_equal(out, 0.5 * (mat + mat.T))
         assert repaired >= 200
+
+    @pytest.mark.parametrize("larger_first", [True, False])
+    def test_2x2_repair_is_final_without_eigh(self, monkeypatch,
+                                              larger_first):
+        # indefinite 2x2 inputs, from a barely negative eigenvalue (as a
+        # subtractive covariance update leaves) to a dominant one, with
+        # the larger diagonal entry first or second and off-diagonal
+        # entries down to 1e-9 of the scale: the closed-form repair
+        # matches the eigenvalue floor, passes the pivot test exactly,
+        # and so a second repair (the next predict's) changes nothing
+        rng = np.random.default_rng(50 + larger_first)
+        cases = []
+        for trial in range(3000):
+            top = 10.0 ** rng.uniform(-4.0, 3.0)
+            low = -top * 10.0 ** rng.uniform(-12.0, 1.0)
+            angle = (rng.uniform(-np.pi, np.pi) if trial % 2
+                     else rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-9, -1))
+            mat = rot(angle) @ np.diag([top, low]) @ rot(angle).T
+            if (mat[0, 0] >= mat[1, 1]) != larger_first:
+                mat = mat[::-1, ::-1]
+            cases.append((mat, symmetrize_psd_oracle(mat)))
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("eigh called on a 2x2 matrix")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        worst = 0.0
+        for mat, expected in cases:
+            once = symmetrize_psd(mat)
+            assert _has_psd_pivots(once.tolist())
+            assert np.array_equal(symmetrize_psd(once), once)
+            worst = max(worst, np.abs(once - expected).max()
+                        / max(1.0, np.abs(mat).max()))
+        print(f"worst deviation from the eigenvalue floor: {worst:.2e}")
+        assert worst <= 1e-12
 
 
 class TestFilterConfig:
