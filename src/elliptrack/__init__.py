@@ -10,7 +10,7 @@ from .measurements import (CenteredMeasurements, MeasurementSet,
                            center_measurements, sample_measurements)
 from .metrics import (EllipseParams, ellipse_from_estimate, gwd_squared,
                       matrix_sqrt_2x2, orientation_error)
-from .sequential import (AxisMoments, OrientationMoments, StepDiagnostics,
+from .sequential import (AxisMoments, StepDiagnostics,
                          axis_moments, orientation_moments, predict,
                          step_sequential, update_axis, update_kinematics,
                          update_orientation)
@@ -22,4 +22,4 @@ from .state import (AxisState, DecoupledEstimate, FilterConfig, KinematicState,
                     constant_velocity_transition, rot, shape_matrix,
                     symmetrize_psd, wrap_angle)
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

@@ -6,9 +6,10 @@ reduces to a single 2x2 inverse, and the orientation with an
 information-form update. All three updates read only the prediction, so
 nothing is interleaved. Of the points themselves the updates need only
 three statistics: the count M, the sample mean, and the scatter S of the
-centered points (:attr:`CenteredMeasurements.scatter`); the shape updates
-run on S in Python floats. A single measurement is delegated wholesale
-to the sequential step, which needs none of the batch approximations.
+centered points (:func:`_scatter`). The step shares the float prediction
+and kinematic update of the sequential filter. A single measurement is
+delegated wholesale to the sequential step, which needs none of the
+batch approximations.
 """
 
 from operator import mul
@@ -17,14 +18,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import SingularPseudoCov
-from .measurements import CenteredMeasurements, MeasurementSet, \
-    center_measurements
-from .sequential import StepDiagnostics, _guarded_solve, _update_or_skip, \
-    axis_moments, kalman_center_update, orientation_moments, predict, \
-    step_sequential, update_axis
+from .measurements import CenteredMeasurements, MeasurementSet, _centering, \
+    _scatter
+from .sequential import StepDiagnostics, _estimate, _guarded_solve, \
+    _predict, _update_or_skip, kalman_center_update, orientation_moments, \
+    step_sequential, update_axis, update_kinematics
 from .state import (AxisState, DecoupledEstimate, FilterConfig, KinematicState,
-                    MotionModel, OrientationState, _aligned_entries,
-                    clamp_axis_variance, shape_matrix, wrap_angle)
+                    MotionModel, OrientationState, _axis_floats, _axis_state,
+                    _shape_entries, wrap_angle)
 
 
 def batch_update_kinematics(kin: KinematicState, measurements: MeasurementSet,
@@ -35,9 +36,8 @@ def batch_update_kinematics(kin: KinematicState, measurements: MeasurementSet,
     Averaging M measurements divides the effective noise by M; for M = 1
     this is exactly the sequential kinematic update.
     """
-    m = len(measurements)
-    z_bar = measurements.points.mean(axis=0)
-    return kalman_center_update(kin, z_bar, (cfg.R + cfg.c * shape_est) / m)
+    return update_kinematics(kin, measurements.points.mean(axis=0), shape_est,
+                             cfg, len(measurements))
 
 
 def batch_update_axis(axis: AxisState, centered: CenteredMeasurements,
@@ -45,39 +45,31 @@ def batch_update_axis(axis: AxisState, centered: CenteredMeasurements,
     """Stacked-pseudo-measurement update of the semi-axes.
 
     All per-measurement moments are evaluated at the prediction, so the
-    stacked update is :func:`update_axis` on the sum of the aligned
-    squares, which is the diagonal of R(-theta) S R(-theta)^T for the
-    scatter S. Applies the psi variance clamp afterwards when configured.
+    stacked update is :func:`update_axis` on the scatter of all the
+    points. Applies the psi variance clamp afterwards when configured.
     """
-    mom = axis_moments(axis, orient, centered.W, cfg)
-    s11, s22, s12 = centered.scatter
-    a1, a2, _ = _aligned_entries(orient.mean, s11, s12, s12, s22)
-    updated = update_axis(axis, (a1, a2), mom, len(centered))
-    if cfg.psi is not None:
-        updated = clamp_axis_variance(updated, cfg.psi)
-    return updated
+    return _axis_state(update_axis(_axis_floats(axis), orient.mean,
+                                   _scatter(centered.s.tolist(), 0.0, 0.0),
+                                   len(centered), centered.W.ravel().tolist(),
+                                   cfg.c, cfg.psi))
 
 
-def batch_update_orientation(orient: OrientationState,
-                             centered: CenteredMeasurements,
-                             axis: AxisState,
-                             cfg: FilterConfig) -> OrientationState:
-    """Information-form orientation update over all measurements.
+def batch_update_orientation(orient: tuple, shape: tuple, scatter: tuple,
+                             count: int, w, c: float) -> tuple:
+    """Information-form update of (theta, var) over ``count`` points.
 
-    Linearizing b around the predicted angle gives a scalar measurement
-    model with sensitivity M and noise covariance Gamma = C_bb minus the
-    angle-uncertainty part M var M^T. Information adds per measurement,
-    so the posterior variance can only shrink. The pseudo-measurements
-    enter only through their sum, the scatter S. An orientation already
-    known exactly (zero prior variance) has no information form and is
-    returned as it is.
+    Linearizing b at the predicted angle gives a scalar model with
+    sensitivity M and noise Gamma = C_bb - M var M^T
+    (:func:`orientation_moments` at ``shape`` and ``w``). Information adds
+    per point, so the variance can only shrink; the points enter through
+    the ``scatter`` alone. A zero prior variance is returned as it is.
     """
-    if orient.var == 0.0:
+    theta, var = orient
+    if var == 0.0:
         return orient
-    mom = orientation_moments(axis, orient, centered.W, cfg)
-    m_vec = mom.m_vec.tolist()
-    gamma = [[c - orient.var * (mi * mj) for c, mj in zip(row, m_vec)]
-             for row, mi in zip(mom.cov_bb.tolist(), m_vec)]
+    expected, cov_bb, m_vec = orientation_moments(shape, var, w, c)
+    gamma = [[cb - var * (mi * mj) for cb, mj in zip(row, m_vec)]
+             for row, mi in zip(cov_bb, m_vec)]
     weighted = _guarded_solve(gamma, m_vec,
                               SingularPseudoCov("batch orientation noise "
                                                 "covariance is ill-conditioned"))
@@ -85,14 +77,12 @@ def batch_update_orientation(orient: OrientationState,
     if info_gain < 0.0:
         raise SingularPseudoCov("batch orientation noise covariance "
                                 "is not positive definite")
-    count = len(centered)
     # The predicted-angle term enters every summand of the innovation.
-    xi_sum = [b - count * (e - m * orient.mean) for b, e, m
-              in zip(centered.scatter, mom.expected_b.tolist(), m_vec)]
-    info_prior = orient.mean / orient.var
-    var = 1.0 / (1.0 / orient.var + count * info_gain)
-    mean = wrap_angle(var * (info_prior + sum(map(mul, weighted, xi_sum))))
-    return OrientationState(mean, var)
+    xi_sum = [b - count * (e - m * theta)
+              for b, e, m in zip(scatter, expected, m_vec)]
+    var_post = 1.0 / (1.0 / var + count * info_gain)
+    return (wrap_angle(var_post * (theta / var + sum(map(mul, weighted, xi_sum)))),
+            var_post)
 
 
 def step_batch(est: DecoupledEstimate, measurements: MeasurementSet,
@@ -101,22 +91,25 @@ def step_batch(est: DecoupledEstimate, measurements: MeasurementSet,
                ) -> DecoupledEstimate:
     """One predict/update cycle of the batch filter.
 
-    Zero measurements yield the prediction, a single measurement is
-    delegated to the sequential step bit-for-bit, and two or more run the
-    three batch updates against the prediction. Ill-conditioned updates
+    Zero or one measurement go to the sequential step, which handles them
+    bit-for-bit; two or more run the three batch updates against the
+    prediction, with the scan mean taken once. Ill-conditioned updates
     are skipped and counted as in the sequential filter.
     """
     if len(measurements) <= 1:
         return step_sequential(est, measurements, motion, cfg,
                                diagnostics=diagnostics)
-    pred = predict(est, motion)
-    shape_est = shape_matrix(pred.orient.mean, pred.axis.mean)
-    centered = center_measurements(measurements, pred.kin, cfg.R)
-    kin = _update_or_skip(diagnostics, "kinematics", batch_update_kinematics,
-                          pred.kin, measurements, shape_est, cfg)
-    axis = _update_or_skip(diagnostics, "axis", batch_update_axis,
-                           pred.axis, centered, pred.orient, cfg)
-    orient = _update_or_skip(diagnostics, "orientation",
-                             batch_update_orientation,
-                             pred.orient, centered, pred.axis, cfg)
-    return DecoupledEstimate(kin, axis, orient)
+    kin, axis, orient = _predict(est, motion)
+    points = measurements.points.tolist()
+    noise = cfg.R.ravel().tolist()
+    (z1, z2), w = _centering(points, kin, noise)
+    scatter = _scatter(points, z1, z2)
+    count, theta = len(points), orient[0]
+    shape = _shape_entries(theta, axis[0], axis[1])
+    return _estimate(
+        _update_or_skip(diagnostics, "kinematics", kalman_center_update, kin,
+                        z1, z2, noise, cfg.c, shape, count),
+        _update_or_skip(diagnostics, "axis", update_axis, axis, theta,
+                        scatter, count, w, cfg.c, cfg.psi),
+        _update_or_skip(diagnostics, "orientation", batch_update_orientation,
+                        orient, shape, scatter, count, w, cfg.c))

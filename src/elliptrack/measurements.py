@@ -9,13 +9,13 @@ a Gaussian moment match of the source distribution.
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
+from operator import mul
 from typing import Optional
 
 import numpy as np
 
 from .errors import EmptyMeasurementSet
-from .state import H_CENTER, KinematicState, rot
+from .state import KinematicState, rot
 
 
 class SourceDistribution(enum.Enum):
@@ -56,17 +56,14 @@ class CenteredMeasurements:
     def __len__(self) -> int:
         return self.s.shape[0]
 
-    @cached_property
-    def scatter(self) -> tuple:
-        """(S11, S22, S12) of the scatter S = sum_i s_i s_i^T, as floats.
 
-        These are the column sums of the pseudo-measurements
-        (:func:`build_pseudo`); the batch updates need nothing else of
-        the points. Formed from the centered points rather than from raw
-        second moments, so no cancellation enters.
-        """
-        (s11, s12), (_, s22) = (self.s.T @ self.s).tolist()
-        return s11, s22, s12
+def _scatter(points: list, c1: float, c2: float) -> tuple:
+    """(S11, S22, S12) of S = sum_i (z_i - c)(z_i - c)^T over [z1, z2] rows:
+    the column sums of the pseudo-measurements (:func:`build_pseudo`),
+    formed from the centered points, so no cancellation enters."""
+    d1 = [z1 - c1 for z1, _ in points]
+    d2 = [z2 - c2 for _, z2 in points]
+    return sum(map(mul, d1, d1)), sum(map(mul, d2, d2)), sum(map(mul, d1, d2))
 
 
 def sample_measurements(center, theta, axes, lam, noise_cov, source,
@@ -97,39 +94,40 @@ def sample_measurements(center, theta, axes, lam, noise_cov, source,
     return MeasurementSet(sources + noise)
 
 
-def center_measurements(measurements: MeasurementSet,
-                        predicted_kin: KinematicState,
-                        noise_cov: np.ndarray) -> CenteredMeasurements:
-    """Zero-center a measurement set for the shape updates.
-
-    With more than one measurement the sample mean is subtracted and W is
-    just the sensor noise; this branch never reads the predicted state.
-    A single measurement is centered on the predicted object center
-    instead, which folds the predicted center covariance into W.
+def _centering(points: list, kin, noise: list) -> tuple:
+    """The center (c1, c2) of a scan of [z1, z2] rows, and the entries of
+    W, the covariance of one centered point. Several points are centered
+    on their mean, with W the ``noise``; ``kin``, the predicted (mean,
+    cov) lists, is not read. A single point is centered on the predicted
+    center, which adds the predicted center covariance to W.
     """
-    noise_cov = np.asarray(noise_cov, dtype=float)
-    m = len(measurements)
+    m = len(points)
     if m == 0:
         raise EmptyMeasurementSet("cannot center an empty measurement set")
     if m > 1:
-        s = measurements.points - measurements.points.mean(axis=0)
-        return CenteredMeasurements(s, noise_cov)
-    s = measurements.points - H_CENTER @ predicted_kin.mean
-    w = noise_cov + H_CENTER @ predicted_kin.cov @ H_CENTER.T
-    return CenteredMeasurements(s, w)
+        col1, col2 = zip(*points)
+        return (sum(col1) / m, sum(col2) / m), noise
+    mean, cov = kin
+    r11, r12, r21, r22 = noise
+    return (mean[0], mean[1]), (r11 + cov[0][0], r12 + cov[0][1],
+                                r21 + cov[1][0], r22 + cov[1][1])
+
+
+def center_measurements(measurements: MeasurementSet,
+                        predicted_kin: KinematicState,
+                        noise_cov: np.ndarray) -> CenteredMeasurements:
+    """Zero-center a measurement set for the shape updates (:func:`_centering`)."""
+    kin = predicted_kin and (predicted_kin.mean.tolist(),
+                             predicted_kin.cov.tolist())
+    center, w = _centering(measurements.points.tolist(), kin,
+                           np.asarray(noise_cov, dtype=float).ravel().tolist())
+    return CenteredMeasurements(measurements.points - center, w)
 
 
 def build_pseudo(centered: CenteredMeasurements) -> np.ndarray:
-    """Quadratic pseudo-measurements of the centered points, shape (M, 3).
+    """Quadratic pseudo-measurements b = (s1^2, s2^2, s1*s2), shape (M, 3).
 
-    Row i is b = (s1^2, s2^2, s1*s2) of centered point i: the squares and
-    the cross-term, whose expectations are (C11, C22, C12) of the
-    centered-measurement covariance C_s (see :func:`orientation_moments`).
-    The sequential orientation update consumes these rows as they are,
-    the batch one only their column sums
-    (:attr:`CenteredMeasurements.scatter`); the axis update squares the
-    points in the object-aligned frame instead (see
-    :func:`aligned_squares`).
+    E(b) is (C11, C22, C12) of C_s (see :func:`orientation_moments`).
     """
     squares = centered.s ** 2
     cross = centered.s[:, 0] * centered.s[:, 1]
@@ -139,10 +137,8 @@ def build_pseudo(centered: CenteredMeasurements) -> np.ndarray:
 def aligned_squares(s: np.ndarray, theta: float) -> np.ndarray:
     """Axis pseudo-measurements: squares of s rotated into the object frame.
 
-    The expected axis pseudo-measurement and its covariances are stated
-    in the frame aligned with the estimated orientation, where the two
-    semi-axes decouple; the data fed to that update must live in the same
-    frame.
+    That frame is aligned with the estimated orientation, where the two
+    semi-axes decouple (see :func:`update_axis`).
     """
     aligned = np.asarray(s, dtype=float).reshape(-1, 2) @ rot(-theta).T
     return aligned ** 2

@@ -7,7 +7,9 @@ orientation updates all read the estimate frozen after measurement i-1
 irrelevant. The axis and orientation updates are linear estimators on the
 quadratic pseudo-measurements; their moments follow from the Gaussian
 source moment match plus a first-order treatment of the orientation
-uncertainty.
+uncertainty. Inside a step the estimate is carried as Python floats:
+(mean, cov) lists, (p1, p2, P11, P12, P22) and (theta, var); the public
+dataclasses are built once per step.
 """
 
 import math
@@ -18,12 +20,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import SingularInnovation, SingularPseudoCov
-from .measurements import MeasurementSet, aligned_squares, build_pseudo, \
-    center_measurements
+from .measurements import MeasurementSet, _centering
 from .state import (AXIS_FLOOR, AxisState, DecoupledEstimate, FilterConfig,
                     KinematicState, MotionModel, OrientationState,
-                    _aligned_entries, _psd_2x2, _shape_entries, shape_matrix,
-                    symmetrize_psd, wrap_angle)
+                    _aligned_entries, _axis_floats, _axis_state, _psd_2x2,
+                    _psd_rows, _shape_entries, clamp_axis_variance,
+                    wrap_angle)
 
 # Condition-number guard for the linear solves replacing symbolic inverses.
 COND_LIMIT = 1e12
@@ -57,33 +59,11 @@ class AxisMoments:
     cross_ap: np.ndarray    # Cov(a, axes), diagonal 2x2
 
 
-@dataclass(frozen=True)
-class OrientationMoments:
-    """Moments of the orientation pseudo-measurement b at a snapshot.
-
-    ``m_vec`` is the sensitivity M of E(b) to the angle; the batch
-    information-form update linearizes b with it.
-    """
-    expected_b: np.ndarray   # E(b), 3-vector
-    cov_bb: np.ndarray       # Cov(b), 3x3
-    cross_btheta: np.ndarray # Cov(b, theta) as a 1x3 row
-    m_vec: np.ndarray        # dE(b)/dtheta of the source term, 3-vector
-
-
-def _cross(u: list, v: list) -> list:
-    """Cross product of two 3-vectors given as lists."""
-    return [u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0]]
-
-
 def _det3(r0: list, r1: list, r2: list) -> float:
     """Determinant of the 3x3 matrix with rows r0, r1, r2.
 
-    One elimination step with partial pivoting, then a 2x2 determinant.
-    Expanding by cofactors instead loses up to eps * kappa^2 when one
-    eigenvalue dominates; elimination is backward stable, so the result
-    is the determinant of a matrix within rounding of the input.
+    One elimination step with partial pivoting, then a 2x2 determinant:
+    backward stable, where cofactors lose up to eps * kappa^2.
     """
     m0, m1, m2 = abs(r0[0]), abs(r1[0]), abs(r2[0])
     if m0 >= m1 and m0 >= m2:
@@ -100,82 +80,122 @@ def _det3(r0: list, r1: list, r2: list) -> float:
                            - (u[2] - fu * top[2]) * (v[1] - fv * top[1]))
 
 
-def _guarded_solve(mat, rhs, exc):
-    """Solve mat @ x = rhs for a 2x2 or 3x3 ``mat``, or raise ``exc``.
+def _guarded_adjugate(rows, exc):
+    """(adj(A), det(A)) of a 2x2 or 3x3 nested-list ``rows``, or raise ``exc``.
 
-    ``mat`` is a nested list of floats or an array. ``rhs`` is an array,
-    and then so is x, or a list of floats, and then x is one too. The
-    solve is x = adj(A) rhs / det(A). The guard is the
-    Frobenius condition number kappa_F = ||A||_F ||adj A||_F / |det A|,
-    which is ||A||_F ||A^-1||_F and so lies between the 2-norm condition
-    number and n times it. ``exc`` is raised for a non-finite entry or
-    when kappa_F reaches ``COND_LIMIT``. On a numerically singular matrix
-    the determinant is a rounding residue, which puts kappa_F near 1/eps,
-    far above the limit, rather than letting it collapse.
+    ``exc`` is raised for a non-finite entry or when the Frobenius
+    condition number kappa_F = ||A||_F ||adj A||_F / |det A| (between the
+    2-norm one and n times it) reaches ``COND_LIMIT``. A numerically
+    singular matrix leaves a rounding residue as det, so kappa_F ~ 1/eps.
     """
-    rows = mat.tolist() if isinstance(mat, np.ndarray) else mat
     if len(rows) == 2:
         (a, b), (c, d) = rows
         adj = ((d, -b), (-c, a))
         det = a * d - b * c
         norm = norm_adj = math.hypot(a, b, c, d)
     else:
-        # The columns of adj(A) are cross products of the rows of A.
-        r0, r1, r2 = rows
-        col0, col1, col2 = _cross(r1, r2), _cross(r2, r0), _cross(r0, r1)
-        adj = tuple(zip(col0, col1, col2))
-        det = _det3(r0, r1, r2)
-        norm = math.hypot(*r0, *r1, *r2)
-        norm_adj = math.hypot(*col0, *col1, *col2)
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        adj = ((e * i - f * h, c * h - b * i, b * f - c * e),
+               (f * g - d * i, a * i - c * g, c * d - a * f),
+               (d * h - e * g, b * g - a * h, a * e - b * d))
+        det = _det3(*rows)
+        norm = math.hypot(a, b, c, d, e, f, g, h, i)
+        norm_adj = math.hypot(*adj[0], *adj[1], *adj[2])
     # A non-finite entry makes the norm inf or NaN. The comparison is
     # negated so that a NaN product (inf * 0) also raises.
     if not (math.isfinite(norm) and norm * norm_adj < COND_LIMIT * abs(det)):
         raise exc
-    if isinstance(rhs, np.ndarray):
-        return np.dot(adj, rhs) / det
+    return adj, det
+
+
+def _guarded_solve(mat, rhs, exc):
+    """x = adj(A) rhs / det(A) as a list, for one right-hand side ``rhs``.
+
+    Raises ``exc`` where :func:`_guarded_adjugate` does.
+    """
+    adj, det = _guarded_adjugate(mat, exc)
     return [sum(map(mul, row, rhs)) / det for row in adj]
 
 
-def predict(est: DecoupledEstimate, motion: MotionModel) -> DecoupledEstimate:
-    """Standard Kalman prediction applied to each component.
+def _predict(est: DecoupledEstimate, motion: MotionModel) -> tuple:
+    """Kalman prediction of each component, as the floats of a step.
 
     The axis transition is the identity, so only process noise is added
     there; the orientation mean is re-wrapped.
     """
     f = motion.F_kin
-    kin = KinematicState(f @ est.kin.mean,
-                         symmetrize_psd(f @ est.kin.cov @ f.T + motion.Q_kin))
-    axis = AxisState(est.axis.mean, symmetrize_psd(est.axis.cov + motion.Q_axis))
-    orient = OrientationState(wrap_angle(est.orient.mean),
-                              est.orient.var + motion.Q_theta)
-    return DecoupledEstimate(kin, axis, orient)
+    kin = ((f @ est.kin.mean).tolist(),
+           _psd_rows((f @ est.kin.cov @ f.T + motion.Q_kin).tolist()))
+    (c11, c12), (c21, c22) = (est.axis.cov + motion.Q_axis).tolist()
+    axis = (*est.axis.mean.tolist(), *_psd_2x2(c11, 0.5 * (c12 + c21), c22))
+    return kin, axis, (wrap_angle(est.orient.mean),
+                       est.orient.var + motion.Q_theta)
 
 
-def kalman_center_update(kin: KinematicState, z: np.ndarray,
-                         effective_noise: np.ndarray) -> KinematicState:
-    """Kalman update of the kinematics against a 2-d center observation.
+def _estimate(kin: tuple, axis: tuple, orient: tuple) -> DecoupledEstimate:
+    """The public estimate of the (kin, axis, orient) floats of a step."""
+    return DecoupledEstimate(KinematicState(*kin), _axis_state(axis),
+                             OrientationState(*orient))
 
-    The center is the first two state entries, so the observation model
-    reduces to the slices ``cov[:2]`` (H P) and ``cov[:2, :2]`` (H P H^T).
+
+def predict(est: DecoupledEstimate, motion: MotionModel) -> DecoupledEstimate:
+    """Standard Kalman prediction applied to each component (:func:`_predict`)."""
+    return _estimate(*_predict(est, motion))
+
+
+def kalman_center_update(kin: tuple, z1: float, z2: float, noise, c: float,
+                         shape: tuple, count: int = 1) -> tuple:
+    """Kalman update of the (mean, cov) lists with the mean of ``count`` points.
+
+    The effective noise (R + c X) / count adds to the sensor noise R
+    (entries ``noise``) the spread of sources over the extent, X the
+    shape matrix (:func:`_shape_entries`). H P is the first two rows.
     """
-    center_rows = kin.cov[:2]
-    innovation_cov = center_rows[:, :2] + effective_noise
-    gain = _guarded_solve(innovation_cov, center_rows,
-                          SingularInnovation("kinematic innovation covariance "
-                                             "is ill-conditioned")).T
-    mean = kin.mean + gain @ (np.asarray(z, dtype=float) - kin.mean[:2])
-    cov = symmetrize_psd(kin.cov - gain @ center_rows)
-    return KinematicState(mean, cov)
+    mean, cov = kin
+    top, bottom = cov[0], cov[1]
+    r11, r12, r21, r22 = noise
+    x11, x22, x12 = shape
+    ((a11, a12), (a21, a22)), det = _guarded_adjugate(
+        ((top[0] + (r11 + c * x11) / count, top[1] + (r12 + c * x12) / count),
+         (bottom[0] + (r21 + c * x12) / count,
+          bottom[1] + (r22 + c * x22) / count)),
+        SingularInnovation("kinematic innovation covariance "
+                           "is ill-conditioned"))
+    r1, r2 = z1 - mean[0], z2 - mean[1]
+    new_mean, new_cov = [], []
+    for m, row, t, b in zip(mean, cov, top, bottom):
+        # Row j of the gain P H^T S^-1 is S^-1 (P_0j, P_1j).
+        g1, g2 = (a11 * t + a12 * b) / det, (a21 * t + a22 * b) / det
+        new_mean.append(m + (g1 * r1 + g2 * r2))
+        new_cov.append([p - (g1 * tk + g2 * bk)
+                        for p, tk, bk in zip(row, top, bottom)])
+    return new_mean, _psd_rows(new_cov)
 
 
 def update_kinematics(kin: KinematicState, z: np.ndarray,
-                      shape_est: np.ndarray, cfg: FilterConfig) -> KinematicState:
-    """Kalman update of the kinematics with a single measurement.
+                      shape_est: np.ndarray, cfg: FilterConfig,
+                      count: int = 1) -> KinematicState:
+    """Kalman update with the mean z of ``count`` points.
 
-    The effective measurement noise is the sensor noise plus the scaled
-    shape matrix, accounting for the spread of sources over the extent.
+    The float update is :func:`kalman_center_update`.
     """
-    return kalman_center_update(kin, z, cfg.R + cfg.c * shape_est)
+    (x11, x12), (_, x22) = np.asarray(shape_est, dtype=float).tolist()
+    z1, z2 = np.asarray(z, dtype=float).tolist()
+    return KinematicState(*kalman_center_update(
+        (kin.mean.tolist(), kin.cov.tolist()), z1, z2, cfg.R.ravel().tolist(),
+        cfg.c, (x11, x22, x12), count))
+
+
+def _axis_moments(axis: tuple, aligned_w: tuple, c: float) -> tuple:
+    """E(a), the rows of Cov(a) and the diagonal of Cov(a, axes), given
+    W in the object frame, ``aligned_w`` (:func:`_aligned_entries`)."""
+    p1, p2, var_1, _, var_2 = axis
+    w1, w2, w12 = aligned_w
+    ea1 = w1 + c * (var_1 + p1 * p1)
+    ea2 = w2 + c * (var_2 + p2 * p2)
+    off = 2.0 * w12 * w12
+    return ((ea1, ea2), ((2.0 * ea1 * ea1, off), (off, 2.0 * ea2 * ea2)),
+            (2.0 * c * p1 * var_1, 2.0 * c * p2 * var_2))
 
 
 def axis_moments(axis: AxisState, orient: OrientationState,
@@ -186,106 +206,90 @@ def axis_moments(axis: AxisState, orient: OrientationState,
     makes the two axes decouple: each expected square is the aligned
     noise variance plus the scaled second moment of the axis length.
     """
-    (w11, w12), (w21, w22) = np.asarray(w, dtype=float).tolist()
-    aligned_1, aligned_2, aligned_12 = _aligned_entries(orient.mean, w11, w12,
-                                                        w21, w22)
-    p1, p2 = axis.mean.tolist()
-    (var_1, _), (_, var_2) = axis.cov.tolist()
-    c = cfg.c
-    ea1 = aligned_1 + c * (var_1 + p1 * p1)
-    ea2 = aligned_2 + c * (var_2 + p2 * p2)
-    off = 2.0 * aligned_12 * aligned_12
-    return AxisMoments(np.array([ea1, ea2]),
-                       np.array([[2.0 * ea1 * ea1, off],
-                                 [off, 2.0 * ea2 * ea2]]),
-                       np.array([[2.0 * c * p1 * var_1, 0.0],
-                                 [0.0, 2.0 * c * p2 * var_2]]))
+    expected, cov_aa, (d1, d2) = _axis_moments(
+        _axis_floats(axis), _aligned_entries(orient.mean, *np.ravel(w).tolist()),
+        cfg.c)
+    return AxisMoments(np.array(expected), np.array(cov_aa),
+                       np.array([[d1, 0.0], [0.0, d2]]))
 
 
-def update_axis(axis: AxisState, a, mom: AxisMoments,
-                count: int = 1) -> AxisState:
-    """Linear update of the semi-axes from ``count`` pseudo-measurements.
+def update_axis(axis: tuple, theta: float, scatter: tuple, count: int,
+                w, c: float, psi: Optional[float] = None) -> tuple:
+    """Linear update of (p1, p2, P11, P12, P22) from ``count`` points.
 
-    ``a`` is the sum of ``count`` aligned squares (s1^2, s2^2) that all
-    share the moments ``mom``; with the default count it is one row. The
-    stacked covariance is then block diagonal with one repeated block, so
-    the gain is that of a single row, the innovations add up to
-    a - count E(a), and the covariance correction scales by ``count``.
-    The correction can leave the covariance indefinite; it is projected
-    back onto the PSD matrices in closed form (:func:`_psd_2x2`).
+    The pseudo-measurements are the squares of the centered points in the
+    object frame at ``theta``. Their sums a are the diagonal of
+    R(-theta) S R(-theta)^T for the ``scatter`` S. All points share the
+    moments (:func:`_axis_moments`), so the gain is that of a single row,
+    the innovations add up to a - count E(a), and the covariance
+    correction scales by ``count``. An indefinite result is projected
+    back onto the PSD matrices in closed form (:func:`_psd_2x2`). A set
+    ``psi`` then applies :func:`clamp_axis_variance` (batch variant only).
     """
-    a1, a2 = a
-    e1, e2 = mom.expected_a.tolist()
-    (d1, _), (_, d2) = mom.cross_ap.tolist()
-    # cross_ap is a diagonal D, so the gain is D cov_aa^-1 = X^T with
-    # X = cov_aa^-1 D.
-    (x11, x12), (x21, x22) = _guarded_solve(
-        mom.cov_aa, mom.cross_ap,
-        SingularPseudoCov("axis pseudo-measurement covariance "
-                          "is ill-conditioned")).tolist()
+    s11, s22, s12 = scatter
+    a1, a2, _ = _aligned_entries(theta, s11, s12, s12, s22)
+    (e1, e2), cov_aa, (d1, d2) = _axis_moments(
+        axis, _aligned_entries(theta, *w), c)
+    # Cov(a, axes) is a diagonal D, so the gain is D cov_aa^-1 = X^T with
+    # X = cov_aa^-1 D = adj(cov_aa) D / det.
+    ((k11, k12), (k21, k22)), det = _guarded_adjugate(
+        cov_aa, SingularPseudoCov("axis pseudo-measurement covariance "
+                                  "is ill-conditioned"))
+    x11, x12, x21, x22 = (k11 * d1 / det, k12 * d2 / det,
+                          k21 * d1 / det, k22 * d2 / det)
     nu1, nu2 = a1 - count * e1, a2 - count * e2
-    (p1, p2) = axis.mean.tolist()
-    (c11, c12), (c21, c22) = axis.cov.tolist()
-    mean = [max(p1 + (x11 * nu1 + x21 * nu2), AXIS_FLOOR),
-            max(p2 + (x12 * nu1 + x22 * nu2), AXIS_FLOOR)]
-    c11, c12, c22 = _psd_2x2(c11 - count * (x11 * d1),
-                             0.5 * ((c12 - count * (x21 * d2))
-                                    + (c21 - count * (x12 * d1))),
-                             c22 - count * (x22 * d2))
-    return AxisState(mean, np.array([[c11, c12], [c12, c22]]))
+    p1, p2, c11, c12, c22 = axis
+    updated = (max(p1 + (x11 * nu1 + x21 * nu2), AXIS_FLOOR),
+               max(p2 + (x12 * nu1 + x22 * nu2), AXIS_FLOOR),
+               *_psd_2x2(c11 - count * (x11 * d1),
+                         0.5 * ((c12 - count * (x21 * d2))
+                                + (c12 - count * (x12 * d1))),
+                         c22 - count * (x22 * d2)))
+    return updated if psi is None else clamp_axis_variance(updated, psi)
 
 
-def orientation_moments(axis: AxisState, orient: OrientationState,
-                        w: np.ndarray, cfg: FilterConfig) -> OrientationMoments:
-    """Moments of b = (s1^2, s2^2, s1*s2) under the current estimate.
+def orientation_moments(shape: tuple, var_theta: float, w,
+                        c: float) -> tuple:
+    """E(b), the rows of Cov(b) and M = dE(b)/dtheta, for b = (s1^2, s2^2, s1*s2).
 
-    The centered measurement is modeled as s = R(theta) diag(l) h + w
-    with h ~ N(0, c I). Its covariance C_s combines the noise W, the
-    source spread c S S^T with S = R(theta) diag(l), and a first-order
-    term for the angle uncertainty built from the angle derivatives J1,
-    J2 of the rows of S. Written out, S S^T is the shape matrix X, and
-    J J^T = [[X22, -X12], [-X12, X11]], so with v = var(theta)
+    ``shape`` is (X11, X22, X12) of the shape matrix X at the estimate
+    (:func:`_shape_entries`), ``w`` the entries of W. The centered point
+    is s = R(theta) diag(l) h + w with h ~ N(0, c I). Its covariance C_s
+    is W plus the source spread c S S^T, S = R(theta) diag(l), plus a
+    first-order angle term from the angle derivatives J of S. S S^T is X
+    and J J^T = [[X22, -X12], [-X12, X11]], so with v = var(theta)
 
         C11 = W11 + c (X11 + v X22),  C22 = W22 + c (X22 + v X11),
         C12 = W12 + c (1 - v) X12.
 
-    E(b) reads (C11, C22, C12) off C_s. Treating s as zero-mean Gaussian,
-    Isserlis' theorem gives each entry of Cov(b) as products of two
-    entries of C_s: Cov(s_i s_j, s_k s_l) = C_ik C_jl + C_il C_jk. The
-    sensitivity is M = c (2 s1.j1, 2 s2.j2, s1.j2 + s2.j1)
-    = c (-2 X12, 2 X12, X11 - X22), with s_i and j_i the rows of S and J.
+    E(b) is (C11, C22, C12). For zero-mean Gaussian s, Isserlis' theorem
+    gives Cov(s_i s_j, s_k s_l) = C_ik C_jl + C_il C_jk. With s_i and j_i
+    the rows of S and J, M = c (2 s1.j1, 2 s2.j2, s1.j2 + s2.j1)
+    = c (-2 X12, 2 X12, X11 - X22), and Cov(b, theta) = v M.
     """
-    var_theta = orient.var
-    x11, x22, x12 = _shape_entries(orient.mean, *axis.mean.tolist())
-    (w11, w12), (_, w22) = np.asarray(w, dtype=float).tolist()
-    c = cfg.c
+    x11, x22, x12 = shape
+    w11, w12, _, w22 = w
     c11 = w11 + c * (x11 + var_theta * x22)
     c22 = w22 + c * (x22 + var_theta * x11)
     c12 = w12 + c * (1.0 - var_theta) * x12
-    expected_b = np.array([c11, c22, c12])
-    cov_bb = np.array([
-        [2.0 * (c11 * c11), 2.0 * (c12 * c12), 2.0 * (c11 * c12)],
-        [2.0 * (c12 * c12), 2.0 * (c22 * c22), 2.0 * (c22 * c12)],
-        [2.0 * (c11 * c12), 2.0 * (c22 * c12), c11 * c22 + c12 * c12],
-    ])
-    m1, m2, m3 = -2.0 * c * x12, 2.0 * c * x12, c * (x11 - x22)
-    m_vec = np.array([m1, m2, m3])
-    cross_btheta = np.array([[var_theta * m1, var_theta * m2, var_theta * m3]])
-    return OrientationMoments(expected_b, cov_bb, cross_btheta, m_vec)
+    cov_bb = ((2.0 * (c11 * c11), 2.0 * (c12 * c12), 2.0 * (c11 * c12)),
+              (2.0 * (c12 * c12), 2.0 * (c22 * c22), 2.0 * (c22 * c12)),
+              (2.0 * (c11 * c12), 2.0 * (c22 * c12), c11 * c22 + c12 * c12))
+    return ((c11, c22, c12), cov_bb,
+            (-2.0 * c * x12, 2.0 * c * x12, c * (x11 - x22)))
 
 
-def update_orientation(orient: OrientationState, b: np.ndarray,
-                       mom: OrientationMoments) -> OrientationState:
-    """Linear update of the orientation from one pseudo-measurement b."""
-    cross = mom.cross_btheta[0].tolist()
-    gain = _guarded_solve(mom.cov_bb, cross,
-                          SingularPseudoCov("orientation pseudo-measurement "
-                                            "covariance is ill-conditioned"))
-    innovation = [bi - ei for bi, ei in zip(np.ravel(b).tolist(),
-                                            mom.expected_b.tolist())]
-    mean = wrap_angle(orient.mean + sum(map(mul, gain, innovation)))
-    var = orient.var - sum(map(mul, gain, cross))
-    return OrientationState(mean, max(var, 0.0))
+def update_orientation(orient: tuple, b: tuple, mom: tuple) -> tuple:
+    """Linear update of (theta, var) from one pseudo-measurement b."""
+    theta, var = orient
+    (e1, e2, e3), cov_bb, (m1, m2, m3) = mom
+    cross = (var * m1, var * m2, var * m3)
+    g1, g2, g3 = _guarded_solve(cov_bb, cross,
+                                SingularPseudoCov("orientation pseudo-measurement "
+                                                  "covariance is ill-conditioned"))
+    b1, b2, b3 = b
+    return (wrap_angle(theta + (g1 * (b1 - e1) + g2 * (b2 - e2) + g3 * (b3 - e3))),
+            max(var - (g1 * cross[0] + g2 * cross[1] + g3 * cross[2]), 0.0))
 
 
 def _update_or_skip(diagnostics: Optional[StepDiagnostics], component: str,
@@ -312,38 +316,35 @@ def step_sequential(est: DecoupledEstimate, measurements: MeasurementSet,
     """One predict/update cycle of the sequential filter.
 
     With no measurements the prediction is returned unchanged. Otherwise
-    the centered measurements and their covariance W are fixed once from
-    the prediction, and each measurement updates all three components
-    against the previous snapshot. ``order`` only permutes the execution
-    order of the three component updates; because each reads the snapshot
-    alone, the result is identical for every permutation. Ill-conditioned
-    single updates are skipped and counted rather than aborting the step.
+    the centering and W are fixed once from the prediction, and each
+    measurement updates all three components against the previous
+    snapshot; a centered point s enters the shape updates as its scatter
+    s s^T, with entries b = (s1^2, s2^2, s1*s2). ``order`` only permutes
+    the execution order of the three updates; each reads the snapshot
+    alone, so the result is identical for every permutation.
+    Ill-conditioned single updates are skipped and counted.
     """
     for component in order:
         if component not in UPDATE_ORDER:
             raise ValueError(f"unknown component {component!r}")
-    pred = predict(est, motion)
-    if len(measurements) == 0:
-        return pred
-    centered = center_measurements(measurements, pred.kin, cfg.R)
-    w = centered.W
-
-    current = pred
-    for z, s, b in zip(measurements.points, centered.s, build_pseudo(centered)):
-        snap = current
-        axis, orient = snap.axis, snap.orient
-        calls = {
-            "kinematics": (update_kinematics, snap.kin, z,
-                           shape_matrix(orient.mean, axis.mean), cfg),
-            "axis": (update_axis, axis, aligned_squares(s, orient.mean)[0],
-                     axis_moments(axis, orient, w, cfg)),
-            "orientation": (update_orientation, orient, b,
-                            orientation_moments(axis, orient, w, cfg)),
-        }
-        parts = {"kinematics": snap.kin, "axis": axis, "orientation": orient}
-        for component in order:
-            parts[component] = _update_or_skip(diagnostics, component,
-                                               *calls[component])
-        current = DecoupledEstimate(parts["kinematics"], parts["axis"],
-                                    parts["orientation"])
-    return current
+    sequence = [UPDATE_ORDER.index(component) for component in order]
+    parts = list(_predict(est, motion))
+    points = measurements.points.tolist()
+    if not points:
+        return _estimate(*parts)
+    noise = cfg.R.ravel().tolist()
+    (c1, c2), w = _centering(points, parts[0], noise)
+    c = cfg.c
+    for z1, z2 in points:
+        kin, axis, orient = parts
+        theta, var = orient
+        s1, s2 = z1 - c1, z2 - c2
+        b = (s1 * s1, s2 * s2, s1 * s2)
+        shape = _shape_entries(theta, axis[0], axis[1])
+        calls = ((kalman_center_update, kin, z1, z2, noise, c, shape),
+                 (update_axis, axis, theta, b, 1, w, c),
+                 (update_orientation, orient, b,
+                  orientation_moments(shape, var, w, c)))
+        for k in sequence:
+            parts[k] = _update_or_skip(diagnostics, UPDATE_ORDER[k], *calls[k])
+    return _estimate(*parts)

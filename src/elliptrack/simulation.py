@@ -325,12 +325,16 @@ def run_scenario(cfg: ScenarioConfig, filter_kind: str, jobs: int = 1
 
     Every run owns an independent seed-derived stream, so the aggregates
     do not depend on scheduling; parallel and serial execution agree
-    exactly (runtimes aside). The results come back in run order.
+    exactly (runtimes aside). The results come back in run order. The
+    pool starts all its workers at once, so it gets at most one per run.
     """
+    if not isinstance(jobs, numbers.Integral) or jobs < 1:
+        raise ConfigError(f"need an integer number of jobs >= 1, got {jobs!r}")
     step_function(filter_kind)  # validate up front
     run = partial(run_single, cfg, filter_kind)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, cfg.runs)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, range(cfg.runs), chunksize=8))
     else:
         results = list(map(run, range(cfg.runs)))

@@ -13,10 +13,6 @@ from typing import Optional
 
 import numpy as np
 
-# Selects the object center from the 4-d kinematic state.
-H_CENTER = np.array([[1.0, 0.0, 0.0, 0.0],
-                     [0.0, 1.0, 0.0, 0.0]])
-
 # Semi-axis means are floored here after every update; a quadratic
 # pseudo-measurement outlier can otherwise drive a length negative.
 AXIS_FLOOR = 1e-3
@@ -93,26 +89,31 @@ def _psd_2x2(p11: float, p12: float, p22: float) -> tuple:
     return first, off, (off / first) * off
 
 
-def symmetrize_psd(mat: np.ndarray) -> np.ndarray:
-    """Return the symmetric PSD matrix nearest to ``mat`` in the eigen sense.
+def _psd_rows(rows: list) -> list:
+    """Symmetrize the square nested list ``rows`` in place, then floor
+    negative eigenvalues at zero. The eigendecomposition runs only when
+    the scalar LDL^T pass (:func:`_has_psd_pivots`) finds it is needed.
+    """
+    for i, row in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            row[j] = rows[j][i] = 0.5 * (row[j] + rows[j][i])
+    if _has_psd_pivots([row[:] for row in rows]):
+        return rows
+    eigval, eigvec = np.linalg.eigh(np.array(rows))
+    return ((eigvec * np.maximum(eigval, 0.0)) @ eigvec.T).tolist()
 
-    Symmetrizes, then floors negative eigenvalues at zero. Kalman-style
-    subtractive covariance updates can lose symmetry or pick up tiny
-    negative eigenvalues in floating point; this repairs both. Idempotent
-    on symmetric PSD input. A 2x2 input is handled in scalars by
-    :func:`_psd_2x2`. Larger ones run the eigendecomposition only when a
-    scalar LDL^T pass (:func:`_has_psd_pivots`) finds a repair is needed.
+
+def symmetrize_psd(mat: np.ndarray) -> np.ndarray:
+    """The symmetric PSD matrix nearest to ``mat`` in the eigen sense.
+
+    Idempotent on symmetric PSD input. A 2x2 input is handled by
+    :func:`_psd_2x2`, larger ones by :func:`_psd_rows`.
     """
     if len(mat) == 2:
         (p11, p12), (p21, p22) = mat.tolist()
         p11, p12, p22 = _psd_2x2(p11, 0.5 * (p12 + p21), p22)
         return np.array([[p11, p12], [p12, p22]])
-    sym = 0.5 * (mat + mat.T)
-    if _has_psd_pivots(sym.tolist()):
-        return sym
-    eigval, eigvec = np.linalg.eigh(sym)
-    eigval = np.maximum(eigval, 0.0)
-    return (eigvec * eigval) @ eigvec.T
+    return np.array(_psd_rows(mat.tolist()))
 
 
 def _shape_entries(theta: float, l1: float, l2: float) -> tuple:
@@ -126,11 +127,8 @@ def _shape_entries(theta: float, l1: float, l2: float) -> tuple:
 
 def _aligned_entries(theta: float, m11: float, m12: float, m21: float,
                      m22: float) -> tuple:
-    """(A11, A22, A12) of A = R(-theta) M R(-theta)^T, as Python floats.
-
-    Rotates a 2x2 matrix M, given by its entries, into the frame aligned
-    with the angle ``theta``, where the two semi-axes decouple.
-    """
+    """(A11, A22, A12) of A = R(-theta) M R(-theta)^T: M, given by its
+    entries, in the frame at ``theta``, where the semi-axes decouple."""
     cos_t, sin_t = math.cos(theta), math.sin(theta)
     mixed = cos_t * sin_t * (m12 + m21)
     return (cos_t * cos_t * m11 + mixed + sin_t * sin_t * m22,
@@ -140,11 +138,7 @@ def _aligned_entries(theta: float, m11: float, m12: float, m21: float,
 
 
 def shape_matrix(theta: float, axes: np.ndarray) -> np.ndarray:
-    """Ellipse shape matrix X = R(theta) diag(l1^2, l2^2) R(theta)^T.
-
-    Symmetric positive definite with eigenvalues {l1^2, l2^2}; invariant
-    under theta -> theta + pi.
-    """
+    """Ellipse shape matrix X = R(theta) diag(l1^2, l2^2) R(theta)^T."""
     l1, l2 = axes
     x11, x22, x12 = _shape_entries(theta, float(l1), float(l2))
     return np.array([[x11, x12], [x12, x22]])
@@ -246,25 +240,34 @@ class FilterConfig:
                 raise ValueError(f"psi must lie in (0, 1], got {self.psi}")
 
 
-def clamp_axis_variance(axis: AxisState, psi: float) -> AxisState:
-    """Cap each semi-axis variance at (psi * length)^2.
+def _axis_floats(axis: AxisState) -> tuple:
+    """(p1, p2, P11, P12, P22) of an axis state; P12 averages both sides."""
+    (c11, c12), (c21, c22) = axis.cov.tolist()
+    return (*axis.mean.tolist(), c11, 0.5 * (c12 + c21), c22)
 
-    Off-diagonal entries are rescaled so the correlation coefficient is
-    preserved; the mean is untouched. Keeps the Gaussian from putting
-    significant mass on negative lengths. A state within both caps is
-    returned as it is.
+
+def _axis_state(axis: tuple) -> AxisState:
+    """The :class:`AxisState` of (p1, p2, P11, P12, P22)."""
+    p1, p2, c11, c12, c22 = axis
+    return AxisState((p1, p2), ((c11, c12), (c12, c22)))
+
+
+def clamp_axis_variance(axis: tuple, psi: float) -> tuple:
+    """Cap each variance of (p1, p2, P11, P12, P22) at (psi * length)^2.
+
+    P12 is rescaled so the correlation coefficient is preserved; the mean
+    is untouched. Keeps the Gaussian from putting significant mass on
+    negative lengths. A state within both caps is returned as it is.
     """
-    cov = axis.cov.tolist()
-    factor = 1.0
-    clamped = False
-    for j, length in enumerate(axis.mean.tolist()):
-        cap = (psi * length) ** 2
-        if cov[j][j] > cap:
-            factor *= math.sqrt(cap / cov[j][j])
-            cov[j][j] = cap
-            clamped = True
-    if not clamped:
+    p1, p2, c11, c12, c22 = axis
+    cap1, cap2 = (psi * p1) ** 2, (psi * p2) ** 2
+    if not (c11 > cap1 or c22 > cap2):
         return axis
-    cov[0][1] *= factor
-    cov[1][0] *= factor
-    return AxisState(axis.mean, np.array(cov))
+    factor = 1.0
+    if c11 > cap1:
+        factor *= math.sqrt(cap1 / c11)
+        c11 = cap1
+    if c22 > cap2:
+        factor *= math.sqrt(cap2 / c22)
+        c22 = cap2
+    return p1, p2, c11, c12 * factor, c22

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from elliptrack import (AxisState, DecoupledEstimate, FilterConfig,
                         KinematicState, MotionModel, OrientationState,
@@ -10,6 +11,13 @@ from elliptrack import (AxisState, DecoupledEstimate, FilterConfig,
 QUAD_SELECT = np.array([[1.0, 0.0, 0.0, 0.0],
                         [0.0, 0.0, 0.0, 1.0],
                         [0.0, 1.0, 0.0, 0.0]])
+
+
+# Property tests run a fixed set of examples, so tier-1 stays reproducible
+# and bounded in time.
+settings.register_profile("tier1", derandomize=True, max_examples=40,
+                          deadline=None)
+settings.load_profile("tier1")
 
 
 def pytest_collection_modifyitems(config, items):

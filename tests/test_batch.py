@@ -12,9 +12,25 @@ from elliptrack.measurements import (CenteredMeasurements, aligned_squares,
                                      center_measurements)
 from elliptrack.sequential import (axis_moments, orientation_moments,
                                    update_kinematics, update_orientation)
+from elliptrack.measurements import _scatter
+from elliptrack.state import _shape_entries
 from elliptrack.simulation import builtin_scenarios, sample_run_data
 
 from conftest import assert_symmetric_psd, make_estimate, make_motion
+
+
+def orientation_update(orient, centered, axis, cfg):
+    """batch_update_orientation on the scan ``centered``, as a dataclass."""
+    return OrientationState(*batch_update_orientation(
+        (orient.mean, orient.var), _shape_entries(orient.mean, *axis.mean),
+        _scatter(centered.s.tolist(), 0.0, 0.0), len(centered),
+        centered.W.ravel().tolist(), cfg.c))
+
+
+def moments_b(axis, orient, cfg):
+    """orientation_moments at the estimate, with W = R, as tuples."""
+    return orientation_moments(_shape_entries(orient.mean, *axis.mean),
+                               orient.var, cfg.R.ravel().tolist(), cfg.c)
 
 
 class TestBatchKinematics:
@@ -121,14 +137,14 @@ class TestBatchOrientation:
         axis = AxisState([4.0, 1.5], np.zeros((2, 2)))
         orient = OrientationState(0.0, 0.3)
         cfg = FilterConfig(R=np.diag([1.2, 0.8]), c=0.25)
-        mom = orientation_moments(axis, orient, cfg.R, cfg)
-        c11, c22 = mom.expected_b[0], mom.expected_b[1]
+        (c11, c22, _), cov_bb, m_vec = moments_b(axis, orient, cfg)
         s = np.array([[np.sqrt(2 * c11), 0.0], [0.0, np.sqrt(2 * c22)]])
         centered = CenteredMeasurements(s, cfg.R)
-        out = batch_update_orientation(orient, centered, axis, cfg)
+        out = orientation_update(orient, centered, axis, cfg)
         assert out.mean == pytest.approx(0.0, abs=1e-12)
-        gamma = mom.cov_bb - orient.var * np.outer(mom.m_vec, mom.m_vec)
-        info = mom.m_vec @ np.linalg.solve(gamma, mom.m_vec)
+        m_vec = np.array(m_vec)
+        gamma = np.array(cov_bb) - orient.var * np.outer(m_vec, m_vec)
+        info = m_vec @ np.linalg.solve(gamma, m_vec)
         assert out.var == pytest.approx(1.0 / (1.0 / orient.var + 2 * info),
                                         rel=1e-10)
         assert 0.0 < out.var <= orient.var
@@ -140,10 +156,10 @@ class TestBatchOrientation:
         cfg = FilterConfig(R=np.eye(2), c=0.25)
         rng = np.random.default_rng(11)
         centered = CenteredMeasurements(rng.normal(size=(5, 2)), cfg.R)
-        mom = orientation_moments(axis, OrientationState(0.0, 0.4), cfg.R, cfg)
-        np.testing.assert_allclose(mom.m_vec, np.zeros(3), atol=1e-14)
-        out = batch_update_orientation(OrientationState(0.0, 0.4), centered,
-                                       axis, cfg)
+        _, _, m_vec = moments_b(axis, OrientationState(0.0, 0.4), cfg)
+        np.testing.assert_allclose(m_vec, np.zeros(3), atol=1e-14)
+        out = orientation_update(OrientationState(0.0, 0.4), centered, axis,
+                                 cfg)
         assert out.mean == pytest.approx(0.0, abs=1e-12)
         assert out.var == pytest.approx(0.4, rel=1e-12)
 
@@ -151,8 +167,11 @@ class TestBatchOrientation:
         axis = AxisState([4.0, 1.5], np.zeros((2, 2)))
         cfg = FilterConfig(R=np.eye(2), c=0.25)
         centered = CenteredMeasurements(np.ones((3, 2)), cfg.R)
-        prior = OrientationState(0.3, 0.0)
-        assert batch_update_orientation(prior, centered, axis, cfg) is prior
+        prior = (0.3, 0.0)
+        assert batch_update_orientation(
+            prior, _shape_entries(0.3, *axis.mean), _scatter([[1.0, 1.0]] * 3,
+                                                             0.0, 0.0),
+            3, cfg.R.ravel().tolist(), cfg.c) is prior
 
     def test_variance_always_shrinks(self):
         rng = np.random.default_rng(12)
@@ -163,7 +182,7 @@ class TestBatchOrientation:
                                       rng.uniform(0.01, 0.5))
             m = rng.integers(2, 10)
             centered = CenteredMeasurements(rng.normal(size=(m, 2)) * 2, cfg.R)
-            out = batch_update_orientation(orient, centered, axis, cfg)
+            out = orientation_update(orient, centered, axis, cfg)
             assert 0.0 < out.var <= orient.var
 
     def test_two_measurement_consistency_with_sequential(self):
@@ -182,13 +201,14 @@ class TestBatchOrientation:
                         -2.0, 2.0)
             s = (rot(theta) @ np.diag(axes) @ h.T).T + w
             centered = CenteredMeasurements(s, cfg.R)
-            from_batch = batch_update_orientation(orient, centered, axis, cfg)
+            from_batch = orientation_update(orient, centered, axis, cfg)
 
             b = np.column_stack((s ** 2, s[:, 0] * s[:, 1]))
-            first = update_orientation(
-                orient, b[0], orientation_moments(axis, orient, cfg.R, cfg))
-            chained = update_orientation(
-                first, b[1], orientation_moments(axis, first, cfg.R, cfg))
+            first = OrientationState(*update_orientation(
+                (orient.mean, orient.var), b[0],
+                moments_b(axis, orient, cfg)))
+            chained = OrientationState(*update_orientation(
+                (first.mean, first.var), b[1], moments_b(axis, first, cfg)))
             assert abs(from_batch.mean - chained.mean) <= 0.10 * abs(chained.mean)
             assert abs(from_batch.var - chained.var) <= 0.15 * chained.var
 
@@ -229,9 +249,8 @@ class TestStepBatch:
                                                    default_config),
             "axis": lambda: batch_update_axis(pred.axis, centered, pred.orient,
                                               default_config),
-            "orient": lambda: batch_update_orientation(pred.orient, centered,
-                                                       pred.axis,
-                                                       default_config),
+            "orient": lambda: orientation_update(pred.orient, centered,
+                                                 pred.axis, default_config),
         }
         for order in itertools.permutations(updates):
             parts = {name: updates[name]() for name in order}

@@ -365,6 +365,34 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("jobs, code, sizes", [("0", 2, []), ("-3", 2, []),
+                                                   ("1", 0, []),
+                                                   ("5000", 0, [2])])
+    def test_jobs_option_is_checked_and_bounded_by_runs(
+            self, tmp_path, monkeypatch, jobs, code, sizes):
+        # a fake pool records its size and runs the map in this process,
+        # so no worker process is ever started
+        from elliptrack import simulation
+        made = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
+        assert main(["mc", "stationary", "--runs", "2", "--seed", "3",
+                     "--jobs", jobs, "--out", str(tmp_path / "o")]) == code
+        assert made == sizes
+
     @pytest.mark.parametrize("overrides", [{"seed": 1.5}, {"runs": 2.5},
                                            {"seed": -1}, {"psi": 2.0}])
     def test_bad_seed_runs_or_psi_in_config_exits_2(self, tmp_path, capsys,

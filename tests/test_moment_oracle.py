@@ -1,32 +1,42 @@
-"""Matrix-form oracles for the closed-form moments, solves and updates.
+"""Matrix-form oracles for the closed-form moments, solves and steps.
 
 The filters compute Cov(b) entry by entry from Isserlis' theorem, solve
 their 2x2 and 3x3 systems by adjugate and determinant, run one axis
-update for a single pseudo-measurement and for the sum of a stack of
-them, and run the batch step on the count, mean and scatter of a scan.
-The oracles below are the general linear-algebra forms they replace: the
-Kronecker square of C_s under selection matrices, an eigenvalue
-condition guard with a LAPACK solve, the single-row and block-diagonal
-stacked axis updates, and the batch step on per-point arrays.
+update for a single pseudo-measurement and for the scatter of a stack of
+them, and run both steps on Python floats. The oracles below are the
+general linear-algebra forms they replace: the Kronecker square of C_s
+under selection matrices, the rotated noise and shape matrices, an
+eigenvalue condition guard with a LAPACK solve, the single-row and
+block-diagonal stacked axis updates, and both steps on arrays of
+per-point terms with the Cholesky/eigenvalue repair. Property tests draw
+random PSD priors and point clouds and hold the float steps to them.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from elliptrack import (AxisState, DecoupledEstimate, FilterConfig,
-                        KinematicState, OrientationState, StepDiagnostics,
-                        builtin_scenarios, rot, shape_matrix, step_batch,
+                        KinematicState, MeasurementSet, MotionModel,
+                        OrientationState, StepDiagnostics, builtin_scenarios,
+                        constant_velocity_transition, predict, rot, step_batch,
                         step_sequential)
 from elliptrack.errors import SingularInnovation, SingularPseudoCov
-from elliptrack.measurements import (CenteredMeasurements, aligned_squares,
-                                     build_pseudo)
-from elliptrack.sequential import (AXIS_FLOOR, COND_LIMIT, _guarded_solve,
-                                   _update_or_skip, axis_moments,
+from elliptrack.measurements import (CenteredMeasurements, _scatter,
+                                     aligned_squares, build_pseudo)
+from elliptrack.sequential import (AXIS_FLOOR, COND_LIMIT, AxisMoments,
+                                   _guarded_solve, _update_or_skip,
                                    orientation_moments, update_axis)
 from elliptrack.simulation import sample_run_data
-from elliptrack.state import H_CENTER, clamp_axis_variance, wrap_angle
+from elliptrack.state import (_axis_floats, _axis_state, _has_psd_pivots,
+                              _psd_rows, _shape_entries, clamp_axis_variance,
+                              wrap_angle)
 
-from conftest import QUAD_SELECT, symmetrize_psd_oracle
+from conftest import QUAD_SELECT, assert_symmetric_psd, symmetrize_psd_oracle
+
+# Selects the object center from the 4-d kinematic state.
+H_CENTER = np.array([[1.0, 0.0, 0.0, 0.0],
+                     [0.0, 1.0, 0.0, 0.0]])
 
 # Like QUAD_SELECT but picks m12 for the cross term; QUAD_SELECT +
 # QUAD_SELECT_ALT symmetrizes the cross-term rows of the Kronecker square.
@@ -89,6 +99,17 @@ def _solve_or_raise(mat, rhs, exc):
     return solution
 
 
+def axis_moments_oracle(axis, theta, w, c):
+    """AxisMoments from W rotated into the object frame as a matrix."""
+    w_theta = rot(-theta) @ np.asarray(w, dtype=float) @ rot(-theta).T
+    variances = np.diag(axis.cov)
+    expected = np.diag(w_theta) + c * (variances + axis.mean ** 2)
+    cov_aa = 2.0 * np.where(np.eye(2) == 1.0, np.outer(expected, expected),
+                            w_theta * w_theta.T)
+    return AxisMoments(expected, cov_aa,
+                       np.diag(2.0 * c * axis.mean * variances))
+
+
 def predict_oracle(est, motion):
     """The prediction on arrays, repaired by the eigenvalue floor."""
     f = motion.F_kin
@@ -101,45 +122,52 @@ def predict_oracle(est, motion):
                          est.orient.var + motion.Q_theta))
 
 
-def batch_kinematics_oracle(kin, measurements, shape_est, cfg):
-    """Kalman update on the measurement mean with H and full products."""
-    count = len(measurements)
-    innovation_cov = (H_CENTER @ kin.cov @ H_CENTER.T
-                      + (cfg.R + cfg.c * shape_est) / count)
+def shape_oracle(axis, orient):
+    """X = R(theta) diag(l^2) R(theta)^T."""
+    return rot(orient.mean) @ np.diag(axis.mean ** 2) @ rot(orient.mean).T
+
+
+def kinematics_oracle(kin, z, noise):
+    """Kalman update on a center observation z with H and full products."""
+    innovation_cov = H_CENTER @ kin.cov @ H_CENTER.T + noise
     gain = _solve_or_raise(innovation_cov, H_CENTER @ kin.cov,
                            SingularInnovation("ill-conditioned")).T
-    innovation = measurements.points.mean(axis=0) - H_CENTER @ kin.mean
-    return KinematicState(kin.mean + gain @ innovation, symmetrize_psd_oracle(
-        kin.cov - gain @ H_CENTER @ kin.cov))
+    return KinematicState(kin.mean + gain @ (z - H_CENTER @ kin.mean),
+                          symmetrize_psd_oracle(kin.cov
+                                                - gain @ H_CENTER @ kin.cov))
 
 
-def batch_axis_oracle(axis, centered, orient, cfg):
-    """Stacked axis update on the per-point aligned squares, then the clamp."""
-    mom = axis_moments(axis, orient, centered.W, cfg)
-    rows = aligned_squares(centered.s, orient.mean)
+def axis_oracle(axis, rows, mom):
+    """Stacked axis update on per-point aligned squares, floored and repaired."""
     gain = _solve_or_raise(mom.cov_aa, mom.cross_ap.T,
                            SingularPseudoCov("ill-conditioned")).T
     mean = axis.mean + gain @ (rows - mom.expected_a).sum(axis=0)
     cov = symmetrize_psd_oracle(axis.cov - len(rows) * gain @ mom.cross_ap.T)
-    updated = AxisState(np.maximum(mean, AXIS_FLOOR), cov)
-    if cfg.psi is not None:
-        updated = clamp_axis_variance(updated, cfg.psi)
-    return updated
+    return AxisState(np.maximum(mean, AXIS_FLOOR), cov)
+
+
+def orientation_oracle(orient, b, moments):
+    """Linear update of the angle from one pseudo-measurement row b."""
+    expected_b, cov_bb, m_vec = moments
+    cross = orient.var * m_vec
+    gain = _solve_or_raise(cov_bb, cross, SingularPseudoCov("ill-conditioned"))
+    return OrientationState(wrap_angle(orient.mean + gain @ (b - expected_b)),
+                            max(orient.var - gain @ cross, 0.0))
 
 
 def batch_orientation_oracle(orient, centered, axis, cfg):
     """Information-form update summing the per-point pseudo-measurements."""
     if orient.var == 0.0:
         return orient
-    mom = orientation_moments(axis, orient, centered.W, cfg)
-    m_vec = mom.m_vec
-    gamma = mom.cov_bb - orient.var * np.outer(m_vec, m_vec)
+    expected_b, cov_bb, m_vec = orientation_moments_oracle(axis, orient,
+                                                           centered.W, cfg)
+    gamma = cov_bb - orient.var * np.outer(m_vec, m_vec)
     weighted = _solve_or_raise(gamma, m_vec,
                                SingularPseudoCov("ill-conditioned"))
     info_gain = float(m_vec @ weighted)
     if info_gain < 0.0:
         raise SingularPseudoCov("not positive definite")
-    xi_sum = (build_pseudo(centered) - mom.expected_b
+    xi_sum = (build_pseudo(centered) - expected_b
               + m_vec * orient.mean).sum(axis=0)
     var = 1.0 / (1.0 / orient.var + len(centered) * info_gain)
     mean = wrap_angle(var * (orient.mean / orient.var
@@ -147,19 +175,58 @@ def batch_orientation_oracle(orient, centered, axis, cfg):
     return OrientationState(mean, var)
 
 
+def step_sequential_oracle(est, measurements, motion, cfg, diagnostics):
+    """The sequential step on arrays: H products, per-point rows, LAPACK."""
+    pred = predict_oracle(est, motion)
+    points = measurements.points
+    if len(points) == 0:
+        return pred
+    if len(points) > 1:
+        centered = CenteredMeasurements(points - points.mean(axis=0), cfg.R)
+    else:
+        centered = CenteredMeasurements(
+            points - H_CENTER @ pred.kin.mean,
+            cfg.R + H_CENTER @ pred.kin.cov @ H_CENTER.T)
+    current = pred
+    for z, s, b in zip(points, centered.s, build_pseudo(centered)):
+        kin, axis, orient = current.kin, current.axis, current.orient
+        current = DecoupledEstimate(
+            _update_or_skip(diagnostics, "kinematics", kinematics_oracle, kin,
+                            z, cfg.R + cfg.c * shape_oracle(axis, orient)),
+            _update_or_skip(diagnostics, "axis", axis_oracle, axis,
+                            aligned_squares(s, orient.mean),
+                            axis_moments_oracle(axis, orient.mean, centered.W,
+                                                cfg.c)),
+            _update_or_skip(diagnostics, "orientation", orientation_oracle,
+                            orient, b, orientation_moments_oracle(
+                                axis, orient, centered.W, cfg)))
+    return current
+
+
 def step_batch_oracle(est, measurements, motion, cfg, diagnostics):
     """The batch step on (M, 2) and (M, 3) arrays of per-point terms."""
     if len(measurements) <= 1:
-        return step_sequential(est, measurements, motion, cfg,
-                               diagnostics=diagnostics)
+        return step_sequential_oracle(est, measurements, motion, cfg,
+                                      diagnostics)
     pred = predict_oracle(est, motion)
-    shape_est = shape_matrix(pred.orient.mean, pred.axis.mean)
-    centered = CenteredMeasurements(
-        measurements.points - measurements.points.mean(axis=0), cfg.R)
+    points = measurements.points
+    z_bar = points.mean(axis=0)
+    centered = CenteredMeasurements(points - z_bar, cfg.R)
+    noise = (cfg.R + cfg.c * shape_oracle(pred.axis, pred.orient)) / len(points)
+
+    def axis_update(axis, centered, orient, cfg):
+        updated = axis_oracle(axis, aligned_squares(centered.s, orient.mean),
+                              axis_moments_oracle(axis, orient.mean,
+                                                  centered.W, cfg.c))
+        if cfg.psi is not None:
+            updated = _axis_state(clamp_axis_variance(_axis_floats(updated),
+                                                      cfg.psi))
+        return updated
+
     return DecoupledEstimate(
-        _update_or_skip(diagnostics, "kinematics", batch_kinematics_oracle,
-                        pred.kin, measurements, shape_est, cfg),
-        _update_or_skip(diagnostics, "axis", batch_axis_oracle,
+        _update_or_skip(diagnostics, "kinematics", kinematics_oracle,
+                        pred.kin, z_bar, noise),
+        _update_or_skip(diagnostics, "axis", axis_update,
                         pred.axis, centered, pred.orient, cfg),
         _update_or_skip(diagnostics, "orientation", batch_orientation_oracle,
                         pred.orient, centered, pred.axis, cfg))
@@ -167,13 +234,14 @@ def step_batch_oracle(est, measurements, motion, cfg, diagnostics):
 
 def _relative_gap(out, ref):
     """Largest deviation of ``out`` from ``ref``, relative per component."""
-    gaps = [np.abs(a - b).max() / np.abs(b).max()
-            for a, b in ((out.kin.mean, ref.kin.mean),
-                         (out.kin.cov, ref.kin.cov),
-                         (out.axis.mean, ref.axis.mean),
-                         (out.axis.cov, ref.axis.cov))]
-    gaps.append(abs(out.orient.var - ref.orient.var) / ref.orient.var)
-    gaps.append(abs(wrap_angle(out.orient.mean - ref.orient.mean)) / np.pi)
+    def gap(a, b):
+        scale = np.abs(b).max()
+        return np.abs(a - b).max() / scale if scale > 0.0 else np.abs(a).max()
+
+    gaps = [gap(out.kin.mean, ref.kin.mean), gap(out.kin.cov, ref.kin.cov),
+            gap(out.axis.mean, ref.axis.mean), gap(out.axis.cov, ref.axis.cov),
+            gap(out.orient.var, ref.orient.var),
+            abs(wrap_angle(out.orient.mean - ref.orient.mean)) / np.pi]
     return max(gaps)
 
 
@@ -193,16 +261,14 @@ def test_orientation_moments_match_kronecker_oracle():
     worst = 0.0
     for _ in range(2000):
         axis, orient, w, cfg = _random_case(rng)
-        mom = orientation_moments(axis, orient, w, cfg)
+        mom = orientation_moments(_shape_entries(orient.mean, *axis.mean),
+                                  orient.var, w.ravel().tolist(), cfg.c)
         expected_b, cov_bb, m_vec = orientation_moments_oracle(axis, orient,
                                                                w, cfg)
         scale = max(1.0, np.abs(cov_bb).max())
-        worst = max(worst,
-                    np.abs(mom.expected_b - expected_b).max() / scale,
-                    np.abs(mom.cov_bb - cov_bb).max() / scale,
-                    np.abs(mom.m_vec - m_vec).max() / scale,
-                    np.abs(mom.cross_btheta.ravel()
-                           - orient.var * m_vec).max() / scale)
+        worst = max(worst, *(np.abs(np.array(out) - ref).max() / scale
+                             for out, ref in zip(mom, (expected_b, cov_bb,
+                                                       m_vec))))
     print(f"worst relative deviation from the Kronecker oracle: {worst:.2e}")
     assert worst <= TOL
 
@@ -228,14 +294,18 @@ def test_update_axis_matches_single_row_and_stacked_forms():
     worst, compared = 0.0, 0
     for _ in range(1000):
         axis, orient, w, cfg = _random_case(rng)
-        mom = axis_moments(axis, orient, w, cfg)
-        stacked = aligned_squares(rng.normal(size=(rng.integers(1, 12), 2))
-                                  * 3.0, orient.mean)
-        # one row is the single-row update; a stack enters as its sum
-        pairs = ((update_axis(axis, stacked[0], mom),
-                  update_axis_oracle(axis, stacked[0], mom)),
-                 (update_axis(axis, stacked.sum(axis=0), mom, len(stacked)),
-                  stacked_axis_oracle(axis, stacked, mom)))
+        mom = axis_moments_oracle(axis, orient.mean, w, cfg.c)
+        points = rng.normal(size=(rng.integers(1, 12), 2)) * 3.0
+        stacked = aligned_squares(points, orient.mean)
+        # one point is the single-row update; a stack enters as its scatter
+        pairs = []
+        for pts, oracle in ((points[:1], update_axis_oracle(axis, stacked[0],
+                                                            mom)),
+                            (points, stacked_axis_oracle(axis, stacked, mom))):
+            scatter = _scatter(pts.tolist(), 0.0, 0.0)
+            pairs.append((_axis_state(update_axis(
+                _axis_floats(axis), orient.mean, scatter, len(pts),
+                w.ravel().tolist(), cfg.c)), oracle))
         for out, (mean, cov) in pairs:
             cov = 0.5 * (cov + cov.T)
             # compare where neither the axis floor nor the PSD repair acts
@@ -252,31 +322,145 @@ def test_update_axis_matches_single_row_and_stacked_forms():
     assert compared > 1000 and worst <= TOL
 
 
-@pytest.mark.parametrize("scenario", ["moderate", "noisy", "sparse"])
-def test_step_batch_matches_array_form_oracle(scenario):
-    # every step of 20-run campaigns (psi clamp on), from the same input
-    # estimate: the scalar step on (M, mean, scatter) against the step on
-    # per-point arrays, with the eigenvalue floor as the PSD repair
-    cfg = builtin_scenarios(runs=20, seed=7)[scenario]
+def _campaign_gap(scenario, runs, step, oracle):
+    """Worst gap of ``step`` from ``oracle`` over every step of a campaign.
+
+    Both take the same input estimate at every step. Returns the gap, the
+    number of steps with a measurement update, and both skip counts.
+    """
+    cfg = builtin_scenarios(runs=runs, seed=7)[scenario]
     fcfg = cfg.filter_config()
-    assert fcfg.psi is not None
     diagnostics, oracle_diagnostics = StepDiagnostics(), StepDiagnostics()
     worst, steps = 0.0, 0
     for run in range(cfg.runs):
         est = cfg.prior
         for scan in sample_run_data(cfg, run)[1]:
-            out = step_batch(est, scan, cfg.motion, fcfg,
-                             diagnostics=diagnostics)
-            ref = step_batch_oracle(est, scan, cfg.motion, fcfg,
-                                    oracle_diagnostics)
+            out = step(est, scan, cfg.motion, fcfg, diagnostics=diagnostics)
+            ref = oracle(est, scan, cfg.motion, fcfg, oracle_diagnostics)
             worst = max(worst, _relative_gap(out, ref))
-            steps += len(scan) > 1
+            steps += len(scan) > (step is step_batch)
             est = out
+    return worst, steps, diagnostics.as_dict(), oracle_diagnostics.as_dict()
+
+
+@pytest.mark.parametrize("scenario", ["moderate", "noisy", "sparse"])
+def test_step_batch_matches_array_form_oracle(scenario):
+    # every step of 20-run campaigns (psi clamp on), from the same input
+    # estimate: the float step on (M, mean, scatter) against the step on
+    # per-point arrays, with the eigenvalue floor as the PSD repair
+    assert builtin_scenarios(runs=1)[scenario].filter_config().psi is not None
+    worst, steps, skips, oracle_skips = _campaign_gap(
+        scenario, 20, step_batch, step_batch_oracle)
     print(f"worst relative deviation from the array-form step: {worst:.2e} "
           f"over {steps} batch steps")
     assert steps > 1000
-    assert diagnostics.as_dict() == oracle_diagnostics.as_dict()
+    assert skips == oracle_skips
     assert worst <= TOL
+
+
+@pytest.mark.parametrize("scenario, runs", [("moderate", 4), ("noisy", 4),
+                                            ("stationary", 4)])
+def test_step_sequential_matches_array_form_oracle(scenario, runs):
+    # the float step that carries the estimate through the scan against
+    # the array-form step: H products, aligned_squares and build_pseudo
+    # rows, Kronecker moments, LAPACK solves and the eigenvalue repair
+    worst, steps, skips, oracle_skips = _campaign_gap(
+        scenario, runs, step_sequential, step_sequential_oracle)
+    print(f"worst relative deviation from the array-form step: {worst:.2e} "
+          f"over {steps} steps")
+    assert steps > 300
+    assert skips == oracle_skips
+    assert worst <= TOL
+
+
+@st.composite
+def problems(draw):
+    """A random PSD prior, motion, noise and scan of 0 to 20 points.
+
+    Covariances are L L^T with random L. With some draws the velocity
+    block or the axis covariance is exactly zero, which leaves a singular
+    PSD prior, and the angle variance may be zero too.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    count = draw(st.integers(0, 20))
+    root = rng.normal(size=(4, 4)) * rng.uniform(0.1, 2.0)
+    if draw(st.booleans()):
+        root[2:] = 0.0
+    axis_root = rng.normal(size=(2, 2)) * rng.uniform(0.0, 0.8)
+    kin = KinematicState(rng.normal(size=4) * 5.0, root @ root.T)
+    axis = AxisState(rng.uniform(0.5, 6.0, size=2), axis_root @ axis_root.T)
+    orient = OrientationState(rng.uniform(-np.pi, np.pi),
+                              draw(st.sampled_from([0.0, 0.05, 0.5, 2.0])))
+    q_root = rng.normal(size=(4, 4)) * rng.uniform(0.0, 1.0)
+    motion = MotionModel(constant_velocity_transition(1.0), q_root @ q_root.T,
+                         np.eye(2) * rng.uniform(0.0, 0.1),
+                         rng.uniform(0.0, 0.2))
+    r_root = rng.normal(size=(2, 2))
+    cfg = FilterConfig(R=r_root @ r_root.T + 0.1 * np.eye(2),
+                       c=draw(st.sampled_from([0.25, 1.0 / 3.0])),
+                       psi=draw(st.sampled_from([None, 0.4])))
+    center = kin.mean[:2] + kin.mean[2:]
+    spread = rot(orient.mean) @ np.diag(axis.mean) * 0.5
+    points = center + rng.normal(size=(count, 2)) @ spread.T
+    return (DecoupledEstimate(kin, axis, orient), MeasurementSet(points),
+            motion, cfg)
+
+
+@pytest.mark.parametrize("step, oracle", [(step_sequential,
+                                           step_sequential_oracle),
+                                          (step_batch, step_batch_oracle)])
+@given(problem=problems())
+def test_float_step_matches_oracle_on_random_problems(step, oracle, problem):
+    est, scan, motion, cfg = problem
+    diagnostics, oracle_diagnostics = StepDiagnostics(), StepDiagnostics()
+    out = step(est, scan, motion, cfg, diagnostics=diagnostics)
+    ref = oracle(est, scan, motion, cfg, oracle_diagnostics)
+    assert diagnostics.as_dict() == oracle_diagnostics.as_dict()
+    assert _relative_gap(out, ref) <= TOL
+
+
+@pytest.mark.parametrize("step", [step_sequential, step_batch])
+@given(problem=problems())
+def test_step_output_is_finite_psd_and_never_gains_angle_variance(step,
+                                                                  problem):
+    est, scan, motion, cfg = problem
+    out = step(est, scan, motion, cfg)
+    for values in (out.kin.mean, out.kin.cov, out.axis.mean, out.axis.cov,
+                   [out.orient.mean, out.orient.var]):
+        assert np.all(np.isfinite(values))
+    scale = max(1.0, np.abs(out.kin.cov).max())
+    assert_symmetric_psd(out.kin.cov / scale)
+    assert_symmetric_psd(out.axis.cov)
+    assert 0.0 <= out.orient.var <= predict(est, motion).orient.var
+
+
+@given(problem=problems())
+def test_batch_equals_sequential_bit_for_bit_at_one_point(problem):
+    est, scan, motion, cfg = problem
+    scan = MeasurementSet(np.vstack([scan.points, [[1.0, -2.0]]])[:1])
+    seq = step_sequential(est, scan, motion, cfg)
+    bat = step_batch(est, scan, motion, cfg)
+    for a, b in ((seq.kin.mean, bat.kin.mean), (seq.kin.cov, bat.kin.cov),
+                 (seq.axis.mean, bat.axis.mean), (seq.axis.cov, bat.axis.cov)):
+        assert np.array_equal(a, b)
+    assert seq.orient == bat.orient
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       negative=st.floats(1e-12, 10.0))
+def test_4x4_repair_falls_back_to_the_eigenvalue_floor(seed, negative):
+    # a symmetric 4x4 with one negative eigenvalue fails the pivot test;
+    # the float repair then agrees with the Cholesky/eigenvalue oracle
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    eig = np.append(rng.uniform(0.1, 10.0, size=3), -negative)
+    mat = (q * eig) @ q.T
+    mat = mat + 1e-3 * rng.normal(size=(4, 4)) * negative
+    assert not _has_psd_pivots((0.5 * (mat + mat.T)).tolist())
+    out = np.array(_psd_rows(mat.tolist()))
+    ref = symmetrize_psd_oracle(mat)
+    assert np.abs(out - ref).max() <= TOL * np.abs(ref).max()
+    assert_symmetric_psd(out)
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -10,8 +10,22 @@ from elliptrack import (AxisState, DecoupledEstimate,
 from elliptrack.sequential import (StepDiagnostics, axis_moments,
                                    orientation_moments, update_axis,
                                    update_kinematics, update_orientation)
+from elliptrack.state import _axis_floats, _axis_state, _shape_entries
 
 from conftest import assert_symmetric_psd, make_estimate, make_motion
+
+
+def moments_b(axes, theta, var_theta, w, cfg):
+    """orientation_moments at the given axes, angle and noise W, as arrays."""
+    mom = orientation_moments(_shape_entries(theta, *axes), var_theta,
+                              np.ravel(w).tolist(), cfg.c)
+    return tuple(np.array(part) for part in mom)
+
+
+def point_scatter(s):
+    """(S11, S22, S12) of one centered point s: its pseudo-measurement b."""
+    s1, s2 = s
+    return s1 * s1, s2 * s2, s1 * s2
 
 
 class TestPredict:
@@ -108,76 +122,76 @@ class TestAxisMoments:
 
 
 class TestUpdateAxis:
-    def _moments(self, cfg):
-        axis = AxisState([2, 1], np.diag([0.25, 0.25]))
-        return axis, axis_moments(axis, OrientationState(0.0, 0.1), np.eye(2), cfg)
+    # update_axis runs on (p1, p2, P11, P12, P22) floats and the scatter of
+    # the centered points; at theta = 0 the aligned squares of a point s
+    # are (s1^2, s2^2).
+    AXIS = (2.0, 1.0, 0.25, 0.0, 0.25)
+    W = (1.0, 0.0, 0.0, 1.0)
+
+    def _expected_a(self, cfg):
+        return axis_moments(_axis_state(self.AXIS), OrientationState(0.0, 0.1),
+                            np.eye(2), cfg).expected_a
 
     def test_zero_innovation_keeps_mean(self, default_config):
-        axis, mom = self._moments(default_config)
-        out = update_axis(axis, mom.expected_a, mom)
-        np.testing.assert_allclose(out.mean, axis.mean, atol=1e-12)
-        assert np.trace(out.cov) < np.trace(axis.cov)
+        s = np.sqrt(self._expected_a(default_config))
+        out = update_axis(self.AXIS, 0.0, point_scatter(s), 1, self.W,
+                          default_config.c)
+        np.testing.assert_allclose(out[:2], self.AXIS[:2], atol=1e-12)
+        assert out[2] + out[4] < self.AXIS[2] + self.AXIS[4]
 
     def test_zero_prior_cov_is_fixed_point(self, default_config):
-        axis = AxisState([2, 1], np.zeros((2, 2)))
-        mom = axis_moments(axis, OrientationState(0.0, 0.1), np.eye(2),
-                           default_config)
-        out = update_axis(axis, [9.0, 5.0], mom)
-        np.testing.assert_array_equal(out.mean, axis.mean)
-        np.testing.assert_array_equal(out.cov, axis.cov)
+        axis = (2.0, 1.0, 0.0, 0.0, 0.0)
+        out = update_axis(axis, 0.0, point_scatter([3.0, np.sqrt(5.0)]), 1,
+                          self.W, default_config.c)
+        assert out == axis
 
     def test_against_scalar_computation(self, default_config):
         # cov_aa is diagonal here, so the gain splits into two scalars
-        axis, mom = self._moments(default_config)
-        out = update_axis(axis, [3.0, 1.0], mom)
+        out = update_axis(self.AXIS, 0.0, point_scatter([np.sqrt(3.0), 1.0]),
+                          1, self.W, default_config.c)
         expect_1 = 2.0 + 0.25 * (3.0 - 2.0625) / (2 * 2.0625 ** 2)
         expect_2 = 1.0 + 0.125 * (1.0 - 1.3125) / (2 * 1.3125 ** 2)
-        np.testing.assert_allclose(out.mean, [expect_1, expect_2], rtol=1e-12)
+        np.testing.assert_allclose(out[:2], [expect_1, expect_2], rtol=1e-12)
 
     def test_trace_never_increases(self, default_config):
         rng = np.random.default_rng(1)
         for _ in range(500):
             root = rng.normal(size=(2, 2)) * 0.5
-            axis = AxisState(rng.uniform(0.5, 6, size=2), root @ root.T)
-            orient = OrientationState(rng.uniform(-np.pi, np.pi),
-                                      rng.uniform(0, 0.5))
-            mom = axis_moments(axis, orient, np.eye(2), default_config)
-            out = update_axis(axis, rng.uniform(0, 20, size=2), mom)
-            assert np.trace(out.cov) <= np.trace(axis.cov) + 1e-9
-            assert np.all(out.mean > 0)
-            assert_symmetric_psd(out.cov)
+            axis = _axis_floats(AxisState(rng.uniform(0.5, 6, size=2),
+                                          root @ root.T))
+            out = update_axis(axis, rng.uniform(-np.pi, np.pi),
+                              point_scatter(rng.normal(size=2) * 3), 1,
+                              self.W, default_config.c)
+            assert out[2] + out[4] <= axis[2] + axis[4] + 1e-9
+            assert out[0] > 0 and out[1] > 0
+            assert_symmetric_psd(_axis_state(out).cov)
 
 
 class TestOrientationMoments:
     def test_zero_angle_variance_zeroes_terms(self, default_config):
         # without angle uncertainty C_s is the noise plus c S S^T alone
-        mom = orientation_moments(AxisState([3, 1], np.eye(2)),
-                                  OrientationState(0.4, 0.0), np.eye(2),
-                                  default_config)
+        expected_b, _, _ = moments_b([3, 1], 0.4, 0.0, np.eye(2),
+                                     default_config)
         s_mat = rot(0.4) @ np.diag([3.0, 1.0])
         cov_s = np.eye(2) + 0.25 * s_mat @ s_mat.T
-        np.testing.assert_allclose(mom.expected_b,
+        np.testing.assert_allclose(expected_b,
                                    [cov_s[0, 0], cov_s[1, 1], cov_s[0, 1]],
                                    atol=1e-14)
-        np.testing.assert_array_equal(mom.cross_btheta, np.zeros((1, 3)))
 
     def test_axis_aligned_noise_free_case(self, default_config):
         # S = diag(2, 1), so C_s = c diag(l1^2, l2^2) = diag(1, 0.25)
-        mom = orientation_moments(AxisState([2, 1], np.zeros((2, 2))),
-                                  OrientationState(0.0, 0.0),
-                                  np.zeros((2, 2)), default_config)
-        np.testing.assert_allclose(mom.expected_b, [1.0, 0.25, 0.0])
-        np.testing.assert_allclose(mom.cov_bb,
-                                   np.diag([2.0, 0.125, 0.25]), atol=1e-14)
+        expected_b, cov_bb, _ = moments_b([2, 1], 0.0, 0.0, np.zeros((2, 2)),
+                                          default_config)
+        np.testing.assert_allclose(expected_b, [1.0, 0.25, 0.0])
+        np.testing.assert_allclose(cov_bb, np.diag([2.0, 0.125, 0.25]),
+                                   atol=1e-14)
 
     def test_monte_carlo_expected_b(self, default_config):
         # With zero angle uncertainty the moment formula is exact; the
         # empirical mean of b over draws from the source model must match.
         theta, axes = 0.7, np.array([4.0, 1.5])
         w_cov = np.array([[1.2, 0.3], [0.3, 0.8]])
-        mom = orientation_moments(AxisState(axes, np.zeros((2, 2))),
-                                  OrientationState(theta, 0.0), w_cov,
-                                  default_config)
+        expected_b, _, _ = moments_b(axes, theta, 0.0, w_cov, default_config)
         rng = np.random.default_rng(5)
         n = 1_000_000
         h = rng.normal(size=(n, 2)) * np.sqrt(default_config.c)
@@ -185,57 +199,55 @@ class TestOrientationMoments:
         s = (rot(theta) @ np.diag(axes) @ h.T).T + w
         b = np.column_stack((s ** 2, s[:, 0] * s[:, 1]))
         se = b.std(axis=0) / np.sqrt(n)
-        np.testing.assert_array_less(np.abs(b.mean(axis=0) - mom.expected_b),
+        np.testing.assert_array_less(np.abs(b.mean(axis=0) - expected_b),
                                      4.0 * se)
 
     def test_sensitivity_vector_at_zero_angle(self, default_config):
-        mom = orientation_moments(AxisState([3, 1], np.zeros((2, 2))),
-                                  OrientationState(0.0, 0.2), np.eye(2),
-                                  default_config)
-        np.testing.assert_allclose(mom.m_vec, [0.0, 0.0, 0.25 * (9 - 1)],
-                                    atol=1e-14)
+        _, _, m_vec = moments_b([3, 1], 0.0, 0.2, np.eye(2), default_config)
+        np.testing.assert_allclose(m_vec, [0.0, 0.0, 0.25 * (9 - 1)],
+                                   atol=1e-14)
 
     def test_cov_bb_symmetric(self, default_config):
         rng = np.random.default_rng(2)
         for _ in range(1000):
-            axis = AxisState(rng.uniform(0.5, 6, size=2), np.eye(2) * 0.1)
-            orient = OrientationState(rng.uniform(-np.pi, np.pi),
-                                      rng.uniform(0, 0.8))
             root = rng.normal(size=(2, 2))
-            mom = orientation_moments(axis, orient, root @ root.T,
-                                      default_config)
-            assert np.abs(mom.cov_bb - mom.cov_bb.T).max() < 1e-10
+            _, cov_bb, _ = moments_b(rng.uniform(0.5, 6, size=2),
+                                     rng.uniform(-np.pi, np.pi),
+                                     rng.uniform(0, 0.8), root @ root.T,
+                                     default_config)
+            assert np.abs(cov_bb - cov_bb.T).max() < 1e-10
 
 
 class TestUpdateOrientation:
+    def _moments(self, orient, cfg):
+        return orientation_moments(_shape_entries(orient[0], 4.0, 2.0),
+                                   orient[1], (1.0, 0.0, 0.0, 1.0), cfg.c)
+
     def test_zero_innovation_keeps_mean(self, default_config):
-        orient = OrientationState(0.3, 0.2)
-        mom = orientation_moments(AxisState([4, 2], np.eye(2) * 0.2), orient,
-                                  np.eye(2), default_config)
-        out = update_orientation(orient, mom.expected_b, mom)
-        assert out.mean == pytest.approx(0.3, abs=1e-12)
-        assert out.var < orient.var
+        orient = (0.3, 0.2)
+        mom = self._moments(orient, default_config)
+        mean, var = update_orientation(orient, mom[0], mom)
+        assert mean == pytest.approx(0.3, abs=1e-12)
+        assert var < orient[1]
 
     def test_zero_variance_is_fixed_point(self, default_config):
-        orient = OrientationState(0.3, 0.0)
-        mom = orientation_moments(AxisState([4, 2], np.eye(2) * 0.2), orient,
-                                  np.eye(2), default_config)
-        out = update_orientation(orient, [20.0, 3.0, 5.0], mom)
-        assert out.mean == orient.mean
-        assert out.var == 0.0
+        orient = (0.3, 0.0)
+        out = update_orientation(orient, (20.0, 3.0, 5.0),
+                                 self._moments(orient, default_config))
+        assert out == orient
 
     def test_variance_shrinks_and_stays_nonnegative(self, default_config):
         rng = np.random.default_rng(3)
         for _ in range(1000):
-            orient = OrientationState(rng.uniform(-np.pi, np.pi),
-                                      rng.uniform(0, 0.8))
-            axis = AxisState(rng.uniform(0.5, 6, size=2), np.eye(2) * 0.1)
+            theta, var = rng.uniform(-np.pi, np.pi), rng.uniform(0, 0.8)
             root = rng.normal(size=(2, 2))
-            mom = orientation_moments(axis, orient, root @ root.T,
-                                      default_config)
-            out = update_orientation(orient, rng.normal(size=3) * 4, mom)
-            assert 0.0 <= out.var <= orient.var + 1e-15
-            assert -np.pi < out.mean <= np.pi
+            mom = orientation_moments(
+                _shape_entries(theta, *rng.uniform(0.5, 6, size=2)), var,
+                (root @ root.T).ravel().tolist(), default_config.c)
+            out_mean, out_var = update_orientation(
+                (theta, var), rng.normal(size=3) * 4, mom)
+            assert 0.0 <= out_var <= var + 1e-15
+            assert -np.pi < out_mean <= np.pi
 
 
 def _random_measurements(rng, truth_theta=0.3, count=None):

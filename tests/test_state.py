@@ -4,7 +4,7 @@ import pytest
 from elliptrack import (AxisState, FilterConfig, clamp_axis_variance, predict,
                         rot, shape_matrix, symmetrize_psd, wrap_angle)
 from elliptrack.simulation import builtin_scenarios
-from elliptrack.state import _has_psd_pivots
+from elliptrack.state import _axis_floats, _axis_state, _has_psd_pivots
 
 from conftest import assert_symmetric_psd, symmetrize_psd_oracle
 
@@ -72,24 +72,30 @@ class TestShapeMatrix:
         np.testing.assert_allclose(sorted(eig), [1.5 ** 2, 3 ** 2], atol=1e-12)
 
 
+def clamp(mean, cov, psi):
+    """clamp_axis_variance on an axis state given by its arrays."""
+    return _axis_state(clamp_axis_variance(_axis_floats(AxisState(mean, cov)),
+                                           psi))
+
+
 class TestClampAxisVariance:
     def test_clamps_only_exceeding_entry(self):
-        out = clamp_axis_variance(AxisState([5, 2], np.diag([1.0, 1.0])), 0.4)
+        out = clamp([5, 2], np.diag([1.0, 1.0]), 0.4)
         np.testing.assert_allclose(out.cov, np.diag([1.0, 0.64]))
         np.testing.assert_array_equal(out.mean, [5, 2])
 
     def test_zero_cov_unchanged(self):
-        out = clamp_axis_variance(AxisState([5, 2], np.zeros((2, 2))), 0.4)
+        out = clamp([5, 2], np.zeros((2, 2)), 0.4)
         np.testing.assert_array_equal(out.cov, np.zeros((2, 2)))
 
     def test_clamps_both(self):
-        out = clamp_axis_variance(AxisState([4, 2], np.diag([4.0, 2.0])), 0.15)
+        out = clamp([4, 2], np.diag([4.0, 2.0]), 0.15)
         np.testing.assert_allclose(out.cov, np.diag([0.36, 0.09]))
 
     def test_preserves_correlation(self):
         cov = np.array([[4.0, 1.2], [1.2, 2.0]])
         rho = 1.2 / np.sqrt(4.0 * 2.0)
-        out = clamp_axis_variance(AxisState([4, 2], cov), 0.15)
+        out = clamp([4, 2], cov, 0.15)
         new_rho = out.cov[0, 1] / np.sqrt(out.cov[0, 0] * out.cov[1, 1])
         assert new_rho == pytest.approx(rho, abs=1e-12)
         assert_symmetric_psd(out.cov)
@@ -101,7 +107,7 @@ class TestClampAxisVariance:
             cov = root @ root.T
             mean = rng.uniform(0.5, 6.0, size=2)
             psi = rng.uniform(0.05, 1.0)
-            out = clamp_axis_variance(AxisState(mean, cov), psi)
+            out = clamp(mean, cov, psi)
             assert out.cov[0, 0] <= cov[0, 0] + 1e-15
             assert out.cov[1, 1] <= cov[1, 1] + 1e-15
             np.testing.assert_array_equal(out.mean, mean)
