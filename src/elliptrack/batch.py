@@ -20,12 +20,12 @@ import numpy as np
 from .errors import SingularPseudoCov
 from .measurements import CenteredMeasurements, MeasurementSet, _centering, \
     _scatter
-from .sequential import StepDiagnostics, _estimate, _guarded_solve, \
-    _predict, _update_or_skip, kalman_center_update, orientation_moments, \
+from .sequential import StepDiagnostics, _guarded_solve, _predict, \
+    _update_or_skip, kalman_center_update, orientation_moments, \
     step_sequential, update_axis, update_kinematics
 from .state import (AxisState, DecoupledEstimate, FilterConfig, KinematicState,
                     MotionModel, OrientationState, _axis_floats, _axis_state,
-                    _shape_entries, wrap_angle)
+                    _estimate, _shape_entries, wrap_angle)
 
 
 def batch_update_kinematics(kin: KinematicState, measurements: MeasurementSet,

@@ -279,6 +279,8 @@ def cmd_eval(args) -> int:
             raise StepMisalignment(f"step index mismatch at estimate line "
                                    f"{est_line}, truth line {truth_line}: "
                                    f"{est_row.get('t')} vs {truth_row.get('t')}")
+        if "t" not in est_row:
+            raise MalformedRecord(est_line, "no step index 't'")
         est_ellipse = _ellipse_from_row(est_row, est_line, "estimate")
         truth_ellipse = _ellipse_from_row(truth_row, truth_line, "truth")
         gwd_sq = gwd_squared(est_ellipse, truth_ellipse)

@@ -9,7 +9,7 @@ quadratic pseudo-measurements; their moments follow from the Gaussian
 source moment match plus a first-order treatment of the orientation
 uncertainty. Inside a step the estimate is carried as Python floats:
 (mean, cov) lists, (p1, p2, P11, P12, P22) and (theta, var); the public
-dataclasses are built once per step.
+dataclasses are built once per step, without re-validation.
 """
 
 import math
@@ -23,9 +23,9 @@ from .errors import SingularInnovation, SingularPseudoCov
 from .measurements import MeasurementSet, _centering
 from .state import (AXIS_FLOOR, AxisState, DecoupledEstimate, FilterConfig,
                     KinematicState, MotionModel, OrientationState,
-                    _aligned_entries, _axis_floats, _axis_state, _psd_2x2,
-                    _psd_rows, _shape_entries, clamp_axis_variance,
-                    wrap_angle)
+                    _aligned_entries, _axis_floats, _estimate,
+                    _kinematic_state, _psd_2x2, _psd_rows, _shape_entries,
+                    clamp_axis_variance, wrap_angle)
 
 # Condition-number guard for the linear solves replacing symbolic inverses.
 COND_LIMIT = 1e12
@@ -132,12 +132,6 @@ def _predict(est: DecoupledEstimate, motion: MotionModel) -> tuple:
                        est.orient.var + motion.Q_theta)
 
 
-def _estimate(kin: tuple, axis: tuple, orient: tuple) -> DecoupledEstimate:
-    """The public estimate of the (kin, axis, orient) floats of a step."""
-    return DecoupledEstimate(KinematicState(*kin), _axis_state(axis),
-                             OrientationState(*orient))
-
-
 def predict(est: DecoupledEstimate, motion: MotionModel) -> DecoupledEstimate:
     """Standard Kalman prediction applied to each component (:func:`_predict`)."""
     return _estimate(*_predict(est, motion))
@@ -181,7 +175,7 @@ def update_kinematics(kin: KinematicState, z: np.ndarray,
     """
     (x11, x12), (_, x22) = np.asarray(shape_est, dtype=float).tolist()
     z1, z2 = np.asarray(z, dtype=float).tolist()
-    return KinematicState(*kalman_center_update(
+    return _kinematic_state(*kalman_center_update(
         (kin.mean.tolist(), kin.cov.tolist()), z1, z2, cfg.R.ravel().tolist(),
         cfg.c, (x11, x22, x12), count))
 

@@ -24,7 +24,8 @@ from .metrics import EllipseParams, ellipse_from_estimate, gwd_squared, \
 from .sequential import StepDiagnostics, step_sequential
 from .state import (AxisState, DecoupledEstimate, FilterConfig, KinematicState,
                     MotionModel, OrientationState, _has_psd_pivots,
-                    constant_velocity_transition, rot, wrap_angle)
+                    _has_psd_pivots_4x4, constant_velocity_transition, rot,
+                    wrap_angle)
 
 # Sampled true semi-axes are floored here; the shape priors put a little
 # Gaussian mass on negative lengths.
@@ -191,7 +192,9 @@ class ScenarioConfig:
         for name, cov in covariances.items():
             sym = cov + cov.T
             sym.flat[::len(sym) + 1] += 1e-12 * np.abs(sym).max()
-            if not _has_psd_pivots(sym.tolist()):
+            pivot_test = (_has_psd_pivots_4x4 if len(sym) == 4
+                          else _has_psd_pivots)
+            if not pivot_test(sym.tolist()):
                 raise ConfigError(f"{name} must be a positive semi-definite "
                                   f"covariance, got {cov.tolist()}")
 

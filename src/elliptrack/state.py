@@ -89,16 +89,61 @@ def _psd_2x2(p11: float, p12: float, p22: float) -> tuple:
     return first, off, (off / first) * off
 
 
+def _has_psd_pivots_4x4(rows: list) -> bool:
+    """:func:`_has_psd_pivots` written out for a 4x4 ``rows``.
+
+    Reads the upper triangle and leaves ``rows`` as it is. The float
+    operations, their order and the zero-pivot rule are those of the loop,
+    so the verdict is the same on every input.
+    """
+    (a00, a01, a02, a03), (_, a11, a12, a13), (_, _, a22, a23), (*_, a33) = rows
+    if a00 > 0.0:
+        f = a01 / a00
+        a11 -= f * a01
+        a12 -= f * a02
+        a13 -= f * a03
+        f = a02 / a00
+        a22 -= f * a02
+        a23 -= f * a03
+        a33 -= (a03 / a00) * a03
+    elif a00 != 0.0 or a01 != 0.0 or a02 != 0.0 or a03 != 0.0:
+        return False
+    if a11 > 0.0:
+        f = a12 / a11
+        a22 -= f * a12
+        a23 -= f * a13
+        a33 -= (a13 / a11) * a13
+    elif a11 != 0.0 or a12 != 0.0 or a13 != 0.0:
+        return False
+    if a22 > 0.0:
+        a33 -= (a23 / a22) * a23
+    elif a22 != 0.0 or a23 != 0.0:
+        return False
+    return a33 >= 0.0
+
+
 def _psd_rows(rows: list) -> list:
     """Symmetrize the square nested list ``rows`` in place, then floor
     negative eigenvalues at zero. The eigendecomposition runs only when
-    the scalar LDL^T pass (:func:`_has_psd_pivots`) finds it is needed.
+    the scalar LDL^T pass (:func:`_has_psd_pivots`, written out at 4x4)
+    finds it is needed.
     """
-    for i, row in enumerate(rows):
-        for j in range(i + 1, len(rows)):
-            row[j] = rows[j][i] = 0.5 * (row[j] + rows[j][i])
-    if _has_psd_pivots([row[:] for row in rows]):
-        return rows
+    if len(rows) == 4:
+        r0, r1, r2, r3 = rows
+        r0[1] = r1[0] = 0.5 * (r0[1] + r1[0])
+        r0[2] = r2[0] = 0.5 * (r0[2] + r2[0])
+        r0[3] = r3[0] = 0.5 * (r0[3] + r3[0])
+        r1[2] = r2[1] = 0.5 * (r1[2] + r2[1])
+        r1[3] = r3[1] = 0.5 * (r1[3] + r3[1])
+        r2[3] = r3[2] = 0.5 * (r2[3] + r3[2])
+        if _has_psd_pivots_4x4(rows):
+            return rows
+    else:
+        for i, row in enumerate(rows):
+            for j in range(i + 1, len(rows)):
+                row[j] = rows[j][i] = 0.5 * (row[j] + rows[j][i])
+        if _has_psd_pivots([row[:] for row in rows]):
+            return rows
     eigval, eigvec = np.linalg.eigh(np.array(rows))
     return ((eigvec * np.maximum(eigval, 0.0)) @ eigvec.T).tolist()
 
@@ -246,10 +291,43 @@ def _axis_floats(axis: AxisState) -> tuple:
     return (*axis.mean.tolist(), c11, 0.5 * (c12 + c21), c22)
 
 
+def _kinematic_state(mean: list, cov: list) -> KinematicState:
+    """The :class:`KinematicState` of a step's own float lists.
+
+    The arrays are new, so the state shares no memory with its inputs.
+    ``__post_init__`` is skipped: it would only re-validate floats the
+    filter produced itself. Outside input goes through the public
+    constructor.
+    """
+    kin = object.__new__(KinematicState)
+    fields = kin.__dict__
+    fields["mean"], fields["cov"] = np.array(mean), np.array(cov)
+    return kin
+
+
 def _axis_state(axis: tuple) -> AxisState:
-    """The :class:`AxisState` of (p1, p2, P11, P12, P22)."""
+    """The :class:`AxisState` of (p1, p2, P11, P12, P22), built as
+    :func:`_kinematic_state` builds its state."""
     p1, p2, c11, c12, c22 = axis
-    return AxisState((p1, p2), ((c11, c12), (c12, c22)))
+    state = object.__new__(AxisState)
+    fields = state.__dict__
+    fields["mean"] = np.array((p1, p2))
+    fields["cov"] = np.array(((c11, c12), (c12, c22)))
+    return state
+
+
+def _estimate(kin: tuple, axis: tuple, orient: tuple) -> DecoupledEstimate:
+    """The public estimate of the (kin, axis, orient) floats of a step,
+    built as :func:`_kinematic_state` builds its state."""
+    orientation = object.__new__(OrientationState)
+    fields = orientation.__dict__
+    fields["mean"], fields["var"] = orient
+    est = object.__new__(DecoupledEstimate)
+    fields = est.__dict__
+    fields["kin"] = _kinematic_state(*kin)
+    fields["axis"] = _axis_state(axis)
+    fields["orient"] = orientation
+    return est
 
 
 def clamp_axis_variance(axis: tuple, psi: float) -> tuple:

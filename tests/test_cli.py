@@ -262,6 +262,23 @@ class TestEval:
         assert "line 5" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("row", [0, 3])
+    def test_step_index_missing_from_both_files_exits_4(self, tmp_path,
+                                                        capsys, row):
+        # Both rows lack "t", so they agree; the estimate line is named.
+        sim = self._simulate(tmp_path)
+        est = tmp_path / "est.jsonl"
+        self._estimates_from_truth(sim, est)
+        for path in (est, sim):
+            rows = read_jsonl(path)[:row + 1]
+            del rows[row]["t"]
+            path.write_text("\n" + "".join(json.dumps(r) + "\n" for r in rows))
+        out = tmp_path / "errors.csv"
+        assert main(["eval", str(est), str(sim), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert f"line {row + 2}:" in err and "'t'" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad", ["estimates", "truth"])
     def test_blank_lines_count_in_reported_line(self, tmp_path, capsys, bad):
         # Two blank lines lead the file with the bad record; its fifth

@@ -14,7 +14,7 @@ random PSD priors and point clouds and hold the float steps to them.
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from elliptrack import (AxisState, DecoupledEstimate, FilterConfig,
                         KinematicState, MeasurementSet, MotionModel,
@@ -29,8 +29,8 @@ from elliptrack.sequential import (AXIS_FLOOR, COND_LIMIT, AxisMoments,
                                    orientation_moments, update_axis)
 from elliptrack.simulation import sample_run_data
 from elliptrack.state import (_axis_floats, _axis_state, _has_psd_pivots,
-                              _psd_rows, _shape_entries, clamp_axis_variance,
-                              wrap_angle)
+                              _has_psd_pivots_4x4, _psd_rows, _shape_entries,
+                              clamp_axis_variance, wrap_angle)
 
 from conftest import QUAD_SELECT, assert_symmetric_psd, symmetrize_psd_oracle
 
@@ -461,6 +461,101 @@ def test_4x4_repair_falls_back_to_the_eigenvalue_floor(seed, negative):
     ref = symmetrize_psd_oracle(mat)
     assert np.abs(out - ref).max() <= TOL * np.abs(ref).max()
     assert_symmetric_psd(out)
+
+
+# Entries that stress the pivot test: signed zeros, subnormals, the
+# smallest normal, and the non-finite values.
+PIVOT_SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                  float("nan"), float("inf"), -float("inf"))
+
+
+@st.composite
+def symmetric_4x4(draw):
+    """A symmetric 4x4 nested list for the LDL^T pivot test.
+
+    The base is PSD (L L^T of rank 0 to 4), indefinite, or a diagonal with
+    signed entries. Then up to two pivots are set to zero or a subnormal,
+    with the rest of their row and column cleared or kept, and up to two
+    mirrored entries are overwritten with :data:`PIVOT_SPECIALS`.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["psd", "indefinite", "diagonal"]))
+    root = rng.normal(size=(4, 4)) * 10.0 ** rng.uniform(-3.0, 3.0)
+    if kind == "psd":
+        root[:, draw(st.integers(0, 4)):] = 0.0
+        mat = root @ root.T
+    elif kind == "indefinite":
+        mat = root + root.T
+    else:
+        mat = np.diag(np.diag(root))
+    rows = mat.tolist()
+    for k in draw(st.lists(st.integers(0, 3), max_size=2, unique=True)):
+        if draw(st.booleans()):
+            for j in range(4):
+                rows[k][j] = rows[j][k] = 0.0
+        rows[k][k] = draw(st.sampled_from([0.0, -0.0, 5e-324, 1e-310]))
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        rows[i][j] = rows[j][i] = draw(st.sampled_from(PIVOT_SPECIALS))
+    return rows
+
+
+def _psd_rows_loop(rows):
+    """The loop form of :func:`_psd_rows`: nested-loop symmetrization, a
+    copy for :func:`_has_psd_pivots`, and the eigenvalue floor."""
+    for i, row in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            row[j] = rows[j][i] = 0.5 * (row[j] + rows[j][i])
+    if _has_psd_pivots([row[:] for row in rows]):
+        return rows
+    eigval, eigvec = np.linalg.eigh(np.array(rows))
+    return ((eigvec * np.maximum(eigval, 0.0)) @ eigvec.T).tolist()
+
+
+def _bits_or_error(repair, rows):
+    try:
+        return np.array(repair(rows)).tobytes()
+    except np.linalg.LinAlgError as exc:
+        return type(exc)
+
+
+@settings(max_examples=400)
+@given(rows=symmetric_4x4())
+@example(rows=[[0.0] * 4 for _ in range(4)])
+@example(rows=[[0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.5, 0.0],
+               [0.0, 0.5, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+@example(rows=[[0.0, 1.0, 0.0, 0.0], [1.0, 2.0, 0.0, 0.0],
+               [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+@example(rows=[[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0],
+               [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, -0.0]])
+@example(rows=[[5e-324, 1e-300, 0.0, 0.0], [1e-300, 1.0, 0.0, 0.0],
+               [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+@example(rows=[[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+               [0.0, 0.0, 1.0, float("nan")], [0.0, 0.0, float("nan"), 1.0]])
+@example(rows=[[float("inf"), 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0],
+               [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+def test_written_out_4x4_pivot_test_gives_the_loop_verdict(rows):
+    # the same float operations in the same order as the loop, on every
+    # input: exact zero pivots with zero or non-zero rest of row, NaN,
+    # +-inf, subnormal pivots, indefinite matrices; the rows are only read
+    before = repr(rows)
+    assert _has_psd_pivots_4x4(rows) is _has_psd_pivots(
+        [row[:] for row in rows])
+    assert repr(rows) == before
+
+
+@settings(max_examples=200)
+@given(rows=symmetric_4x4(), seed=st.integers(0, 2 ** 32 - 1),
+       skew=st.sampled_from([0.0, 1e-12, 1e-3]))
+def test_psd_rows_is_bit_equal_to_the_loop_form(rows, seed, skew):
+    # lower triangle perturbed, so the symmetrization matters; both the
+    # returned rows and the eigh fallback (or its error) agree bit for bit
+    rng = np.random.default_rng(seed)
+    for i in range(4):
+        for j in range(i):
+            rows[i][j] += skew * rng.normal()
+    expected = _bits_or_error(_psd_rows_loop, [row[:] for row in rows])
+    assert _bits_or_error(_psd_rows, rows) == expected
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -1,12 +1,20 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
-from elliptrack import (AxisState, FilterConfig, clamp_axis_variance, predict,
-                        rot, shape_matrix, symmetrize_psd, wrap_angle)
+from elliptrack import (AxisState, DecoupledEstimate, FilterConfig,
+                        KinematicState, MeasurementSet, OrientationState,
+                        batch_update_axis, batch_update_kinematics,
+                        center_measurements, clamp_axis_variance, predict, rot,
+                        shape_matrix, step_batch, step_sequential,
+                        symmetrize_psd, update_kinematics, wrap_angle)
 from elliptrack.simulation import builtin_scenarios
-from elliptrack.state import _axis_floats, _axis_state, _has_psd_pivots
+from elliptrack.state import (_axis_floats, _axis_state, _estimate,
+                              _has_psd_pivots)
 
-from conftest import assert_symmetric_psd, symmetrize_psd_oracle
+from conftest import (assert_symmetric_psd, make_estimate, make_motion,
+                      symmetrize_psd_oracle)
 
 
 class TestRot:
@@ -226,3 +234,93 @@ class TestFilterConfig:
     def test_accepts_valid_psi(self):
         cfg = FilterConfig(R=np.eye(2), c=0.25, psi=0.4)
         assert cfg.psi == 0.4
+
+
+def _arrays(est):
+    return est.kin.mean, est.kin.cov, est.axis.mean, est.axis.cov
+
+
+def assert_built_as_validated(est):
+    """``est`` equals its rebuild through the validating constructors."""
+    ref = DecoupledEstimate(
+        KinematicState(est.kin.mean.tolist(), est.kin.cov.tolist()),
+        AxisState(est.axis.mean.tolist(), est.axis.cov.tolist()),
+        OrientationState(est.orient.mean, est.orient.var))
+    for out, expected, shape in zip(_arrays(est), _arrays(ref),
+                                    ((4,), (4, 4), (2,), (2, 2))):
+        assert out.dtype == expected.dtype == np.float64
+        assert out.shape == expected.shape == shape
+        assert np.array_equal(out, expected)
+    assert type(est.orient.mean) is float and type(est.orient.var) is float
+    assert est.orient == ref.orient
+
+
+class TestResultBuild:
+    KIN = ([1.0, -2.0, 0.5, 3.0], (np.diag([2.0, 2.0, 0.5, 0.5]) + 0.1).tolist())
+    AXIS = (4.0, 1.5, 0.3, -0.05, 0.2)
+    ORIENT = (0.7, 0.02)
+
+    def test_builder_matches_the_public_constructors(self):
+        mean, cov = [*self.KIN[0]], [row[:] for row in self.KIN[1]]
+        est = _estimate((mean, cov), self.AXIS, self.ORIENT)
+        ref = DecoupledEstimate(KinematicState(*self.KIN),
+                                AxisState((4.0, 1.5), ((0.3, -0.05), (-0.05, 0.2))),
+                                OrientationState(*self.ORIENT))
+        assert_built_as_validated(est)
+        for out, expected in zip(_arrays(est), _arrays(ref)):
+            assert np.array_equal(out, expected)
+        assert est.orient == ref.orient
+        # the arrays are new: changing the step's lists leaves them as built
+        mean[0], cov[0][0] = 99.0, 99.0
+        assert np.array_equal(est.kin.mean, ref.kin.mean)
+        assert np.array_equal(est.kin.cov, ref.kin.cov)
+        with pytest.raises(FrozenInstanceError):
+            est.kin.mean = np.zeros(4)
+        with pytest.raises(FrozenInstanceError):
+            est.orient.var = 0.0
+
+    @pytest.mark.parametrize("step", [step_sequential, step_batch])
+    @pytest.mark.parametrize("count", [0, 1, 6])
+    def test_step_result_is_validated_form_sharing_no_memory(self, step,
+                                                             count):
+        rng = np.random.default_rng(count)
+        est = make_estimate(theta=0.3)
+        scan = MeasurementSet(rng.normal(size=(count, 2)) * 3.0 + [3.0, 0.0])
+        out = step(est, scan, make_motion(),
+                   FilterConfig(R=np.eye(2), c=0.25, psi=0.4))
+        assert_built_as_validated(out)
+        for array in _arrays(out):
+            for other in (*_arrays(est), scan.points):
+                assert not np.shares_memory(array, other)
+
+    def test_component_updates_build_validated_forms(self):
+        est, cfg = make_estimate(theta=0.3), FilterConfig(R=np.eye(2), c=0.25)
+        points = np.array([[1.0, 0.5], [-2.0, 1.0], [0.5, -0.5]])
+        assert_built_as_validated(predict(est, make_motion()))
+        shape = shape_matrix(0.3, est.axis.mean)
+        for kin in (update_kinematics(est.kin, points[0], shape, cfg),
+                    batch_update_kinematics(est.kin, MeasurementSet(points),
+                                            shape, cfg)):
+            assert_built_as_validated(DecoupledEstimate(kin, est.axis,
+                                                        est.orient))
+            assert not np.shares_memory(kin.cov, est.kin.cov)
+        centered = center_measurements(MeasurementSet(points), est.kin, cfg.R)
+        axis = batch_update_axis(est.axis, centered, est.orient, cfg)
+        assert_built_as_validated(DecoupledEstimate(est.kin, axis, est.orient))
+
+    @pytest.mark.parametrize("build", [
+        lambda: KinematicState([1.0, 2.0, 3.0], np.eye(4)),
+        lambda: KinematicState(np.zeros(4), np.eye(3)),
+        lambda: AxisState([1.0], np.eye(2)),
+        lambda: AxisState([1.0, 2.0], np.eye(3)),
+        lambda: OrientationState([0.1, 0.2], 0.1),
+    ])
+    def test_public_constructors_still_validate(self, build):
+        with pytest.raises((ValueError, TypeError)):
+            build()
+
+    def test_public_constructors_still_convert(self):
+        kin = KinematicState([1, 2, 3, 4], np.eye(4, dtype=int))
+        assert kin.mean.dtype == kin.cov.dtype == np.float64
+        orient = OrientationState(np.float32(0.5), 1)
+        assert type(orient.mean) is float and type(orient.var) is float
