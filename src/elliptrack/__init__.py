@@ -22,4 +22,4 @@ from .state import (AxisState, DecoupledEstimate, FilterConfig, KinematicState,
                     constant_velocity_transition, rot, shape_matrix,
                     symmetrize_psd, wrap_angle)
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

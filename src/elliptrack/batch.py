@@ -12,6 +12,9 @@ delegated wholesale to the sequential step, which needs none of the
 batch approximations.
 """
 
+# String annotations: typing's caches would keep re-imported classes alive.
+from __future__ import annotations
+
 from operator import mul
 from typing import Optional
 

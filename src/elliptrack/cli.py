@@ -205,6 +205,18 @@ def _read_jsonl(path: str) -> list:
     return rows
 
 
+def _step_index(row: dict, line_number: int) -> int:
+    """The step index ``t`` of a record: a JSON integer, not a bool, float
+    or string. Anything else, or no ``t`` at all, is malformed."""
+    if "t" not in row:
+        raise MalformedRecord(line_number, "no step index 't'")
+    t = row["t"]
+    if type(t) is not int:
+        raise MalformedRecord(line_number, f"step index 't' must be an "
+                              f"integer, got {json.dumps(t)}")
+    return t
+
+
 def _write_atomic(path: str, content: str) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
@@ -235,8 +247,8 @@ def cmd_track(args) -> int:
     diagnostics = StepDiagnostics()
     lines = []
     for line_number, row in _read_jsonl(args.measurements):
+        t = _step_index(row, line_number)
         try:
-            t = int(row["t"])
             meas = MeasurementSet(np.array(row["measurements"], dtype=float).reshape(-1, 2))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedRecord(line_number, str(exc)) from exc
@@ -275,19 +287,19 @@ def cmd_eval(args) -> int:
                                f"{len(truth_rows)} truth steps")
     records = []
     for (est_line, est_row), (truth_line, truth_row) in zip(est_rows, truth_rows):
-        if est_row.get("t") != truth_row.get("t"):
+        t = _step_index(est_row, est_line)
+        truth_t = _step_index(truth_row, truth_line)
+        if t != truth_t:
             raise StepMisalignment(f"step index mismatch at estimate line "
                                    f"{est_line}, truth line {truth_line}: "
-                                   f"{est_row.get('t')} vs {truth_row.get('t')}")
-        if "t" not in est_row:
-            raise MalformedRecord(est_line, "no step index 't'")
+                                   f"{t} vs {truth_t}")
         est_ellipse = _ellipse_from_row(est_row, est_line, "estimate")
         truth_ellipse = _ellipse_from_row(truth_row, truth_line, "truth")
         gwd_sq = gwd_squared(est_ellipse, truth_ellipse)
         if not np.isfinite(gwd_sq):
             raise MalformedRecord(est_line, "squared distance to truth line "
                                   f"{truth_line} overflows")
-        records.append((est_row["t"], gwd_sq,
+        records.append((t, gwd_sq,
                         orientation_error(est_ellipse.theta, truth_ellipse.theta)))
     out = ["t,gwd_sq,orient_err"]
     out.extend(f"{t},{g!r},{o!r}" for t, g, o in records)

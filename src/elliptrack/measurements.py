@@ -7,10 +7,14 @@ measurements and their squares (the quadratic pseudo-measurements), under
 a Gaussian moment match of the source distribution.
 """
 
+# String annotations: typing's caches would keep re-imported classes alive.
+from __future__ import annotations
+
 import enum
+import math
 from dataclasses import dataclass
 from operator import mul
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -66,6 +70,67 @@ def _scatter(points: list, c1: float, c2: float) -> tuple:
     return sum(map(mul, d1, d1)), sum(map(mul, d2, d2)), sum(map(mul, d1, d2))
 
 
+def _noise_factor(noise_cov) -> np.ndarray:
+    """A 2x2 lower-triangular L with L L^T the symmetric part of ``noise_cov``.
+
+    Any positive semi-definite R is accepted, singular ones included: a
+    pivot that rounding leaves negative is floored at 0, and |L21| is kept
+    within sqrt(R22), so a near-zero first pivot cannot inflate the noise.
+    An exactly rank-one R gives an exactly rank-one L.
+    """
+    (r11, r12), (r21, r22) = np.asarray(noise_cov, dtype=float).tolist()
+    r12 = 0.5 * (r12 + r21)
+    l11 = math.sqrt(max(r11, 0.0))
+    l21 = 0.0
+    if l11 > 0.0:
+        l21 = math.copysign(min(abs(r12) / l11, math.sqrt(max(r22, 0.0))), r12)
+    return np.array([[l11, 0.0], [l21, math.sqrt(max(r22 - l21 * l21, 0.0))]])
+
+
+def sample_scans(centers, thetas, axes, lam, noise_cov, source,
+                 rng: np.random.Generator,
+                 count: Optional[int] = None) -> List[MeasurementSet]:
+    """Draw the measurements of T time steps, one per pose, in one pass.
+
+    Step t observes the object with center ``centers[t]``, orientation
+    ``thetas[t]`` and semi-axes ``axes`` (shared by all steps). The draws
+    are made in blocks, in this order: the T counts (Poisson(``lam``)
+    unless ``count`` pins every one of them), the sources of all points
+    (uniform on the unit disc or square, as ``source`` says), then
+    standard normals z for their sensor noise L z, with L a factor of
+    ``noise_cov`` (:func:`_noise_factor`). Each source is stretched by
+    the axes, rotated and shifted by its own step's pose, and the points
+    are split back into steps by the counts. Fully deterministic given
+    the generator state.
+    """
+    if not isinstance(source, SourceDistribution):
+        raise ValueError(f"source must be a SourceDistribution member, "
+                         f"got {source!r}")
+    centers = np.asarray(centers, dtype=float).reshape(-1, 2)
+    steps = len(centers)
+    thetas = np.asarray(thetas, dtype=float).reshape(steps)
+    counts = (rng.poisson(lam, size=steps) if count is None
+              else np.full(steps, int(count)))
+    total = int(counts.sum())
+    if source is SourceDistribution.UNIFORM_ELLIPSE:
+        # Area-correct disc sampling: radius sqrt(u) makes the density
+        # uniform, then the unit disc is stretched onto the ellipse.
+        radius = np.sqrt(rng.uniform(size=total))
+        phi = rng.uniform(0.0, 2.0 * np.pi, size=total)
+        unit = np.column_stack((radius * np.cos(phi), radius * np.sin(phi)))
+    else:
+        unit = rng.uniform(-1.0, 1.0, size=(total, 2))
+    local = unit * np.asarray(axes, dtype=float)
+    noise = rng.standard_normal((total, 2)) @ _noise_factor(noise_cov).T
+    step_of = np.repeat(np.arange(steps), counts)
+    cos, sin = np.cos(thetas)[step_of], np.sin(thetas)[step_of]
+    points = centers[step_of] + noise
+    points[:, 0] += cos * local[:, 0] - sin * local[:, 1]
+    points[:, 1] += sin * local[:, 0] + cos * local[:, 1]
+    return [MeasurementSet(block)
+            for block in np.split(points, np.cumsum(counts)[:-1])]
+
+
 def sample_measurements(center, theta, axes, lam, noise_cov, source,
                         rng: np.random.Generator,
                         count: Optional[int] = None) -> MeasurementSet:
@@ -74,24 +139,10 @@ def sample_measurements(center, theta, axes, lam, noise_cov, source,
     The number of measurements is Poisson(``lam``) unless ``count`` pins
     it. Each source is uniform on the ellipse/rectangle given by
     (``center``, ``theta``, ``axes``); sensor noise N(0, ``noise_cov``) is
-    added independently. Fully deterministic given the generator state.
+    added independently. This is :func:`sample_scans` for a single step.
     """
-    m = int(rng.poisson(lam)) if count is None else int(count)
-    if m == 0:
-        return MeasurementSet(np.empty((0, 2)))
-    axes = np.asarray(axes, dtype=float)
-    if source is SourceDistribution.UNIFORM_ELLIPSE:
-        # Area-correct disc sampling: radius sqrt(u) makes the density
-        # uniform, then the unit disc is stretched onto the ellipse.
-        radius = np.sqrt(rng.uniform(size=m))
-        phi = rng.uniform(0.0, 2.0 * np.pi, size=m)
-        unit = np.column_stack((radius * np.cos(phi), radius * np.sin(phi)))
-    else:
-        unit = rng.uniform(-1.0, 1.0, size=(m, 2))
-    sources = (rot(theta) @ (unit * axes).T).T + np.asarray(center, dtype=float)
-    noise_cov = np.asarray(noise_cov, dtype=float)
-    noise = rng.multivariate_normal(np.zeros(2), noise_cov, size=m)
-    return MeasurementSet(sources + noise)
+    return sample_scans([center], [theta], axes, lam, noise_cov, source,
+                        rng, count)[0]
 
 
 def _centering(points: list, kin, noise: list) -> tuple:

@@ -12,6 +12,9 @@ uncertainty. Inside a step the estimate is carried as Python floats:
 dataclasses are built once per step, without re-validation.
 """
 
+# String annotations: typing's caches would keep re-imported classes alive.
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
 from operator import mul

@@ -7,9 +7,11 @@ only sees the prior itself. Runs are independent and seeded individually,
 so serial and parallel campaigns produce identical aggregates.
 """
 
+# String annotations: typing's caches would keep re-imported classes alive.
+from __future__ import annotations
+
 import numbers
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import List, Optional, Sequence, Tuple
@@ -18,7 +20,7 @@ import numpy as np
 
 from .batch import step_batch
 from .errors import ConfigError
-from .measurements import MeasurementSet, SourceDistribution, sample_measurements
+from .measurements import MeasurementSet, SourceDistribution, sample_scans
 from .metrics import EllipseParams, ellipse_from_estimate, gwd_squared, \
     orientation_error
 from .sequential import StepDiagnostics, step_sequential
@@ -93,7 +95,9 @@ def generate_truth(traj: TrajectorySpec, rng: np.random.Generator,
     and velocity each step. The true orientation is the heading of the
     (jittered) velocity; a stationary object keeps its initial angle.
     The start pose defaults to the nominal one but is usually a draw from
-    the scenario prior.
+    the scenario prior. All T steps are computed at once, over every
+    segment; the jitter is one (T, 4) block of standard normals, each
+    row holding step t's velocity jitter and then its position jitter.
     """
     position = np.array(traj.start_position if start_position is None
                         else start_position, dtype=float)
@@ -106,24 +110,23 @@ def generate_truth(traj: TrajectorySpec, rng: np.random.Generator,
         heading = float(np.arctan2(start_velocity[1], start_velocity[0])) \
             if speed > 0.0 else traj.start_heading
     axes = np.array(traj.true_axes if axes is None else axes, dtype=float)
-    static_theta = wrap_angle(traj.start_heading if theta0 is None else theta0)
 
-    pos_std = np.sqrt(traj.position_jitter)
-    vel_std = np.sqrt(traj.velocity_jitter)
-    states = []
-    for count, turn_rate in traj.segments:
-        for _ in range(count):
-            heading += turn_rate
-            v_nominal = speed * np.array([np.cos(heading), np.sin(heading)])
-            velocity = v_nominal + vel_std * rng.standard_normal(2)
-            position = position + v_nominal
-            center = position + pos_std * rng.standard_normal(2)
-            if speed > 0.0:
-                theta = wrap_angle(np.arctan2(velocity[1], velocity[0]))
-            else:
-                theta = static_theta
-            states.append(TruthState(center, velocity, theta, axes))
-    return states
+    counts, rates = zip(*traj.segments)
+    # Running sums that start from the initial value add in the same order
+    # as a step-by-step loop would.
+    headings = np.cumsum([heading, *np.repeat(rates, counts)])[1:]
+    v_nominal = speed * np.column_stack((np.cos(headings), np.sin(headings)))
+    positions = np.cumsum(np.vstack((position, v_nominal)), axis=0)[1:]
+    jitter = rng.standard_normal((len(headings), 4))
+    velocities = v_nominal + np.sqrt(traj.velocity_jitter) * jitter[:, :2]
+    centers = positions + np.sqrt(traj.position_jitter) * jitter[:, 2:]
+    if speed > 0.0:
+        thetas = map(wrap_angle, np.arctan2(velocities[:, 1], velocities[:, 0]))
+    else:
+        thetas = [wrap_angle(traj.start_heading if theta0 is None else theta0)
+                  ] * len(headings)
+    return [TruthState(center, velocity, theta, axes)
+            for center, velocity, theta in zip(centers, velocities, thetas)]
 
 
 @dataclass(frozen=True)
@@ -239,12 +242,14 @@ def sample_run_data(cfg: ScenarioConfig, run_index: int
                     ) -> Tuple[List[TruthState], List[MeasurementSet]]:
     """Draw the ground truth and measurements of one run.
 
-    Run r uses the stream seeded with ``seed XOR r``: first the initial
-    state is drawn from the prior, then the per-step truth jitter, then
-    the measurements step by step. The same helper backs both the
+    Run r draws from its own stream, ``default_rng([seed, r])``: the
+    SeedSequence of the pair (seed, r), so no two (seed, run) pairs share
+    a stream. It draws, in this order, the initial state from the prior,
+    all T steps of truth jitter (:func:`generate_truth`), then all T scans
+    in one block (:func:`sample_scans`). The same helper backs both the
     campaign runner and the simulate command, so their outputs agree.
     """
-    rng = np.random.default_rng(cfg.seed ^ run_index)
+    rng = np.random.default_rng([cfg.seed, run_index])
     prior = cfg.prior
     kin0 = rng.multivariate_normal(prior.kin.mean, prior.kin.cov)
     theta0 = rng.normal(prior.orient.mean, np.sqrt(prior.orient.var))
@@ -253,11 +258,10 @@ def sample_run_data(cfg: ScenarioConfig, run_index: int
     truths = generate_truth(cfg.trajectory, rng,
                             start_position=kin0[:2], start_velocity=kin0[2:],
                             axes=axes0, theta0=theta0)
-    measurements = [sample_measurements(ts.center, ts.theta, ts.axes, cfg.lam,
-                                        cfg.R, cfg.source_dist, rng,
-                                        count=cfg.fixed_count)
-                    for ts in truths]
-    return truths, measurements
+    scans = sample_scans([ts.center for ts in truths],
+                         [ts.theta for ts in truths], axes0, cfg.lam, cfg.R,
+                         cfg.source_dist, rng, count=cfg.fixed_count)
+    return truths, scans
 
 
 def step_function(filter_kind: str):
@@ -337,6 +341,9 @@ def run_scenario(cfg: ScenarioConfig, filter_kind: str, jobs: int = 1
     run = partial(run_single, cfg, filter_kind)
     workers = min(jobs, cfg.runs)
     if workers > 1:
+        # Imported here: the pool's multiprocessing machinery costs 1-2 MB
+        # of memory that a serial campaign never uses.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, range(cfg.runs), chunksize=8))
     else:

@@ -6,9 +6,12 @@ layer from the traced report. These checks load the hook table by path,
 so they run with the module tests.
 """
 
+import gc
 import importlib
 import importlib.util
 import os
+import sys
+import weakref
 
 import pytest
 
@@ -40,3 +43,25 @@ def test_batch_binds_the_sequential_guarded_solve():
 
 def test_truth_state_has_ellipse():
     assert callable(simulation.TruthState.ellipse)
+
+
+def test_a_reimported_package_leaves_no_classes_behind():
+    # The benchmark imports the package afresh for every set-up; the old
+    # copy must be freed, or each set-up raises the run's peak memory.
+    saved = {name: mod for name, mod in sys.modules.items()
+             if name == "elliptrack" or name.startswith("elliptrack.")}
+    try:
+        for name in saved:
+            del sys.modules[name]
+        fresh = importlib.import_module("elliptrack")
+        classes = [weakref.ref(cls) for cls in (
+            fresh.MeasurementSet, fresh.TruthState, fresh.RunResult,
+            fresh.CampaignSummary, fresh.StepDiagnostics)]
+        del fresh
+    finally:
+        for name in [n for n in sys.modules
+                     if n == "elliptrack" or n.startswith("elliptrack.")]:
+            del sys.modules[name]
+        sys.modules.update(saved)
+    gc.collect()
+    assert [ref() for ref in classes] == [None] * len(classes)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 
 import numpy as np
@@ -7,6 +8,13 @@ from elliptrack import predict
 from elliptrack.cli import main, resolve_scenario, scenario_from_dict, \
     scenario_to_dict
 from elliptrack.simulation import builtin_scenarios
+
+
+# Step indices that are not JSON integers; MISSING drops "t" from the row.
+MISSING = object()
+STEP_INDEX_VALUES = [pytest.param(MISSING, id="missing"),
+                     pytest.param(None, id="null"), pytest.param("x", id="x"),
+                     pytest.param(1.5, id="1.5"), pytest.param(True, id="true")]
 
 
 def read_jsonl(path):
@@ -111,6 +119,24 @@ class TestTrack:
         assert main(["track", str(meas), "--scenario", "moderate",
                      "--out", str(out)]) == 4
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", STEP_INDEX_VALUES)
+    def test_step_index_that_is_not_an_integer_exits_4(self, tmp_path, capsys,
+                                                       value):
+        rows = [{"t": 1, "measurements": [[1.0, 2.0]]},
+                {"t": 2, "measurements": [[3.0, 1.0]]}]
+        if value is MISSING:
+            del rows[1]["t"]
+        else:
+            rows[1]["t"] = value
+        meas = tmp_path / "m.jsonl"
+        meas.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        out = tmp_path / "est.jsonl"
+        assert main(["track", str(meas), "--scenario", "moderate",
+                     "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "line 2:" in err and "'t'" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_measurement_exits_4(self, tmp_path, capsys, token):
@@ -262,16 +288,21 @@ class TestEval:
         assert "line 5" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", STEP_INDEX_VALUES)
     @pytest.mark.parametrize("row", [0, 3])
-    def test_step_index_missing_from_both_files_exits_4(self, tmp_path,
-                                                        capsys, row):
-        # Both rows lack "t", so they agree; the estimate line is named.
+    def test_step_index_that_is_not_an_integer_exits_4(self, tmp_path,
+                                                       capsys, row, value):
+        # Both rows carry the same bad "t", so they agree; the estimate
+        # line is named.
         sim = self._simulate(tmp_path)
         est = tmp_path / "est.jsonl"
         self._estimates_from_truth(sim, est)
         for path in (est, sim):
             rows = read_jsonl(path)[:row + 1]
-            del rows[row]["t"]
+            if value is MISSING:
+                del rows[row]["t"]
+            else:
+                rows[row]["t"] = value
             path.write_text("\n" + "".join(json.dumps(r) + "\n" for r in rows))
         out = tmp_path / "errors.csv"
         assert main(["eval", str(est), str(sim), "--out", str(out)]) == 4
@@ -389,7 +420,6 @@ class TestExitCodes:
             self, tmp_path, monkeypatch, jobs, code, sizes):
         # a fake pool records its size and runs the map in this process,
         # so no worker process is ever started
-        from elliptrack import simulation
         made = []
 
         class RecordingPool:
@@ -405,7 +435,8 @@ class TestExitCodes:
             def map(self, fn, iterable, chunksize=1):
                 return map(fn, iterable)
 
-        monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
         assert main(["mc", "stationary", "--runs", "2", "--seed", "3",
                      "--jobs", jobs, "--out", str(tmp_path / "o")]) == code
         assert made == sizes

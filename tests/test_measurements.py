@@ -1,10 +1,15 @@
+import copy
+import enum
+
 import numpy as np
 import pytest
 
 from elliptrack import (EmptyMeasurementSet, KinematicState, MeasurementSet,
                         SourceDistribution, build_pseudo, center_measurements,
                         rot, sample_measurements)
-from elliptrack.measurements import CenteredMeasurements, aligned_squares
+from elliptrack.measurements import (CenteredMeasurements, _noise_factor,
+                                     aligned_squares, sample_scans)
+from elliptrack.simulation import builtin_scenarios
 
 from conftest import QUAD_SELECT
 
@@ -65,6 +70,84 @@ class TestSampleMeasurements:
     def test_scaling_factors(self):
         assert SourceDistribution.UNIFORM_ELLIPSE.scaling_factor == 0.25
         assert SourceDistribution.UNIFORM_RECTANGLE.scaling_factor == pytest.approx(1 / 3)
+
+    @pytest.mark.parametrize("source", [
+        "ellipse", "rectangle", None,
+        enum.Enum("SourceDistribution", {"UNIFORM_ELLIPSE": "ellipse",
+                                         "UNIFORM_RECTANGLE": "rectangle"}
+                  ).UNIFORM_ELLIPSE], ids=["str", "str-rect", "none", "foreign"])
+    def test_source_must_be_a_member(self, source):
+        # Anything but the two members is rejected, not sampled as a
+        # rectangle; nothing is drawn before the check.
+        rng = np.random.default_rng(11)
+        with pytest.raises(ValueError, match="SourceDistribution"):
+            sample_measurements([0, 0], 0.0, [5, 2], 12.0, np.eye(2), source,
+                                rng)
+        assert rng.random() == np.random.default_rng(11).random()
+
+    def test_single_step_is_the_block_sampler(self):
+        rng = np.random.default_rng(12)
+        twin = copy.deepcopy(rng)
+        for source in SourceDistribution:
+            one = sample_measurements([1, -2], 0.7, [4, 2], 12.0, np.eye(2),
+                                      source, rng)
+            block = sample_scans([[1, -2]], [0.7], [4, 2], 12.0, np.eye(2),
+                                 source, twin)
+            assert len(block) == 1
+            np.testing.assert_array_equal(one.points, block[0].points)
+        assert rng.random() == twin.random()
+
+
+class TestSampleScans:
+    def test_counts_split_by_step(self):
+        rng = np.random.default_rng(13)
+        scans = sample_scans(np.zeros((5000, 2)), np.zeros(5000), [5, 2], 12.0,
+                             np.eye(2), SourceDistribution.UNIFORM_ELLIPSE, rng)
+        assert len(scans) == 5000
+        assert np.mean([len(z) for z in scans]) == pytest.approx(12.0, abs=0.2)
+        fixed = sample_scans(np.zeros((7, 2)), np.zeros(7), [5, 2], 12.0,
+                             np.eye(2), SourceDistribution.UNIFORM_ELLIPSE, rng,
+                             count=3)
+        assert [len(z) for z in fixed] == [3] * 7
+
+    def test_noise_covariance_is_r_whatever_the_pose(self):
+        # Zero axes leave only the noise around each step's center; it is
+        # N(0, R) in the world frame, not turned by the step's orientation.
+        rng = np.random.default_rng(14)
+        r = builtin_scenarios()["moderate"].R
+        steps = 2000
+        centers = rng.normal(size=(steps, 2)) * 50.0
+        thetas = rng.uniform(-np.pi, np.pi, size=steps)
+        scans = sample_scans(centers, thetas, [0.0, 0.0], 1.0, r,
+                             SourceDistribution.UNIFORM_ELLIPSE, rng, count=100)
+        noise = np.concatenate([z.points - c for z, c in zip(scans, centers)])
+        assert noise.shape == (steps * 100, 2)
+        # 5 standard errors of a covariance entry at n = 200000
+        np.testing.assert_allclose(np.cov(noise.T), r, atol=0.02)
+        np.testing.assert_allclose(noise.mean(axis=0), 0.0, atol=0.02)
+
+    @pytest.mark.parametrize("r, null", [([[1.0, 2.0], [2.0, 4.0]], [2.0, -1.0]),
+                                         ([[4.0, -2.0], [-2.0, 1.0]], [1.0, 2.0]),
+                                         ([[0.0, 0.0], [0.0, 3.0]], [1.0, 0.0])])
+    def test_rank_one_noise_has_none_along_the_null_direction(self, r, null):
+        scans = sample_scans(np.zeros((50, 2)), np.linspace(-3, 3, 50), [0, 0],
+                             1.0, r, SourceDistribution.UNIFORM_RECTANGLE,
+                             np.random.default_rng(15), count=40)
+        noise = np.concatenate([z.points for z in scans])
+        assert np.all(noise @ null == 0.0)
+        assert np.all(np.isfinite(noise)) and np.abs(noise).max() > 1.0
+
+    @pytest.mark.parametrize("r", [np.eye(2), [[1.5, -0.4], [-0.4, 0.7]],
+                                   [[2.0, 0.3], [0.5, 1.0]], np.zeros((2, 2)),
+                                   [[1e-30, 1e-7], [1e-7, 1.0]]])
+    def test_noise_factor_reproduces_psd_r(self, r):
+        r = np.asarray(r, dtype=float)
+        factor = _noise_factor(r)
+        assert factor[0, 1] == 0.0
+        # an asymmetric R stands for its symmetric part; a near-zero
+        # pivot cannot blow up the second row
+        np.testing.assert_allclose(factor @ factor.T, 0.5 * (r + r.T),
+                                   atol=2e-7)
 
 
 class TestCenterMeasurements:

@@ -14,7 +14,7 @@ random PSD priors and point clouds and hold the float steps to them.
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from elliptrack import (AxisState, DecoupledEstimate, FilterConfig,
                         KinematicState, MeasurementSet, MotionModel,
@@ -25,7 +25,8 @@ from elliptrack.errors import SingularInnovation, SingularPseudoCov
 from elliptrack.measurements import (CenteredMeasurements, _scatter,
                                      aligned_squares, build_pseudo)
 from elliptrack.sequential import (AXIS_FLOOR, COND_LIMIT, AxisMoments,
-                                   _guarded_solve, _update_or_skip,
+                                   _guarded_adjugate, _guarded_solve,
+                                   _update_or_skip,
                                    orientation_moments, update_axis)
 from elliptrack.simulation import sample_run_data
 from elliptrack.state import (_axis_floats, _axis_state, _has_psd_pivots,
@@ -599,3 +600,60 @@ def test_guarded_solve_rejects_non_finite_and_zero():
                 np.zeros((2, 2)), np.zeros((3, 3)), np.ones((3, 3))):
         with pytest.raises(SingularPseudoCov):
             _guarded_solve(np.asarray(mat), np.ones(len(mat)), exc)
+
+
+def kappa_f_oracle(mat):
+    """||A||_F ||adj A||_F / |det A| from numpy: cofactors as LAPACK
+    determinants of the minors, and an LU determinant. inf or NaN when A
+    is singular or not finite."""
+    n = len(mat)
+    with np.errstate(all="ignore"):
+        adj = [[(-1) ** (i + j) * np.linalg.det(np.delete(np.delete(mat, j, 0), i, 1))
+                for j in range(n)] for i in range(n)]
+        return np.linalg.norm(mat) * np.linalg.norm(adj) / abs(np.linalg.det(mat))
+
+
+@st.composite
+def guard_matrices(draw):
+    """2x2 and 3x3 matrices: U diag(sigma) V^T with the condition number
+    log-uniform in [1, 1e20] or, as often, in [10^11.5, 10^12.5] around the
+    limit, at scales 1e-20..1e20; small integer matrices (often exactly
+    singular); and either with a non-finite entry."""
+    n = draw(st.sampled_from([2, 3]))
+    if draw(st.booleans()):
+        entries = draw(st.lists(st.integers(-4, 4), min_size=n * n,
+                                max_size=n * n))
+        mat = np.array(entries, dtype=float).reshape(n, n)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        log_cond = rng.uniform(*draw(st.sampled_from([(0.0, 20.0), (11.5, 12.5)])))
+        sigma = 10.0 ** np.concatenate(([log_cond],
+                                        rng.uniform(0.0, log_cond, n - 2), [0.0]))
+        u, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        v, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        mat = 10.0 ** rng.uniform(-20.0, 20.0) * (u * sigma) @ v.T
+    if draw(st.integers(0, 4)) == 0:
+        mat[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = \
+            draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return mat
+
+
+# Relative band around COND_LIMIT left out of the comparison: near the
+# limit the closed-form and LU determinants differ by about kappa * eps.
+KAPPA_BAND = 1e-3
+
+
+@settings(max_examples=500)
+@given(mat=guard_matrices())
+@example(mat=np.array([[1.0, 2.0], [2.0, 4.0]]))
+@example(mat=np.eye(3))
+@example(mat=np.diag([1.0, 1e-12 * (1.0 + 2 * KAPPA_BAND)]))
+def test_guarded_adjugate_raises_exactly_when_kappa_f_reaches_the_limit(mat):
+    kappa = kappa_f_oracle(mat)
+    assume(not abs(kappa / COND_LIMIT - 1.0) < KAPPA_BAND)
+    try:
+        _guarded_adjugate(mat.tolist(), SingularPseudoCov("skip"))
+        raised = False
+    except SingularPseudoCov:
+        raised = True
+    assert raised == (not kappa < COND_LIMIT), kappa

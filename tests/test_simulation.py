@@ -1,9 +1,33 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from elliptrack import ConfigError, builtin_scenarios, generate_truth, \
-    run_scenario
+from elliptrack import ConfigError, SourceDistribution, builtin_scenarios, \
+    generate_truth, rot, run_scenario
 from elliptrack.simulation import TrajectorySpec, sample_run_data
+from elliptrack.state import wrap_angle
+
+
+def generate_truth_loop(traj, rng, start_position, start_velocity, axes,
+                        theta0):
+    """Step-by-step reference of :func:`generate_truth` with a start pose."""
+    position = np.array(start_position, dtype=float)
+    speed = float(np.linalg.norm(start_velocity))
+    heading = float(np.arctan2(start_velocity[1], start_velocity[0])) \
+        if speed > 0.0 else traj.start_heading
+    out = []
+    for count, turn_rate in traj.segments:
+        for _ in range(count):
+            heading += turn_rate
+            v_nominal = speed * np.array([np.cos(heading), np.sin(heading)])
+            velocity = v_nominal + np.sqrt(traj.velocity_jitter) * rng.standard_normal(2)
+            position = position + v_nominal
+            center = position + np.sqrt(traj.position_jitter) * rng.standard_normal(2)
+            theta = (wrap_angle(np.arctan2(velocity[1], velocity[0]))
+                     if speed > 0.0 else wrap_angle(theta0))
+            out.append((center, velocity, theta, np.asarray(axes, dtype=float)))
+    return out
 
 
 def straight_spec(steps=5, speed=1.0, **kwargs):
@@ -63,6 +87,29 @@ class TestGenerateTruth:
                             for t, s in enumerate(states)])
         assert np.abs(offsets).max() < 6.0
         assert offsets.std() == pytest.approx(1.0, abs=0.15)
+
+    @pytest.mark.parametrize("name", ["moderate", "stationary", "jittered"])
+    def test_equals_the_step_by_step_loop(self, name):
+        traj = builtin_scenarios()["moderate" if name == "jittered" else name
+                                   ].trajectory
+        if name == "jittered":
+            traj = dataclasses.replace(traj, velocity_jitter=0.5,
+                                       segments=((3, 0.2), (5, -1.0), (4, 3.0)))
+        # The block form adds in the loop's order, so it is bit-equal.
+        for seed in range(5):
+            start = np.random.default_rng(100 + seed).normal(size=4) * 2.0
+            if name == "stationary":
+                start[2:] = 0.0
+            kwargs = dict(start_position=start[:2], start_velocity=start[2:],
+                          axes=[4.5, 1.5], theta0=2.0 * seed)
+            got = generate_truth(traj, np.random.default_rng(seed), **kwargs)
+            want = generate_truth_loop(traj, np.random.default_rng(seed), **kwargs)
+            assert len(got) == len(want) == traj.steps
+            for state, (center, velocity, theta, axes) in zip(got, want):
+                np.testing.assert_array_equal(state.center, center)
+                np.testing.assert_array_equal(state.velocity, velocity)
+                assert type(state.theta) is float and state.theta == theta
+                np.testing.assert_array_equal(state.axes, axes)
 
     def test_rejects_empty_segments(self):
         with pytest.raises(ConfigError):
@@ -174,6 +221,37 @@ class TestRunScenario:
         truths_0b, meas_0b = sample_run_data(cfg, 0)
         np.testing.assert_array_equal(truths_0[0].center, truths_0b[0].center)
         np.testing.assert_array_equal(meas_0[0].points, meas_0b[0].points)
+
+    def test_neighbouring_seeds_and_runs_draw_apart(self):
+        # Run 1 of seed 1234 and run 0 of seed 1235 were once one stream.
+        def draws(seed, run):
+            truths, scans = sample_run_data(
+                builtin_scenarios(runs=2, seed=seed)["moderate"], run)
+            return (np.array([t.center for t in truths]),
+                    np.concatenate([z.points for z in scans]))
+        first, second = draws(1234, 1), draws(1235, 0)
+        assert not np.array_equal(first[0], second[0])
+        assert first[1].shape != second[1].shape or \
+            not np.array_equal(first[1], second[1])
+
+    @pytest.mark.parametrize("source", list(SourceDistribution))
+    def test_noise_free_scans_lie_on_their_own_steps_truth(self, source):
+        # With R = 0 every point of scan t lies on truth t's extent. On the
+        # turning trajectory, a scan paired with a neighbouring step's
+        # truth (off by one in the repeat or the split) would not.
+        cfg = dataclasses.replace(builtin_scenarios(runs=3, seed=8)["moderate"],
+                                  R=np.zeros((2, 2)), source_dist=source)
+        for run in range(3):
+            truths, scans = sample_run_data(cfg, run)
+            assert len(scans) == len(truths) == cfg.trajectory.steps
+            assert sum(len(z) for z in scans) > 500
+            for t, (truth, scan) in enumerate(zip(truths, scans)):
+                local = (scan.points - truth.center) @ rot(truth.theta) / truth.axes
+                if source is SourceDistribution.UNIFORM_ELLIPSE:
+                    inside = (local ** 2).sum(axis=1) <= 1.0 + 1e-12
+                else:
+                    inside = np.abs(local).max(axis=1, initial=0.0) <= 1.0 + 1e-12
+                assert inside.all(), (run, t)
 
     def test_turn_steps_have_higher_error(self):
         # error spikes co-locate with motion-model violations
