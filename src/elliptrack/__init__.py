@@ -12,8 +12,7 @@ from .metrics import (EllipseParams, ellipse_from_estimate, gwd_squared,
                       matrix_sqrt_2x2, orientation_error)
 from .sequential import (AxisMoments, StepDiagnostics,
                          axis_moments, orientation_moments, predict,
-                         step_sequential, update_axis, update_kinematics,
-                         update_orientation)
+                         step_sequential, update_axis, update_orientation)
 from .simulation import (CampaignSummary, RunResult, ScenarioConfig,
                          TrajectorySpec, TruthState, builtin_scenarios,
                          generate_truth, run_scenario, run_single)
@@ -22,4 +21,4 @@ from .state import (AxisState, DecoupledEstimate, FilterConfig, KinematicState,
                     constant_velocity_transition, rot, shape_matrix,
                     symmetrize_psd, wrap_angle)
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

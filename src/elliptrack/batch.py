@@ -25,10 +25,10 @@ from .measurements import CenteredMeasurements, MeasurementSet, _centering, \
     _scatter
 from .sequential import StepDiagnostics, _guarded_solve, _predict, \
     _update_or_skip, kalman_center_update, orientation_moments, \
-    step_sequential, update_axis, update_kinematics
+    step_sequential, update_axis
 from .state import (AxisState, DecoupledEstimate, FilterConfig, KinematicState,
                     MotionModel, OrientationState, _axis_floats, _axis_state,
-                    _estimate, _shape_entries, wrap_angle)
+                    _estimate, _kinematic_state, _shape_entries, wrap_angle)
 
 
 def batch_update_kinematics(kin: KinematicState, measurements: MeasurementSet,
@@ -37,10 +37,13 @@ def batch_update_kinematics(kin: KinematicState, measurements: MeasurementSet,
     """Kalman update with the measurement mean as pseudo-measurement.
 
     Averaging M measurements divides the effective noise by M; for M = 1
-    this is exactly the sequential kinematic update.
+    this is exactly the sequential update, :func:`kalman_center_update`.
     """
-    return update_kinematics(kin, measurements.points.mean(axis=0), shape_est,
-                             cfg, len(measurements))
+    (x11, x12), (_, x22) = np.asarray(shape_est, dtype=float).tolist()
+    return _kinematic_state(*kalman_center_update(
+        (kin.mean.tolist(), kin.cov.tolist()),
+        *measurements.points.mean(axis=0).tolist(), cfg.R.ravel().tolist(),
+        cfg.c, (x11, x22, x12), len(measurements)))
 
 
 def batch_update_axis(axis: AxisState, centered: CenteredMeasurements,

@@ -4,15 +4,16 @@ An ellipse is viewed as a Gaussian with the center as mean and the shape
 matrix as covariance; the squared Wasserstein distance between the two
 Gaussians then scores position and shape jointly. The orientation error
 is the absolute angle difference modulo pi, since an ellipse is invariant
-under a half turn.
+under a half turn. Both are closed forms on Python floats.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotPSD
-from .state import DecoupledEstimate, shape_matrix
+from .state import DecoupledEstimate
 
 _EIG_TOL = -1e-9
 
@@ -29,9 +30,6 @@ class EllipseParams:
         object.__setattr__(self, "theta", float(self.theta))
         object.__setattr__(self, "semi_axes",
                            np.asarray(self.semi_axes, dtype=float).reshape(2))
-
-    def matrix(self) -> np.ndarray:
-        return shape_matrix(self.theta, self.semi_axes)
 
 
 def ellipse_from_estimate(est: DecoupledEstimate) -> EllipseParams:
@@ -65,18 +63,27 @@ def matrix_sqrt_2x2(mat: np.ndarray) -> np.ndarray:
 def gwd_squared(a: EllipseParams, b: EllipseParams) -> float:
     """Squared Gaussian Wasserstein distance between two ellipses.
 
-    Zero iff the ellipses coincide (up to the theta + pi and axis-swap
-    symmetries of the shape matrix); symmetric in its arguments and
-    invariant under a joint rigid transform. NaN input gives NaN.
+    |c_a - c_b|^2 + tr X_a + tr X_b - 2 tr sqrt(sqrt(X_a) X_b sqrt(X_a)) for
+    the shape matrices X, whose last trace, for semi-axes (l1, l2), (m1, m2)
+    and d = theta_a - theta_b, is the 2-norm of (cos d (|l1 m1| + |l2 m2|),
+    sin d (|l1 m2| + |l2 m1|)). Zero iff the ellipses coincide (up to the
+    theta + pi and axis-swap symmetries); symmetric, invariant under a
+    joint rigid transform; NaN in, NaN out.
     """
-    xa, xb = a.matrix(), b.matrix()
-    root_a = matrix_sqrt_2x2(xa)
-    inner = matrix_sqrt_2x2(root_a @ xb @ root_a)
-    center_term = float(np.sum((a.center - b.center) ** 2))
-    total = center_term + float(np.trace(xa + xb - 2.0 * inner))
-    # The trace term can dip epsilon-negative for identical shapes. Clamp
-    # only finite values, so a NaN or infinite distance is not scored 0.
-    return 0.0 if -np.inf < total < 0.0 else total
+    (ax, ay), (bx, by) = a.center.tolist(), b.center.tolist()
+    (l1, l2), (m1, m2) = a.semi_axes.tolist(), b.semi_axes.tolist()
+    # cos d and sin d from each angle's own, so no difference can overflow.
+    cos_a, sin_a, cos_b, sin_b = (math.cos(a.theta), math.sin(a.theta),
+                                  math.cos(b.theta), math.sin(b.theta))
+    cos_d, sin_d = cos_a * cos_b + sin_a * sin_b, sin_a * cos_b - cos_a * sin_b
+    root = math.hypot(cos_d * (abs(l1 * m1) + abs(l2 * m2)),
+                      sin_d * (abs(l1 * m2) + abs(l2 * m1)))
+    # Squares as products: on a float, ** raises OverflowError, * gives inf.
+    dx, dy = ax - bx, ay - by
+    total = dx * dx + dy * dy + l1 * l1 + l2 * l2 + m1 * m1 + m2 * m2 - 2.0 * root
+    # Rounding can leave identical shapes a little below 0. Clamp only
+    # finite values, so a NaN or infinite distance is not scored 0.
+    return 0.0 if -math.inf < total < 0.0 else total
 
 
 def orientation_error(theta_est: float, theta_true: float) -> float:
@@ -85,7 +92,7 @@ def orientation_error(theta_est: float, theta_true: float) -> float:
     Adding pi to either angle describes the same ellipse, so the raw
     difference is folded into (-pi/2, pi/2] first.
     """
-    diff = np.mod(theta_est - theta_true, np.pi)
-    if diff > np.pi / 2.0:
-        diff -= np.pi
-    return float(abs(diff))
+    diff = float(theta_est - theta_true) % math.pi
+    if diff > math.pi / 2.0:
+        diff -= math.pi
+    return abs(diff)

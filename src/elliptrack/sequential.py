@@ -25,10 +25,9 @@ import numpy as np
 from .errors import SingularInnovation, SingularPseudoCov
 from .measurements import MeasurementSet, _centering
 from .state import (AXIS_FLOOR, AxisState, DecoupledEstimate, FilterConfig,
-                    KinematicState, MotionModel, OrientationState,
-                    _aligned_entries, _axis_floats, _estimate,
-                    _kinematic_state, _psd_2x2, _psd_rows, _shape_entries,
-                    clamp_axis_variance, wrap_angle)
+                    MotionModel, OrientationState, _aligned_entries,
+                    _axis_floats, _estimate, _psd_2x2, _psd_rows,
+                    _shape_entries, clamp_axis_variance, wrap_angle)
 
 # Condition-number guard for the linear solves replacing symbolic inverses.
 COND_LIMIT = 1e12
@@ -167,20 +166,6 @@ def kalman_center_update(kin: tuple, z1: float, z2: float, noise, c: float,
         new_cov.append([p - (g1 * tk + g2 * bk)
                         for p, tk, bk in zip(row, top, bottom)])
     return new_mean, _psd_rows(new_cov)
-
-
-def update_kinematics(kin: KinematicState, z: np.ndarray,
-                      shape_est: np.ndarray, cfg: FilterConfig,
-                      count: int = 1) -> KinematicState:
-    """Kalman update with the mean z of ``count`` points.
-
-    The float update is :func:`kalman_center_update`.
-    """
-    (x11, x12), (_, x22) = np.asarray(shape_est, dtype=float).tolist()
-    z1, z2 = np.asarray(z, dtype=float).tolist()
-    return _kinematic_state(*kalman_center_update(
-        (kin.mean.tolist(), kin.cov.tolist()), z1, z2, cfg.R.ravel().tolist(),
-        cfg.c, (x11, x22, x12), count))
 
 
 def _axis_moments(axis: tuple, aligned_w: tuple, c: float) -> tuple:

@@ -26,14 +26,17 @@ from .metrics import EllipseParams, ellipse_from_estimate, gwd_squared, \
 from .sequential import StepDiagnostics, step_sequential
 from .state import (AxisState, DecoupledEstimate, FilterConfig, KinematicState,
                     MotionModel, OrientationState, _has_psd_pivots,
-                    _has_psd_pivots_4x4, constant_velocity_transition, rot,
-                    wrap_angle)
+                    constant_velocity_transition, rot, wrap_angle)
 
 # Sampled true semi-axes are floored here; the shape priors put a little
 # Gaussian mass on negative lengths.
 TRUTH_AXIS_FLOOR = 0.1
 
 FILTER_KINDS = ("sequential", "batch")
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -55,10 +58,11 @@ class TrajectorySpec:
     velocity_jitter: float = 0.0
 
     def __post_init__(self):
-        segments = tuple((int(n), float(rate)) for n, rate in self.segments)
-        if not segments or any(n < 1 for n, _ in segments):
-            raise ConfigError("every trajectory segment needs at least one step")
-        object.__setattr__(self, "segments", segments)
+        counts = [n for n, _ in self.segments]
+        if not counts or not all(_is_count(n) and n >= 1 for n in counts):
+            raise ConfigError(f"segment step counts must be integers >= 1, got {counts}")
+        object.__setattr__(self, "segments", tuple((int(n), float(rate))
+                                                   for n, rate in self.segments))
         object.__setattr__(self, "start_position",
                            np.asarray(self.start_position, dtype=float).reshape(2))
         object.__setattr__(self, "true_axes",
@@ -154,8 +158,9 @@ class ScenarioConfig:
         if not 0.0 < self.lam < np.inf:
             raise ConfigError(f"Poisson rate must be positive and finite, "
                               f"got {self.lam}")
-        if self.fixed_count is not None and self.fixed_count < 0:
-            raise ConfigError("fixed measurement count cannot be negative")
+        count = self.fixed_count
+        if count is not None and not (_is_count(count) and count >= 0):
+            raise ConfigError(f"fixed_count must be an integer >= 0, got {count!r}")
         try:
             self.filter_config()
         except ValueError as exc:
@@ -165,9 +170,9 @@ class ScenarioConfig:
     def _check_numbers(self):
         """Reject non-finite numbers and negative variances.
 
-        A covariance must be positive semi-definite up to rounding: its
-        symmetric part, shifted up by 1e-12 of its largest entry, must
-        pass the pivot test of :func:`symmetrize_psd`.
+        A covariance A must be symmetric and PSD up to rounding, 1e-12 of
+        the largest entry of A + A^T: A - A^T within it, and A + A^T shifted
+        up by it passing the pivot test of :func:`symmetrize_psd`.
         """
         prior, motion, traj = self.prior, self.motion, self.trajectory
         variances = {"prior orientation var": prior.orient.var,
@@ -194,12 +199,12 @@ class ScenarioConfig:
                                   f"negative, got {value}")
         for name, cov in covariances.items():
             sym = cov + cov.T
-            sym.flat[::len(sym) + 1] += 1e-12 * np.abs(sym).max()
-            pivot_test = (_has_psd_pivots_4x4 if len(sym) == 4
-                          else _has_psd_pivots)
-            if not pivot_test(sym.tolist()):
-                raise ConfigError(f"{name} must be a positive semi-definite "
-                                  f"covariance, got {cov.tolist()}")
+            tol = 1e-12 * np.abs(sym).max()
+            sym.flat[::len(sym) + 1] += tol
+            if (np.abs(cov - cov.T).max() > tol
+                    or not _has_psd_pivots(sym.tolist())):
+                raise ConfigError(f"{name} must be a symmetric positive semi-"
+                                  f"definite covariance, got {cov.tolist()}")
 
     def filter_config(self) -> FilterConfig:
         return FilterConfig(R=self.R, c=self.source_dist.scaling_factor,

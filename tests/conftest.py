@@ -4,7 +4,8 @@ from hypothesis import settings
 
 from elliptrack import (AxisState, DecoupledEstimate, FilterConfig,
                         KinematicState, MotionModel, OrientationState,
-                        constant_velocity_transition)
+                        constant_velocity_transition, matrix_sqrt_2x2,
+                        shape_matrix)
 
 # Selection matrix mapping vec(2x2) (column-major) to (m11, m22, m21);
 # applied to s (x) s it yields the pseudo-measurement b = (s1^2, s2^2, s1*s2).
@@ -37,6 +38,17 @@ def symmetrize_psd_oracle(mat):
         pass
     eigval, eigvec = np.linalg.eigh(sym)
     return (eigvec * np.maximum(eigval, 0.0)) @ eigvec.T
+
+
+def gwd_squared_oracle(a, b):
+    """The matrix form of GWD^2: two shape matrices, two 2x2 square roots."""
+    xa = shape_matrix(a.theta, a.semi_axes)
+    xb = shape_matrix(b.theta, b.semi_axes)
+    root_a = matrix_sqrt_2x2(xa)
+    inner = matrix_sqrt_2x2(root_a @ xb @ root_a)
+    total = (float(np.sum((a.center - b.center) ** 2))
+             + float(np.trace(xa + xb - 2.0 * inner)))
+    return 0.0 if -np.inf < total < 0.0 else total
 
 
 def assert_symmetric_psd(mat, sym_tol=1e-10, eig_tol=-1e-10):

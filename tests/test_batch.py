@@ -10,8 +10,8 @@ from elliptrack.batch import (batch_update_axis, batch_update_kinematics,
                               batch_update_orientation)
 from elliptrack.measurements import (CenteredMeasurements, aligned_squares,
                                      center_measurements)
-from elliptrack.sequential import (axis_moments, orientation_moments,
-                                   update_kinematics, update_orientation)
+from elliptrack.sequential import (axis_moments, kalman_center_update,
+                                   orientation_moments, update_orientation)
 from elliptrack.measurements import _scatter
 from elliptrack.state import _shape_entries
 from elliptrack.simulation import builtin_scenarios, sample_run_data
@@ -40,17 +40,20 @@ class TestBatchKinematics:
         z = np.array([3.0, 1.0])
         batch = batch_update_kinematics(kin, MeasurementSet([z]), shape,
                                         default_config)
-        seq = update_kinematics(kin, z, shape, default_config)
-        np.testing.assert_array_equal(batch.mean, seq.mean)
-        np.testing.assert_array_equal(batch.cov, seq.cov)
+        seq_mean, seq_cov = kalman_center_update(
+            (kin.mean.tolist(), kin.cov.tolist()), 3.0, 1.0,
+            default_config.R.ravel().tolist(), default_config.c,
+            _shape_entries(0.4, 5.0, 2.0))
+        np.testing.assert_array_equal(batch.mean, seq_mean)
+        np.testing.assert_array_equal(batch.cov, seq_cov)
 
     def test_uses_measurement_mean(self, default_config):
         kin = KinematicState(np.zeros(4), np.diag([2.0, 2.0, 0.5, 0.5]))
         z = MeasurementSet([[0, 0], [2, 2], [4, 4]])
         out = batch_update_kinematics(kin, z, np.eye(2), default_config)
-        expected = update_kinematics(
+        expected = batch_update_kinematics(
             KinematicState(np.zeros(4), np.diag([2.0, 2.0, 0.5, 0.5])),
-            [2.0, 2.0], np.eye(2) / 3,
+            MeasurementSet([[2.0, 2.0]]), np.eye(2) / 3,
             FilterConfig(R=default_config.R / 3, c=default_config.c))
         np.testing.assert_allclose(out.mean, expected.mean, atol=1e-12)
 

@@ -460,6 +460,28 @@ class TestExitCodes:
     def test_non_finite_or_negative_variance_config_exits_2(self, tmp_path,
                                                            capsys, path,
                                                            value):
+        self._assert_mc_config_exits_2(tmp_path, capsys, path, value)
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("R",), [[1.0, 0.5], [0.0, 1.0]], "R must be a symmetric"),
+        (("motion", "Q_kin"), [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                               [0.0, 0.0, 2.0, 0.0], [0.0, 0.3, 0.0, 2.0]],
+         "Q_kin must be a symmetric"),
+        (("fixed_count",), 1.5, "fixed_count must be an integer"),
+        (("fixed_count",), True, "fixed_count must be an integer"),
+        (("trajectory", "segments"), [[2.7, 0.0]], "segment step counts"),
+        (("trajectory", "segments"), [[40, 0.0], [2.0, 0.1]],
+         "segment step counts"),
+        (("trajectory", "segments"), [[True, 0.0]], "segment step counts"),
+    ])
+    def test_asymmetric_covariance_or_fractional_count_config_exits_2(
+            self, tmp_path, capsys, path, value, message):
+        # Each used to run: the sampler took the symmetric part of R while
+        # the update used R as given, and counts were truncated by int().
+        self._assert_mc_config_exits_2(tmp_path, capsys, path, value, message)
+
+    @staticmethod
+    def _assert_mc_config_exits_2(tmp_path, capsys, path, value, message=""):
         data = scenario_to_dict(builtin_scenarios()["moderate"])
         node = data
         for key in path[:-1]:
@@ -469,7 +491,7 @@ class TestExitCodes:
         config.write_text(json.dumps(data))
         assert main(["mc", str(config), "--runs", "1",
                      "--out", str(tmp_path / "o")]) == 2
-        assert "config error" in capsys.readouterr().err
+        assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_unwritable_output_exits_3(self, tmp_path):

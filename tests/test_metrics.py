@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from elliptrack import (EllipseParams, NotPSD, gwd_squared, matrix_sqrt_2x2,
                         orientation_error, rot)
+
+from conftest import gwd_squared_oracle
 
 
 def random_ellipse(rng):
@@ -93,7 +98,122 @@ class TestGwdSquared:
             assert gwd_squared(random_ellipse(rng), random_ellipse(rng)) >= 0.0
 
 
+COORDS = st.floats(-50.0, 50.0)
+ANGLES = st.one_of(st.floats(-10.0, 10.0),
+                   st.sampled_from([0.0, math.pi / 2, -math.pi, math.pi]))
+# Semi-axes of either sign; with zeros the shape matrices are singular.
+NONZERO_AXES = st.one_of(st.floats(0.5, 6.0), st.floats(-6.0, -0.5))
+AXES_WITH_ZEROS = st.one_of(NONZERO_AXES, st.sampled_from([0.0, -0.0]))
+
+
+@st.composite
+def ellipse_pairs(draw, semi_axes):
+    """Two ellipses; the second is often the first, or the first turned
+    by pi, or turned by pi/2 with its axes swapped (both the same shape)."""
+    def ellipse():
+        return EllipseParams([draw(COORDS), draw(COORDS)], draw(ANGLES),
+                             [draw(semi_axes), draw(semi_axes)])
+    a = ellipse()
+    b = a if draw(st.booleans()) else ellipse()
+    turn = draw(st.sampled_from(["none", "half", "swap"]))
+    if turn == "half":
+        b = EllipseParams(b.center, b.theta + math.pi, b.semi_axes)
+    elif turn == "swap":
+        b = EllipseParams(b.center, b.theta + math.pi / 2, b.semi_axes[::-1])
+    return a, b
+
+
+class TestGwdClosedForm:
+    @settings(max_examples=500)
+    @given(pair=ellipse_pairs(NONZERO_AXES))
+    @example(pair=(EllipseParams([1, 2], 0.4, [3, 1]),) * 2)
+    @example(pair=(EllipseParams([1, -1], 0.3, [-2, 5]),
+                   EllipseParams([0, 2], 0.3 + math.pi, [2, -5])))
+    @example(pair=(EllipseParams([0, 0], 2.4, [6.0, 0.5]),
+                   EllipseParams([0, 0], 2.4 + math.pi, [6.0, 0.5])))
+    def test_equals_the_matrix_form(self, pair):
+        a, b = pair
+        expected = gwd_squared_oracle(a, b)
+        out = gwd_squared(a, b)
+        assert type(out) is float and out >= 0.0
+        assert abs(out - expected) <= 1e-12 * max(1.0, abs(expected))
+        assert gwd_squared(b, a) == pytest.approx(out, rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=500)
+    @given(pair=ellipse_pairs(AXES_WITH_ZEROS))
+    @example(pair=(EllipseParams([0, 0], 0.0, [0, 0]),
+                   EllipseParams([0, 0], 1.0, [0, 0])))
+    def test_zero_semi_axes_agree_with_the_matrix_form_to_its_rounding(
+            self, pair):
+        # A singular shape matrix makes the oracle's inner determinant zero
+        # only up to rounding, about eps times its squared scale, and the
+        # square root turns that into about sqrt(eps) = 1.5e-8 times the
+        # scale. The closed form has no such root; the exact cases below
+        # check it at 1e-12.
+        a, b = pair
+        scale = 1.0 + float(a.semi_axes @ a.semi_axes + b.semi_axes @ b.semi_axes)
+        out = gwd_squared(a, b)
+        assert out >= 0.0
+        assert abs(out - gwd_squared_oracle(a, b)) <= 1e-7 * scale
+
+    @pytest.mark.parametrize("a, b, expected", [
+        # A point against an ellipse: only the centers and X_b's trace.
+        (([0, 0], 0.3, [0, 0]), ([3, 4], 0.7, [3, -1]), 25.0 + 10.0),
+        # Segments: l^2 + m^2 - 2 |l m cos(angle between them)|.
+        (([0, 0], 1.0, [0, 1]), ([0, 0], math.pi, [1, 0]),
+         2.0 - 2.0 * math.sin(1.0)),
+        (([1, 1], 0.0, [2, 0]), ([1, 1], 0.5, [-3, 0]),
+         13.0 - 12.0 * math.cos(0.5)),
+        (([0, 0], 0.0, [2, 0]), ([0, 0], math.pi / 2, [3, 0]), 13.0),
+        (([0, 0], 0.2, [0, -2]), ([0, 0], 0.2 + math.pi, [0, 2]), 0.0),
+    ])
+    def test_segments_and_points_are_exact(self, a, b, expected):
+        out = gwd_squared(EllipseParams(*a), EllipseParams(*b))
+        assert out == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("field", ["center", "theta", "semi_axes"])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_nan_input_gives_nan(self, field, side):
+        fields = {"center": [1.0, 2.0], "theta": 0.3, "semi_axes": [5.0, 2.0]}
+        fields[field] = (math.nan if field == "theta"
+                         else [fields[field][0], math.nan])
+        pair = [EllipseParams(**fields), EllipseParams([0, 1], 1.0, [4, 1])]
+        assert math.isnan(gwd_squared(*pair[::1 - 2 * side]))
+
+    def test_overflow_is_inf_not_an_error(self):
+        # Squares are products: on a float, x ** 2 raises OverflowError.
+        far = EllipseParams([1e300, 0.0], 0.0, [1.0, 1.0])
+        assert gwd_squared(far, EllipseParams([0, 0], 0.0, [1, 1])) == math.inf
+
+
+def orientation_error_oracle(theta_est, theta_true):
+    """The numpy form: np.mod of the raw difference, folded at pi/2."""
+    with np.errstate(invalid="ignore"):
+        diff = np.mod(theta_est - theta_true, np.pi)
+    if diff > np.pi / 2.0:
+        diff -= np.pi
+    return float(abs(diff))
+
+
+BOUNDARY_ANGLES = [0.0, -0.0, math.pi, -math.pi, math.pi / 2, -math.pi / 2,
+                   3 * math.pi / 2, 2 * math.pi, math.nextafter(math.pi / 2, 0.0),
+                   math.nextafter(math.pi / 2, 4.0), 1e-300, 1e300, -1e300,
+                   math.inf, math.nan]
+
+
 class TestOrientationError:
+    @settings(max_examples=500)
+    @given(theta_est=st.one_of(st.floats(-1e3, 1e3),
+                               st.sampled_from(BOUNDARY_ANGLES)),
+           theta_true=st.one_of(st.floats(-1e3, 1e3),
+                                st.sampled_from(BOUNDARY_ANGLES)))
+    def test_same_bits_as_the_numpy_form(self, theta_est, theta_true):
+        out = orientation_error(theta_est, theta_true)
+        assert type(out) is float
+        assert repr(out) == repr(orientation_error_oracle(theta_est,
+                                                          theta_true))
+
+
     def test_equal_angles(self):
         assert orientation_error(0.2, 0.2) == 0.0
 

@@ -5,11 +5,11 @@ import pytest
 
 from elliptrack import (AxisState, DecoupledEstimate,
                         KinematicState, MeasurementSet, OrientationState,
-                        SourceDistribution, predict, rot, sample_measurements,
-                        step_sequential)
+                        SourceDistribution, batch_update_kinematics, predict,
+                        rot, sample_measurements, step_sequential)
 from elliptrack.sequential import (StepDiagnostics, axis_moments,
                                    orientation_moments, update_axis,
-                                   update_kinematics, update_orientation)
+                                   update_orientation)
 from elliptrack.state import _axis_floats, _axis_state, _shape_entries
 
 from conftest import assert_symmetric_psd, make_estimate, make_motion
@@ -58,14 +58,16 @@ class TestPredict:
 class TestUpdateKinematics:
     def test_perfect_prior_has_zero_gain(self, default_config):
         kin = KinematicState([1, 2, 3, 4], np.zeros((4, 4)))
-        out = update_kinematics(kin, [10, 10], np.eye(2), default_config)
+        out = batch_update_kinematics(kin, MeasurementSet([[10, 10]]),
+                                      np.eye(2), default_config)
         np.testing.assert_array_equal(out.mean, kin.mean)
         np.testing.assert_array_equal(out.cov, kin.cov)
 
     def test_half_gain_case(self, default_config):
         # prior position cov = I and effective noise = I: gain is 1/2
         kin = KinematicState([0, 0, 0, 0], np.diag([1.0, 1.0, 0.0, 0.0]))
-        out = update_kinematics(kin, [2, 0], np.zeros((2, 2)), default_config)
+        out = batch_update_kinematics(kin, MeasurementSet([[2, 0]]),
+                                      np.zeros((2, 2)), default_config)
         np.testing.assert_allclose(out.mean, [1, 0, 0, 0])
         np.testing.assert_allclose(out.cov[:2, :2], 0.5 * np.eye(2), atol=1e-12)
 
@@ -73,8 +75,8 @@ class TestUpdateKinematics:
         # R + c X = I + 0.25 diag(4, 1) = diag(2, 1.25); innovation
         # covariance diag(3, 2.25), so z - H r = (3, 2.25) moves by (1, 1).
         kin = KinematicState(np.zeros(4), np.diag([1.0, 1.0, 0.0, 0.0]))
-        out = update_kinematics(kin, [3.0, 2.25], np.diag([4.0, 1.0]),
-                                default_config)
+        out = batch_update_kinematics(kin, MeasurementSet([[3.0, 2.25]]),
+                                      np.diag([4.0, 1.0]), default_config)
         np.testing.assert_allclose(out.mean, [1, 1, 0, 0], atol=1e-12)
 
     def test_posterior_below_prior_in_loewner_order(self, default_config):
@@ -83,8 +85,9 @@ class TestUpdateKinematics:
             root = rng.normal(size=(4, 4))
             kin = KinematicState(rng.normal(size=4), root @ root.T)
             shape = np.diag(rng.uniform(0.5, 10.0, size=2))
-            out = update_kinematics(kin, rng.normal(size=2) * 5, shape,
-                                    default_config)
+            out = batch_update_kinematics(
+                kin, MeasurementSet([rng.normal(size=2) * 5]), shape,
+                default_config)
             gap = np.linalg.eigvalsh(kin.cov - out.cov).min()
             assert gap >= -1e-9
             assert_symmetric_psd(out.cov)

@@ -8,7 +8,7 @@ from elliptrack import (AxisState, DecoupledEstimate, FilterConfig,
                         batch_update_axis, batch_update_kinematics,
                         center_measurements, clamp_axis_variance, predict, rot,
                         shape_matrix, step_batch, step_sequential,
-                        symmetrize_psd, update_kinematics, wrap_angle)
+                        symmetrize_psd, wrap_angle)
 from elliptrack.simulation import builtin_scenarios
 from elliptrack.state import (_axis_floats, _axis_state, _estimate,
                               _has_psd_pivots)
@@ -298,7 +298,8 @@ class TestResultBuild:
         points = np.array([[1.0, 0.5], [-2.0, 1.0], [0.5, -0.5]])
         assert_built_as_validated(predict(est, make_motion()))
         shape = shape_matrix(0.3, est.axis.mean)
-        for kin in (update_kinematics(est.kin, points[0], shape, cfg),
+        for kin in (batch_update_kinematics(est.kin, MeasurementSet(points[:1]),
+                                            shape, cfg),
                     batch_update_kinematics(est.kin, MeasurementSet(points),
                                             shape, cfg)):
             assert_built_as_validated(DecoupledEstimate(kin, est.axis,
