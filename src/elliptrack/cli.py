@@ -184,18 +184,21 @@ def _read_jsonl(path: str) -> list:
     """Parse a JSON Lines file of objects into (line number, object) pairs.
 
     Line numbers count every line of the file, so error messages point at
-    the right line even after blank lines, which are skipped. A file
-    without a single record is malformed.
+    the right line even after blank lines, which are skipped. Each line
+    is decoded as UTF-8 on its own, so a line that is not UTF-8 is named
+    too. A file without a single record is malformed.
     """
     rows = []
     line_number = 0
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for line_number, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
+                row = json.loads(line.decode("utf-8"))
+            # ValueError covers bad UTF-8 and bad JSON; RecursionError
+            # a nesting too deep for the decoder.
+            except (ValueError, RecursionError) as exc:
                 raise MalformedRecord(line_number, str(exc)) from exc
             if not isinstance(row, dict):
                 raise MalformedRecord(line_number, "not a JSON object")
@@ -271,7 +274,7 @@ def _ellipse_from_row(row: dict, line_number: int, kind: str) -> EllipseParams:
             ellipse = EllipseParams(body["center"], body["theta"], body["axes"])
         else:
             ellipse = ellipse_from_estimate(estimate_from_dict(row))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedRecord(line_number, str(exc)) from exc
     values = [*ellipse.center, ellipse.theta, *ellipse.semi_axes]
     if not np.isfinite(values).all():

@@ -70,11 +70,18 @@ def gwd_squared(a: EllipseParams, b: EllipseParams) -> float:
     theta + pi and axis-swap symmetries); symmetric, invariant under a
     joint rigid transform; NaN in, NaN out.
     """
-    (ax, ay), (bx, by) = a.center.tolist(), b.center.tolist()
-    (l1, l2), (m1, m2) = a.semi_axes.tolist(), b.semi_axes.tolist()
+    return _gwd_squared(*a.center.tolist(), a.theta, *a.semi_axes.tolist(),
+                        *b.center.tolist(), b.theta, *b.semi_axes.tolist())
+
+
+def _gwd_squared(ax: float, ay: float, theta_a: float, l1: float, l2: float,
+                 bx: float, by: float, theta_b: float, m1: float,
+                 m2: float) -> float:
+    """:func:`gwd_squared` of ellipse a, centre (ax, ay), angle ``theta_a``
+    and semi-axes (l1, l2), and ellipse b, given the same way, as floats."""
     # cos d and sin d from each angle's own, so no difference can overflow.
-    cos_a, sin_a, cos_b, sin_b = (math.cos(a.theta), math.sin(a.theta),
-                                  math.cos(b.theta), math.sin(b.theta))
+    cos_a, sin_a, cos_b, sin_b = (math.cos(theta_a), math.sin(theta_a),
+                                  math.cos(theta_b), math.sin(theta_b))
     cos_d, sin_d = cos_a * cos_b + sin_a * sin_b, sin_a * cos_b - cos_a * sin_b
     root = math.hypot(cos_d * (abs(l1 * m1) + abs(l2 * m2)),
                       sin_d * (abs(l1 * m2) + abs(l2 * m1)))

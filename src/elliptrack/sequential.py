@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,6 +32,8 @@ from .state import (AXIS_FLOOR, AxisState, DecoupledEstimate, FilterConfig,
 COND_LIMIT = 1e12
 
 UPDATE_ORDER = ("kinematics", "axis", "orientation")
+# The indices into UPDATE_ORDER that the default order runs.
+_DEFAULT_SEQUENCE = (0, 1, 2)
 
 
 @dataclass
@@ -116,20 +117,72 @@ def _guarded_solve(mat, rhs, exc):
     Raises ``exc`` where :func:`_guarded_adjugate` does.
     """
     adj, det = _guarded_adjugate(mat, exc)
-    return [sum(map(mul, row, rhs)) / det for row in adj]
+    if len(adj) == 2:
+        (a, b), (c, d) = adj
+        x, y = rhs
+        return [(a * x + b * y) / det, (c * x + d * y) / det]
+    (a, b, c), (d, e, f), (g, h, i) = adj
+    x, y, z = rhs
+    return [(a * x + b * y + c * z) / det, (d * x + e * y + f * z) / det,
+            (g * x + h * y + i * z) / det]
 
 
 def _predict(est: DecoupledEstimate, motion: MotionModel) -> tuple:
     """Kalman prediction of each component, as the floats of a step.
 
-    The axis transition is the identity, so only process noise is added
-    there; the orientation mean is re-wrapped.
+    The kinematic covariance is F P F^T + Q, formed as G = F P and then
+    G F^T + Q, entry by entry; each entry sums its four products from
+    left to right. F is any 4x4. The axis transition is the identity, so
+    only process noise is added there; the orientation mean is re-wrapped.
     """
-    f = motion.F_kin
-    kin = ((f @ est.kin.mean).tolist(),
-           _psd_rows((f @ est.kin.cov @ f.T + motion.Q_kin).tolist()))
-    (c11, c12), (c21, c22) = (est.axis.cov + motion.Q_axis).tolist()
-    axis = (*est.axis.mean.tolist(), *_psd_2x2(c11, 0.5 * (c12 + c21), c22))
+    ((f00, f01, f02, f03), (f10, f11, f12, f13), (f20, f21, f22, f23),
+     (f30, f31, f32, f33)) = motion.F_kin.tolist()
+    ((p00, p01, p02, p03), (p10, p11, p12, p13), (p20, p21, p22, p23),
+     (p30, p31, p32, p33)) = est.kin.cov.tolist()
+    ((q00, q01, q02, q03), (q10, q11, q12, q13), (q20, q21, q22, q23),
+     (q30, q31, q32, q33)) = motion.Q_kin.tolist()
+    m0, m1, m2, m3 = est.kin.mean.tolist()
+    g00 = f00 * p00 + f01 * p10 + f02 * p20 + f03 * p30
+    g01 = f00 * p01 + f01 * p11 + f02 * p21 + f03 * p31
+    g02 = f00 * p02 + f01 * p12 + f02 * p22 + f03 * p32
+    g03 = f00 * p03 + f01 * p13 + f02 * p23 + f03 * p33
+    g10 = f10 * p00 + f11 * p10 + f12 * p20 + f13 * p30
+    g11 = f10 * p01 + f11 * p11 + f12 * p21 + f13 * p31
+    g12 = f10 * p02 + f11 * p12 + f12 * p22 + f13 * p32
+    g13 = f10 * p03 + f11 * p13 + f12 * p23 + f13 * p33
+    g20 = f20 * p00 + f21 * p10 + f22 * p20 + f23 * p30
+    g21 = f20 * p01 + f21 * p11 + f22 * p21 + f23 * p31
+    g22 = f20 * p02 + f21 * p12 + f22 * p22 + f23 * p32
+    g23 = f20 * p03 + f21 * p13 + f22 * p23 + f23 * p33
+    g30 = f30 * p00 + f31 * p10 + f32 * p20 + f33 * p30
+    g31 = f30 * p01 + f31 * p11 + f32 * p21 + f33 * p31
+    g32 = f30 * p02 + f31 * p12 + f32 * p22 + f33 * p32
+    g33 = f30 * p03 + f31 * p13 + f32 * p23 + f33 * p33
+    kin = ([f00 * m0 + f01 * m1 + f02 * m2 + f03 * m3,
+            f10 * m0 + f11 * m1 + f12 * m2 + f13 * m3,
+            f20 * m0 + f21 * m1 + f22 * m2 + f23 * m3,
+            f30 * m0 + f31 * m1 + f32 * m2 + f33 * m3],
+           _psd_rows([
+               [g00 * f00 + g01 * f01 + g02 * f02 + g03 * f03 + q00,
+                g00 * f10 + g01 * f11 + g02 * f12 + g03 * f13 + q01,
+                g00 * f20 + g01 * f21 + g02 * f22 + g03 * f23 + q02,
+                g00 * f30 + g01 * f31 + g02 * f32 + g03 * f33 + q03],
+               [g10 * f00 + g11 * f01 + g12 * f02 + g13 * f03 + q10,
+                g10 * f10 + g11 * f11 + g12 * f12 + g13 * f13 + q11,
+                g10 * f20 + g11 * f21 + g12 * f22 + g13 * f23 + q12,
+                g10 * f30 + g11 * f31 + g12 * f32 + g13 * f33 + q13],
+               [g20 * f00 + g21 * f01 + g22 * f02 + g23 * f03 + q20,
+                g20 * f10 + g21 * f11 + g22 * f12 + g23 * f13 + q21,
+                g20 * f20 + g21 * f21 + g22 * f22 + g23 * f23 + q22,
+                g20 * f30 + g21 * f31 + g22 * f32 + g23 * f33 + q23],
+               [g30 * f00 + g31 * f01 + g32 * f02 + g33 * f03 + q30,
+                g30 * f10 + g31 * f11 + g32 * f12 + g33 * f13 + q31,
+                g30 * f20 + g31 * f21 + g32 * f22 + g33 * f23 + q32,
+                g30 * f30 + g31 * f31 + g32 * f32 + g33 * f33 + q33]]))
+    (c11, c12), (c21, c22) = est.axis.cov.tolist()
+    (q11, q12), (q21, q22) = motion.Q_axis.tolist()
+    axis = (*est.axis.mean.tolist(),
+            *_psd_2x2(c11 + q11, 0.5 * ((c12 + q12) + (c21 + q21)), c22 + q22))
     return kin, axis, (wrap_angle(est.orient.mean),
                        est.orient.var + motion.Q_theta)
 
@@ -145,27 +198,35 @@ def kalman_center_update(kin: tuple, z1: float, z2: float, noise, c: float,
 
     The effective noise (R + c X) / count adds to the sensor noise R
     (entries ``noise``) the spread of sources over the extent, X the
-    shape matrix (:func:`_shape_entries`). H P is the first two rows.
+    shape matrix (:func:`_shape_entries`). H P is the first two rows of
+    P, so row j of the gain P H^T S^-1 is (u_j, v_j) = S^-1 (P_0j, P_1j),
+    and the covariance is P_jk - (u_j P_0k + v_j P_1k).
     """
-    mean, cov = kin
-    top, bottom = cov[0], cov[1]
+    (m0, m1, m2, m3), ((p00, p01, p02, p03), (p10, p11, p12, p13),
+                       (p20, p21, p22, p23), (p30, p31, p32, p33)) = kin
     r11, r12, r21, r22 = noise
     x11, x22, x12 = shape
     ((a11, a12), (a21, a22)), det = _guarded_adjugate(
-        ((top[0] + (r11 + c * x11) / count, top[1] + (r12 + c * x12) / count),
-         (bottom[0] + (r21 + c * x12) / count,
-          bottom[1] + (r22 + c * x22) / count)),
+        ((p00 + (r11 + c * x11) / count, p01 + (r12 + c * x12) / count),
+         (p10 + (r21 + c * x12) / count, p11 + (r22 + c * x22) / count)),
         SingularInnovation("kinematic innovation covariance "
                            "is ill-conditioned"))
-    r1, r2 = z1 - mean[0], z2 - mean[1]
-    new_mean, new_cov = [], []
-    for m, row, t, b in zip(mean, cov, top, bottom):
-        # Row j of the gain P H^T S^-1 is S^-1 (P_0j, P_1j).
-        g1, g2 = (a11 * t + a12 * b) / det, (a21 * t + a22 * b) / det
-        new_mean.append(m + (g1 * r1 + g2 * r2))
-        new_cov.append([p - (g1 * tk + g2 * bk)
-                        for p, tk, bk in zip(row, top, bottom)])
-    return new_mean, _psd_rows(new_cov)
+    r1, r2 = z1 - m0, z2 - m1
+    u0, v0 = (a11 * p00 + a12 * p10) / det, (a21 * p00 + a22 * p10) / det
+    u1, v1 = (a11 * p01 + a12 * p11) / det, (a21 * p01 + a22 * p11) / det
+    u2, v2 = (a11 * p02 + a12 * p12) / det, (a21 * p02 + a22 * p12) / det
+    u3, v3 = (a11 * p03 + a12 * p13) / det, (a21 * p03 + a22 * p13) / det
+    return ([m0 + (u0 * r1 + v0 * r2), m1 + (u1 * r1 + v1 * r2),
+             m2 + (u2 * r1 + v2 * r2), m3 + (u3 * r1 + v3 * r2)],
+            _psd_rows([
+                [p00 - (u0 * p00 + v0 * p10), p01 - (u0 * p01 + v0 * p11),
+                 p02 - (u0 * p02 + v0 * p12), p03 - (u0 * p03 + v0 * p13)],
+                [p10 - (u1 * p00 + v1 * p10), p11 - (u1 * p01 + v1 * p11),
+                 p12 - (u1 * p02 + v1 * p12), p13 - (u1 * p03 + v1 * p13)],
+                [p20 - (u2 * p00 + v2 * p10), p21 - (u2 * p01 + v2 * p11),
+                 p22 - (u2 * p02 + v2 * p12), p23 - (u2 * p03 + v2 * p13)],
+                [p30 - (u3 * p00 + v3 * p10), p31 - (u3 * p01 + v3 * p11),
+                 p32 - (u3 * p02 + v3 * p12), p33 - (u3 * p03 + v3 * p13)]]))
 
 
 def _axis_moments(axis: tuple, aligned_w: tuple, c: float) -> tuple:
@@ -306,10 +367,12 @@ def step_sequential(est: DecoupledEstimate, measurements: MeasurementSet,
     alone, so the result is identical for every permutation.
     Ill-conditioned single updates are skipped and counted.
     """
-    for component in order:
-        if component not in UPDATE_ORDER:
-            raise ValueError(f"unknown component {component!r}")
-    sequence = [UPDATE_ORDER.index(component) for component in order]
+    sequence = _DEFAULT_SEQUENCE
+    if order is not UPDATE_ORDER:
+        for component in order:
+            if component not in UPDATE_ORDER:
+                raise ValueError(f"unknown component {component!r}")
+        sequence = [UPDATE_ORDER.index(component) for component in order]
     parts = list(_predict(est, motion))
     points = measurements.points.tolist()
     if not points:

@@ -21,12 +21,12 @@ import numpy as np
 from .batch import step_batch
 from .errors import ConfigError
 from .measurements import MeasurementSet, SourceDistribution, sample_scans
-from .metrics import EllipseParams, ellipse_from_estimate, gwd_squared, \
-    orientation_error
+from .metrics import EllipseParams, _gwd_squared, orientation_error
 from .sequential import StepDiagnostics, step_sequential
 from .state import (AxisState, DecoupledEstimate, FilterConfig, KinematicState,
                     MotionModel, OrientationState, _has_psd_pivots,
-                    constant_velocity_transition, rot, wrap_angle)
+                    _symmetry_tol, constant_velocity_transition, rot,
+                    wrap_angle)
 
 # Sampled true semi-axes are floored here; the shape priors put a little
 # Gaussian mass on negative lengths.
@@ -161,11 +161,12 @@ class ScenarioConfig:
         count = self.fixed_count
         if count is not None and not (_is_count(count) and count >= 0):
             raise ConfigError(f"fixed_count must be an integer >= 0, got {count!r}")
+        # The numbers first, so a bad R is reported as a bad covariance.
+        self._check_numbers()
         try:
             self.filter_config()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        self._check_numbers()
 
     def _check_numbers(self):
         """Reject non-finite numbers and negative variances.
@@ -199,7 +200,7 @@ class ScenarioConfig:
                                   f"negative, got {value}")
         for name, cov in covariances.items():
             sym = cov + cov.T
-            tol = 1e-12 * np.abs(sym).max()
+            tol = _symmetry_tol(cov)
             sym.flat[::len(sym) + 1] += tol
             if (np.abs(cov - cov.T).max() > tol
                     or not _has_psd_pivots(sym.tolist())):
@@ -299,8 +300,12 @@ def run_single(cfg: ScenarioConfig, filter_kind: str,
         tic = time.perf_counter()
         est = step(est, meas, cfg.motion, fcfg, diagnostics=diagnostics)
         total_time += time.perf_counter() - tic
-        gwd[idx] = gwd_squared(ellipse_from_estimate(est), truth.ellipse())
-        orient[idx] = orientation_error(est.orient.mean, truth.theta)
+        x, y, _, _ = est.kin.mean.tolist()
+        theta = est.orient.mean
+        gwd[idx] = _gwd_squared(x, y, theta, *est.axis.mean.tolist(),
+                                *truth.center.tolist(), truth.theta,
+                                *truth.axes.tolist())
+        orient[idx] = orientation_error(theta, truth.theta)
     return RunResult(run_index, gwd, orient, total_time, diagnostics)
 
 

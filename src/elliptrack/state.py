@@ -253,6 +253,12 @@ class MotionModel:
         object.__setattr__(self, "Q_theta", float(self.Q_theta))
 
 
+def _symmetry_tol(mat: np.ndarray) -> float:
+    """The rounding a covariance ``mat`` may carry: 1e-12 of the largest
+    entry of A + A^T. A - A^T must stay within it."""
+    return 1e-12 * np.abs(mat + mat.T).max()
+
+
 def constant_velocity_transition(dt: float = 1.0) -> np.ndarray:
     """4x4 constant-velocity transition matrix for time step ``dt``."""
     f = np.eye(4)
@@ -269,6 +275,7 @@ class FilterConfig:
     moment-matches a uniform distribution on an ellipse, 1/3 on a
     rectangle. ``psi``, when set, bounds each semi-axis standard
     deviation at ``psi`` times the estimated length (batch variant only).
+    ``R`` must be finite and symmetric up to :func:`_symmetry_tol`.
     """
     R: np.ndarray
     c: float = 0.25
@@ -276,6 +283,11 @@ class FilterConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "R", np.asarray(self.R, dtype=float).reshape(2, 2))
+        r = self.R
+        if not (np.isfinite(r).all()
+                and np.abs(r - r.T).max() <= _symmetry_tol(r)):
+            raise ValueError(f"R must be finite and symmetric, "
+                             f"got {r.tolist()}")
         object.__setattr__(self, "c", float(self.c))
         if self.c <= 0.0:
             raise ValueError(f"scaling factor must be positive, got {self.c}")

@@ -1,8 +1,11 @@
 import concurrent.futures
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from elliptrack import predict
 from elliptrack.cli import main, resolve_scenario, scenario_from_dict, \
@@ -497,3 +500,131 @@ class TestExitCodes:
     def test_unwritable_output_exits_3(self, tmp_path):
         assert main(["simulate", "--scenario", "moderate", "--seed", "1",
                      "--out", str(tmp_path / "missing" / "o.jsonl")]) == 3
+
+
+# Exit codes of the README table that malformed `track` or `eval` input may
+# end with (0 when a generated file happens to be valid).
+DOCUMENTED_EXITS = {0, 2, 3, 4, 5}
+VALID_MEASUREMENT = {"t": 1, "measurements": [[0.5, -0.2], [1.0, 0.3]]}
+VALID_TRUTH = {"t": 1, "truth": {"center": [0.1, 0.2], "theta": 0.3,
+                                 "axes": [4.0, 2.0], "velocity": [0.0, 0.0]}}
+VALID_ESTIMATE = {"t": 1,
+                  "kinematics": {"dim": 4, "mean": [0.0, 0.0, 0.0, 0.0],
+                                 "cov": [0.1, 0.0, 0.0, 0.0, 0.0, 0.1, 0.0, 0.0,
+                                         0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]},
+                  "axis": {"dim": 2, "mean": [4.0, 2.0],
+                           "cov": [4.0, 0.0, 0.0, 2.0]},
+                  "orientation": {"mean": 0.0, "var": 0.5}}
+EVAL_RECORDS = {"est": VALID_ESTIMATE, "truth": VALID_TRUTH}
+
+# JSON values of every type: huge integers, non-finite floats (written as
+# NaN/Infinity, which json.loads reads back), strings, nesting.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.sampled_from([10 ** 400, -(10 ** 400), 2 ** 63]) | st.floats()
+    | st.text(max_size=4),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=4), children,
+                                        max_size=3)),
+    max_leaves=8)
+
+
+def _paths(node, prefix=()):
+    """Every (path, value) inside a JSON record, the root excluded."""
+    items = (node.items() if isinstance(node, dict) else enumerate(node)
+             if isinstance(node, list) else ())
+    for key, value in items:
+        yield prefix + (key,), value
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def fuzzed_lines(draw, valid):
+    """One line of a JSON Lines file, built from the record ``valid``:
+    undecodable bytes, text junk, a truncated record, any JSON value, or
+    the record with one entry removed or replaced by any JSON value."""
+    kind = draw(st.sampled_from(["bytes", "junk", "truncated", "value",
+                                 "missing", "replaced"]))
+    text = json.dumps(valid)
+    if kind == "bytes":
+        return draw(st.binary(min_size=1, max_size=12)).replace(b"\n", b" ")
+    if kind == "junk":
+        return draw(st.text(st.characters(blacklist_categories=("Cs",)),
+                            max_size=20))
+    if kind == "truncated":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    if kind == "value":
+        return json.dumps(draw(json_values))
+    record = json.loads(text)
+    path, _ = draw(st.sampled_from(list(_paths(record))))
+    parent = record
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "missing":
+        if isinstance(parent, dict):
+            del parent[path[-1]]
+        else:
+            parent.pop(path[-1])
+    else:
+        parent[path[-1]] = draw(json_values)
+    return json.dumps(record)
+
+
+@st.composite
+def fuzzed_files(draw, valid):
+    """The lines of a file: valid records with one to three fuzzed ones
+    in between, in any order."""
+    lines = [json.dumps(valid).encode()] * draw(st.integers(0, 2))
+    for _ in range(draw(st.integers(1, 3))):
+        line = draw(fuzzed_lines(valid))
+        lines.insert(draw(st.integers(0, len(lines))),
+                     line if isinstance(line, bytes) else line.encode())
+    return b"\n".join(lines) + b"\n"
+
+
+class TestReaderFuzz:
+    """`track` and `eval` end every generated input with a documented exit
+    code, never with an exception."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz")
+
+    @staticmethod
+    def _run(argv):
+        with contextlib.redirect_stderr(io.StringIO()) as stderr:
+            code = main(argv)
+        err = stderr.getvalue()
+        assert code in DOCUMENTED_EXITS
+        assert "Traceback" not in err
+        assert code == 0 or err
+
+    @settings(max_examples=150)
+    @given(content=fuzzed_files(VALID_MEASUREMENT),
+           filter_kind=st.sampled_from(["sequential", "batch"]))
+    @example(content=b"[" * 100000 + b"\n", filter_kind="sequential")
+    @example(content=b"\xff\xfe{}\n", filter_kind="batch")
+    def test_track(self, workdir, content, filter_kind):
+        meas = workdir / "m.jsonl"
+        meas.write_bytes(content)
+        self._run(["track", str(meas), "--scenario", "moderate", "--filter",
+                   filter_kind, "--out", str(workdir / "est.jsonl")])
+
+    @settings(max_examples=150)
+    @given(case=st.sampled_from(["est", "truth"]).flatmap(
+        lambda fuzzed: st.tuples(st.just(fuzzed),
+                                 fuzzed_files(EVAL_RECORDS[fuzzed]))))
+    @example(case=("truth", json.dumps(
+        {**VALID_TRUTH, "truth": {**VALID_TRUTH["truth"], "theta": 10 ** 400}}
+    ).encode()))
+    @example(case=("est", json.dumps(
+        {**VALID_ESTIMATE, "orientation": {"mean": 10 ** 400, "var": 0.5}}
+    ).encode()))
+    def test_eval(self, workdir, case):
+        fuzzed, content = case
+        paths = {"est": workdir / "est.jsonl", "truth": workdir / "truth.jsonl"}
+        for kind, path in paths.items():
+            path.write_bytes(content if kind == fuzzed else
+                             (json.dumps(EVAL_RECORDS[kind]) + "\n").encode())
+        self._run(["eval", str(paths["est"]), str(paths["truth"]),
+                   "--out", str(workdir / "errors.csv")])

@@ -10,7 +10,12 @@ eigenvalue condition guard with a LAPACK solve, the single-row and
 block-diagonal stacked axis updates, and both steps on arrays of
 per-point terms with the Cholesky/eigenvalue repair. Property tests draw
 random PSD priors and point clouds and hold the float steps to them.
+The written-out prediction, kinematic update and solve are also held to
+their numpy-product and row-loop forms, bit for bit where the summation
+order cannot matter.
 """
+
+from operator import mul
 
 import numpy as np
 import pytest
@@ -25,12 +30,13 @@ from elliptrack.errors import SingularInnovation, SingularPseudoCov
 from elliptrack.measurements import (CenteredMeasurements, _scatter,
                                      aligned_squares, build_pseudo)
 from elliptrack.sequential import (AXIS_FLOOR, COND_LIMIT, AxisMoments,
-                                   _guarded_adjugate, _guarded_solve,
-                                   _update_or_skip,
+                                   _guarded_adjugate, _guarded_solve, _predict,
+                                   _update_or_skip, kalman_center_update,
                                    orientation_moments, update_axis)
 from elliptrack.simulation import sample_run_data
 from elliptrack.state import (_axis_floats, _axis_state, _has_psd_pivots,
-                              _has_psd_pivots_4x4, _psd_rows, _shape_entries,
+                              _has_psd_pivots_4x4, _psd_2x2, _psd_rows,
+                              _shape_entries, _symmetry_tol,
                               clamp_axis_variance, wrap_angle)
 
 from conftest import QUAD_SELECT, assert_symmetric_psd, symmetrize_psd_oracle
@@ -657,3 +663,189 @@ def test_guarded_adjugate_raises_exactly_when_kappa_f_reaches_the_limit(mat):
     except SingularPseudoCov:
         raised = True
     assert raised == (not kappa < COND_LIMIT), kappa
+
+
+def predict_numpy(est, motion):
+    """The prediction's floats with numpy products: F m, F P F^T + Q and
+    the axis sum as arrays, then the repairs of the written-out form."""
+    f = motion.F_kin
+    kin = ((f @ est.kin.mean).tolist(),
+           _psd_rows((f @ est.kin.cov @ f.T + motion.Q_kin).tolist()))
+    (c11, c12), (c21, c22) = (est.axis.cov + motion.Q_axis).tolist()
+    axis = (*est.axis.mean.tolist(), *_psd_2x2(c11, 0.5 * (c12 + c21), c22))
+    return kin, axis, (wrap_angle(est.orient.mean),
+                       est.orient.var + motion.Q_theta)
+
+
+def kalman_center_update_rows(kin, z1, z2, noise, c, shape, count=1):
+    """The kinematic update as a loop over the rows of the gain and a
+    comprehension over the covariance entries."""
+    mean, cov = kin
+    top, bottom = cov[0], cov[1]
+    r11, r12, r21, r22 = noise
+    x11, x22, x12 = shape
+    ((a11, a12), (a21, a22)), det = _guarded_adjugate(
+        ((top[0] + (r11 + c * x11) / count, top[1] + (r12 + c * x12) / count),
+         (bottom[0] + (r21 + c * x12) / count,
+          bottom[1] + (r22 + c * x22) / count)),
+        SingularInnovation("ill-conditioned"))
+    r1, r2 = z1 - mean[0], z2 - mean[1]
+    new_mean, new_cov = [], []
+    for m, row, t, b in zip(mean, cov, top, bottom):
+        g1, g2 = (a11 * t + a12 * b) / det, (a21 * t + a22 * b) / det
+        new_mean.append(m + (g1 * r1 + g2 * r2))
+        new_cov.append([p - (g1 * tk + g2 * bk)
+                        for p, tk, bk in zip(row, top, bottom)])
+    return new_mean, _psd_rows(new_cov)
+
+
+def guarded_solve_rows(mat, rhs, exc):
+    """adj(A) rhs / det(A) as one ``sum`` per row."""
+    adj, det = _guarded_adjugate(mat, exc)
+    return [sum(map(mul, row, rhs)) / det for row in adj]
+
+
+def _bits(value):
+    """The bytes of the floats in ``value``, with -0.0 read as 0.0: a sum
+    of zero terms that are all -0.0 is -0.0 written out, but +0.0 from a
+    BLAS product, whose accumulator starts at +0.0."""
+    return (np.array(value, dtype=float) + 0.0).tobytes()
+
+
+def _update_or_error(update, *args):
+    try:
+        return update(*args)
+    except SingularInnovation as exc:
+        return type(exc)
+
+
+# Transitions with entries in {0, 1} and at most two ones per row: every
+# entry of F m, F P and (F P) F^T is then one exact sum of at most two
+# exact products, the same in any summation order. (With three or more
+# terms the rounding depends on the order, which numpy leaves to the BLAS
+# kernel: OpenBLAS sums a 4x4 matrix-matrix product from left to right but
+# a matrix-vector product pairwise.)
+zero_one_transitions = st.lists(
+    st.lists(st.integers(0, 3), max_size=2, unique=True), min_size=4,
+    max_size=4).map(lambda rows: [[float(j in row) for j in range(4)]
+                                  for row in rows])
+
+
+@st.composite
+def random_transitions(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return rng.normal(size=(4, 4)) * 10.0 ** rng.uniform(-1.0, 1.0)
+
+
+@st.composite
+def kinematic_problems(draw, transitions):
+    """A prior, a motion with F from ``transitions``, and the point, noise
+    and scaling factor of a kinematic update after the prediction.
+
+    The prior covariances are L L^T, with the velocity block or the axis
+    covariance exactly zero in some draws, plus an antisymmetric part of
+    up to 5e-13 of their largest entry: asymmetric, but within the
+    tolerance a config allows (:func:`_symmetry_tol`).
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    skew = draw(st.sampled_from([0.0, 1e-13, 5e-13]))
+
+    def covariance(n, zero_rows=0):
+        root = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-2.0, 2.0)
+        root[n - zero_rows:] = 0.0
+        cov = root @ root.T
+        twist = rng.uniform(-1.0, 1.0, size=(n, n))
+        cov = cov + skew * np.abs(cov).max() * (twist - twist.T)
+        assert np.abs(cov - cov.T).max() <= _symmetry_tol(cov)
+        return cov
+
+    kin = KinematicState(rng.normal(size=4) * 5.0,
+                         covariance(4, draw(st.sampled_from([0, 2]))))
+    axis = AxisState(rng.uniform(0.5, 6.0, size=2),
+                     covariance(2, draw(st.sampled_from([0, 2]))))
+    orient = OrientationState(rng.uniform(-np.pi, np.pi), rng.uniform(0.0, 1.0))
+    motion = MotionModel(np.array(draw(transitions)), covariance(4),
+                         covariance(2) * draw(st.sampled_from([0.0, 0.1])),
+                         rng.uniform(0.0, 0.2))
+    r_root = rng.normal(size=(2, 2))
+    noise = (r_root @ r_root.T + 0.1 * np.eye(2)).ravel().tolist()
+    noise[1] = noise[2]
+    return (DecoupledEstimate(kin, axis, orient), motion,
+            (rng.normal(size=2) * 5.0).tolist(), noise,
+            draw(st.sampled_from([0.25, 1.0 / 3.0])), draw(st.integers(1, 12)))
+
+
+def _kinematic_update_pair(problem):
+    """(written-out, row form) of the prediction and the update after it."""
+    est, motion, (z1, z2), noise, c, count = problem
+    pred, pred_ref = _predict(est, motion), predict_numpy(est, motion)
+    outputs = []
+    for (kin, axis, orient), update in ((pred, kalman_center_update),
+                                        (pred_ref, kalman_center_update_rows)):
+        shape = _shape_entries(orient[0], axis[0], axis[1])
+        outputs.append((kin, axis, orient, _update_or_error(
+            update, kin, z1, z2, noise, c, shape, count)))
+    return outputs
+
+
+CONSTANT_VELOCITY = constant_velocity_transition(1.0).tolist()
+
+
+@settings(max_examples=300)
+@given(problem=kinematic_problems(zero_one_transitions))
+@example(problem=(DecoupledEstimate(
+    KinematicState([1.0, -2.0, 3.0, 0.5], np.diag([2.0, 2.0, 0.5, 0.5])),
+    AxisState([5.0, 2.0], np.eye(2)), OrientationState(0.3, 0.1)),
+    MotionModel(CONSTANT_VELOCITY, np.diag([1.0, 1.0, 2.0, 2.0]),
+                np.zeros((2, 2)), 0.1),
+    [2.0, -1.0], [1.0, 0.25, 0.25, 1.0], 0.25, 1))
+def test_written_out_prediction_and_update_equal_the_numpy_forms_bit_for_bit(
+        problem):
+    # constant-velocity and other 0/1 transitions; exact zero blocks and
+    # priors asymmetric within the config tolerance
+    (kin, axis, orient, updated), (kin_ref, axis_ref, orient_ref,
+                                   updated_ref) = _kinematic_update_pair(problem)
+    assert _bits(kin[0]) == _bits(kin_ref[0])
+    assert _bits(kin[1]) == _bits(kin_ref[1])
+    assert _bits(axis) == _bits(axis_ref) and _bits(orient) == _bits(orient_ref)
+    if isinstance(updated_ref, type):
+        assert updated is updated_ref
+    else:
+        assert _bits(updated[0]) == _bits(updated_ref[0])
+        assert _bits(updated[1]) == _bits(updated_ref[1])
+
+
+@settings(max_examples=300)
+@given(problem=kinematic_problems(random_transitions()))
+def test_written_out_prediction_and_update_match_the_numpy_forms(problem):
+    # any F: the products round in another order, so the two agree to the
+    # oracle tolerance, relative to the size of the terms that were summed
+    est, motion, *_ = problem
+    (kin, axis, orient, updated), (kin_ref, axis_ref, orient_ref,
+                                   updated_ref) = _kinematic_update_pair(problem)
+    f, cov = np.abs(motion.F_kin), np.abs(est.kin.cov)
+    mean_scale = (f @ np.abs(est.kin.mean)).max()
+    cov_scale = (f @ cov @ f.T + np.abs(motion.Q_kin)).max()
+    assert np.abs(np.subtract(kin[0], kin_ref[0])).max() <= TOL * mean_scale
+    assert np.abs(np.subtract(kin[1], kin_ref[1])).max() <= TOL * cov_scale
+    assert _bits(axis) == _bits(axis_ref) and _bits(orient) == _bits(orient_ref)
+    if isinstance(updated, type) or isinstance(updated_ref, type):
+        # only a kappa_F on the guard's edge may go either way
+        return
+    assert (np.abs(np.subtract(updated[0], updated_ref[0])).max()
+            <= TOL * max(mean_scale, np.abs(updated_ref[0]).max()))
+    assert np.abs(np.subtract(updated[1], updated_ref[1])).max() <= TOL * cov_scale
+
+
+@settings(max_examples=300)
+@given(mat=guard_matrices(), seed=st.integers(0, 2 ** 32 - 1))
+def test_written_out_solve_equals_the_row_sums(mat, seed):
+    rhs = np.random.default_rng(seed).normal(size=len(mat)).tolist()
+    exc = SingularPseudoCov("skip")
+    try:
+        expected = guarded_solve_rows(mat.tolist(), rhs, exc)
+    except SingularPseudoCov:
+        with pytest.raises(SingularPseudoCov):
+            _guarded_solve(mat.tolist(), rhs, exc)
+        return
+    assert _guarded_solve(mat.tolist(), rhs, exc) == expected

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -234,6 +235,25 @@ class TestFilterConfig:
     def test_accepts_valid_psi(self):
         cfg = FilterConfig(R=np.eye(2), c=0.25, psi=0.4)
         assert cfg.psi == 0.4
+
+    @pytest.mark.parametrize("noise", [
+        [[1.0, 0.5], [0.0, 1.0]], [[1.0, 0.0], [0.5, 1.0]],
+        [[1.0, 1e-11], [0.0, 1.0]],
+        [[np.nan, 0.0], [0.0, 1.0]], [[1.0, np.inf], [np.inf, 1.0]]])
+    def test_rejects_asymmetric_or_non_finite_noise(self, noise):
+        # FilterConfig(R=[[1, .5], [0, 1]]) used to be accepted, and the
+        # batch step then gave one mean for R and another for R^T; a
+        # non-finite R is rejected before any arithmetic can warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match="R must be finite and symmetric"):
+                FilterConfig(R=noise)
+
+    def test_accepts_noise_symmetric_up_to_rounding(self):
+        # |R12 - R21| = 2e-12 against 1e-12 of the largest entry of R + R^T (4)
+        noise = [[2.0, 0.5], [0.5 + 2e-12, 1.0]]
+        assert FilterConfig(R=noise).R.tolist() == noise
 
 
 def _arrays(est):
