@@ -28,7 +28,7 @@ from .sequential import StepDiagnostics, _guarded_solve, _predict, \
     step_sequential, update_axis
 from .state import (AxisState, DecoupledEstimate, FilterConfig, KinematicState,
                     MotionModel, OrientationState, _axis_floats, _axis_state,
-                    _estimate, _kinematic_state, _shape_entries, wrap_angle)
+                    _estimate, _of_floats, _shape_entries, wrap_angle)
 
 
 def batch_update_kinematics(kin: KinematicState, measurements: MeasurementSet,
@@ -40,9 +40,8 @@ def batch_update_kinematics(kin: KinematicState, measurements: MeasurementSet,
     this is exactly the sequential update, :func:`kalman_center_update`.
     """
     (x11, x12), (_, x22) = np.asarray(shape_est, dtype=float).tolist()
-    return _kinematic_state(*kalman_center_update(
-        (kin.mean.tolist(), kin.cov.tolist()),
-        *measurements.points.mean(axis=0).tolist(), cfg.R.ravel().tolist(),
+    return _of_floats(KinematicState, kalman_center_update(
+        kin._floats, *measurements.points.mean(axis=0).tolist(), cfg._noise,
         cfg.c, (x11, x22, x12), len(measurements)))
 
 
@@ -107,7 +106,7 @@ def step_batch(est: DecoupledEstimate, measurements: MeasurementSet,
                                diagnostics=diagnostics)
     kin, axis, orient = _predict(est, motion)
     points = measurements.points.tolist()
-    noise = cfg.R.ravel().tolist()
+    noise = cfg._noise
     (z1, z2), w = _centering(points, kin, noise)
     scatter = _scatter(points, z1, z2)
     count, theta = len(points), orient[0]

@@ -156,15 +156,15 @@ def truth_to_dict(t: int, truth) -> dict:
 
 def estimate_to_dict(t: int, est: DecoupledEstimate) -> dict:
     # Covariances are flattened row-major with explicit dimensions.
+    (kin_mean, kin_cov), (axis_mean, axis_cov), (theta, var) = est._floats
     return {"t": t,
             "kinematics": {"dim": 4,
-                           "mean": est.kin.mean.tolist(),
-                           "cov": est.kin.cov.flatten().tolist()},
+                           "mean": list(kin_mean),
+                           "cov": [x for row in kin_cov for x in row]},
             "axis": {"dim": 2,
-                     "mean": est.axis.mean.tolist(),
-                     "cov": est.axis.cov.flatten().tolist()},
-            "orientation": {"mean": est.orient.mean,
-                            "var": est.orient.var}}
+                     "mean": list(axis_mean),
+                     "cov": [x for row in axis_cov for x in row]},
+            "orientation": {"mean": theta, "var": var}}
 
 
 def estimate_from_dict(data: dict) -> DecoupledEstimate:

@@ -34,7 +34,8 @@ class EllipseParams:
 
 def ellipse_from_estimate(est: DecoupledEstimate) -> EllipseParams:
     """Extract the ellipse described by a decoupled estimate's means."""
-    return EllipseParams(est.kin.center, est.orient.mean, est.axis.mean)
+    (kin_mean, _), (axis_mean, _), (theta, _) = est._floats
+    return EllipseParams(kin_mean[:2], theta, axis_mean)
 
 
 def matrix_sqrt_2x2(mat: np.ndarray) -> np.ndarray:

@@ -8,8 +8,9 @@ irrelevant. The axis and orientation updates are linear estimators on the
 quadratic pseudo-measurements; their moments follow from the Gaussian
 source moment match plus a first-order treatment of the orientation
 uncertainty. Inside a step the estimate is carried as Python floats:
-(mean, cov) lists, (p1, p2, P11, P12, P22) and (theta, var); the public
-dataclasses are built once per step, without re-validation.
+(mean, cov) lists, (p1, p2, P11, P12, P22) and (theta, var). A step reads
+the floats its prior, motion and noise store, and its result stores the
+floats alone (:func:`_estimate`); arrays are built only when read.
 """
 
 # String annotations: typing's caches would keep re-imported classes alive.
@@ -130,18 +131,23 @@ def _guarded_solve(mat, rhs, exc):
 def _predict(est: DecoupledEstimate, motion: MotionModel) -> tuple:
     """Kalman prediction of each component, as the floats of a step.
 
-    The kinematic covariance is F P F^T + Q, formed as G = F P and then
-    G F^T + Q, entry by entry; each entry sums its four products from
-    left to right. F is any 4x4. The axis transition is the identity, so
-    only process noise is added there; the orientation mean is re-wrapped.
+    Reads the floats of the estimate and of the motion, never their
+    arrays. The kinematic covariance is F P F^T + Q, formed as G = F P
+    and then G F^T + Q, entry by entry; each entry sums its four products
+    from left to right. F is any 4x4. The axis transition is the
+    identity, so only process noise is added there; the orientation mean
+    is re-wrapped.
     """
+    (mean, cov), ((a1, a2), ((c11, c12), (c21, c22))), (theta, var) = \
+        est._floats
+    f, q, ((qa11, qa12), (qa21, qa22)), q_theta = motion._floats
     ((f00, f01, f02, f03), (f10, f11, f12, f13), (f20, f21, f22, f23),
-     (f30, f31, f32, f33)) = motion.F_kin.tolist()
+     (f30, f31, f32, f33)) = f
     ((p00, p01, p02, p03), (p10, p11, p12, p13), (p20, p21, p22, p23),
-     (p30, p31, p32, p33)) = est.kin.cov.tolist()
+     (p30, p31, p32, p33)) = cov
     ((q00, q01, q02, q03), (q10, q11, q12, q13), (q20, q21, q22, q23),
-     (q30, q31, q32, q33)) = motion.Q_kin.tolist()
-    m0, m1, m2, m3 = est.kin.mean.tolist()
+     (q30, q31, q32, q33)) = q
+    m0, m1, m2, m3 = mean
     g00 = f00 * p00 + f01 * p10 + f02 * p20 + f03 * p30
     g01 = f00 * p01 + f01 * p11 + f02 * p21 + f03 * p31
     g02 = f00 * p02 + f01 * p12 + f02 * p22 + f03 * p32
@@ -179,12 +185,9 @@ def _predict(est: DecoupledEstimate, motion: MotionModel) -> tuple:
                 g30 * f10 + g31 * f11 + g32 * f12 + g33 * f13 + q31,
                 g30 * f20 + g31 * f21 + g32 * f22 + g33 * f23 + q32,
                 g30 * f30 + g31 * f31 + g32 * f32 + g33 * f33 + q33]]))
-    (c11, c12), (c21, c22) = est.axis.cov.tolist()
-    (q11, q12), (q21, q22) = motion.Q_axis.tolist()
-    axis = (*est.axis.mean.tolist(),
-            *_psd_2x2(c11 + q11, 0.5 * ((c12 + q12) + (c21 + q21)), c22 + q22))
-    return kin, axis, (wrap_angle(est.orient.mean),
-                       est.orient.var + motion.Q_theta)
+    axis = (a1, a2, *_psd_2x2(c11 + qa11,
+                              0.5 * ((c12 + qa12) + (c21 + qa21)), c22 + qa22))
+    return kin, axis, (wrap_angle(theta), var + q_theta)
 
 
 def predict(est: DecoupledEstimate, motion: MotionModel) -> DecoupledEstimate:
@@ -377,7 +380,7 @@ def step_sequential(est: DecoupledEstimate, measurements: MeasurementSet,
     points = measurements.points.tolist()
     if not points:
         return _estimate(*parts)
-    noise = cfg.R.ravel().tolist()
+    noise = cfg._noise
     (c1, c2), w = _centering(points, parts[0], noise)
     c = cfg.c
     for z1, z2 in points:

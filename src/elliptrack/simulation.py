@@ -300,9 +300,8 @@ def run_single(cfg: ScenarioConfig, filter_kind: str,
         tic = time.perf_counter()
         est = step(est, meas, cfg.motion, fcfg, diagnostics=diagnostics)
         total_time += time.perf_counter() - tic
-        x, y, _, _ = est.kin.mean.tolist()
-        theta = est.orient.mean
-        gwd[idx] = _gwd_squared(x, y, theta, *est.axis.mean.tolist(),
+        ((x, y, _, _), _), ((l1, l2), _), (theta, _) = est._floats
+        gwd[idx] = _gwd_squared(x, y, theta, l1, l2,
                                 *truth.center.tolist(), truth.theta,
                                 *truth.axes.tolist())
         orient[idx] = orientation_error(theta, truth.theta)

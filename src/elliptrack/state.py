@@ -8,7 +8,7 @@ the decoupling is structural.
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -189,15 +189,62 @@ def shape_matrix(theta: float, axes: np.ndarray) -> np.ndarray:
     return np.array([[x11, x12], [x12, x22]])
 
 
+def _frozen_copy(values, shape) -> np.ndarray:
+    """A read-only float copy of ``values`` in ``shape``. It never shares
+    memory with the caller's array, which stays writeable."""
+    array = np.asarray(values, dtype=float).reshape(shape).copy()
+    array.setflags(write=False)
+    return array
+
+
+def _reduce_through_constructor(self):
+    """Pickle and copy a frozen dataclass through its public constructor,
+    so the copy's arrays are read-only again and its floats derived from
+    them: unpickled and deep-copied arrays come back writeable."""
+    return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+def _of_floats(cls, floats):
+    """The ``cls`` object whose one stored form is ``floats``, built without
+    ``__post_init__``: a step's own floats need no re-validation."""
+    obj = object.__new__(cls)
+    obj.__dict__["_floats"] = floats
+    return obj
+
+
+class _FloatBacked:
+    """A Gaussian component stored as the floats (mean, covariance rows).
+
+    ``mean`` and ``cov`` are read-only arrays. The public constructor makes
+    them as copies of its input and derives the floats from them once. A
+    state built by a step (:func:`_of_floats`) holds the floats alone, and
+    each array is built from them on its first read and cached.
+    """
+    __reduce__ = _reduce_through_constructor
+
+    def __post_init__(self):
+        n = self._DIM
+        mean, cov = _frozen_copy(self.mean, n), _frozen_copy(self.cov, (n, n))
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "_floats", (mean.tolist(), cov.tolist()))
+
+    def __getattr__(self, name):
+        # Runs only for a name the instance does not hold yet.
+        if name != "mean" and name != "cov":
+            raise AttributeError(name)
+        array = np.array(self._floats[name == "cov"])
+        array.setflags(write=False)
+        self.__dict__[name] = array
+        return array
+
+
 @dataclass(frozen=True)
-class KinematicState:
+class KinematicState(_FloatBacked):
     """Center position and velocity (m, m/s) with 4x4 covariance."""
     mean: np.ndarray
     cov: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float).reshape(4))
-        object.__setattr__(self, "cov", np.asarray(self.cov, dtype=float).reshape(4, 4))
+    _DIM = 4
 
     @property
     def center(self) -> np.ndarray:
@@ -205,14 +252,15 @@ class KinematicState:
 
 
 @dataclass(frozen=True)
-class AxisState:
-    """Semi-axis lengths (m) with 2x2 covariance."""
+class AxisState(_FloatBacked):
+    """Semi-axis lengths (m) with 2x2 covariance.
+
+    Both off-diagonal entries are kept as given, so a prior asymmetric
+    within rounding predicts exactly as its arrays do.
+    """
     mean: np.ndarray
     cov: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float).reshape(2))
-        object.__setattr__(self, "cov", np.asarray(self.cov, dtype=float).reshape(2, 2))
+    _DIM = 2
 
 
 @dataclass(frozen=True)
@@ -228,10 +276,35 @@ class OrientationState:
 
 @dataclass(frozen=True)
 class DecoupledEstimate:
-    """The three independent Gaussian components of the object state."""
+    """The three independent Gaussian components of the object state.
+
+    Its one stored form is the floats ``_floats`` = (kin, axis, orient):
+    the kinematic and axis (mean, covariance rows) and (theta, var). The
+    public constructor takes them from the component states. An estimate
+    built by a step (:func:`_estimate`) holds the floats alone, and each
+    component state is built from them on its first read and cached.
+    """
     kin: KinematicState
     axis: AxisState
     orient: OrientationState
+
+    def __post_init__(self):
+        object.__setattr__(self, "_floats", (
+            self.kin._floats, self.axis._floats,
+            (self.orient.mean, self.orient.var)))
+
+    def __getattr__(self, name):
+        # Runs only for a name the instance does not hold yet.
+        if name == "kin":
+            state = _of_floats(KinematicState, self._floats[0])
+        elif name == "axis":
+            state = _of_floats(AxisState, self._floats[1])
+        elif name == "orient":
+            state = OrientationState(*self._floats[2])
+        else:
+            raise AttributeError(name)
+        self.__dict__[name] = state
+        return state
 
 
 @dataclass(frozen=True)
@@ -239,18 +312,27 @@ class MotionModel:
     """Linear transition and process noise for the three components.
 
     The semi-axis transition is fixed to the identity, so only its
-    process noise is configurable.
+    process noise is configurable. The arrays are read-only copies, and
+    the steps read ``_floats``, (F_kin, Q_kin, Q_axis) as row tuples and
+    Q_theta, derived from them once.
     """
     F_kin: np.ndarray
     Q_kin: np.ndarray
     Q_axis: np.ndarray
     Q_theta: float
 
+    __reduce__ = _reduce_through_constructor
+
     def __post_init__(self):
-        object.__setattr__(self, "F_kin", np.asarray(self.F_kin, dtype=float).reshape(4, 4))
-        object.__setattr__(self, "Q_kin", np.asarray(self.Q_kin, dtype=float).reshape(4, 4))
-        object.__setattr__(self, "Q_axis", np.asarray(self.Q_axis, dtype=float).reshape(2, 2))
+        arrays = (_frozen_copy(self.F_kin, (4, 4)),
+                  _frozen_copy(self.Q_kin, (4, 4)),
+                  _frozen_copy(self.Q_axis, (2, 2)))
+        for name, array in zip(("F_kin", "Q_kin", "Q_axis"), arrays):
+            object.__setattr__(self, name, array)
         object.__setattr__(self, "Q_theta", float(self.Q_theta))
+        object.__setattr__(self, "_floats", (
+            *(tuple(map(tuple, array.tolist())) for array in arrays),
+            self.Q_theta))
 
 
 def _symmetry_tol(mat: np.ndarray) -> float:
@@ -275,19 +357,24 @@ class FilterConfig:
     moment-matches a uniform distribution on an ellipse, 1/3 on a
     rectangle. ``psi``, when set, bounds each semi-axis standard
     deviation at ``psi`` times the estimated length (batch variant only).
-    ``R`` must be finite and symmetric up to :func:`_symmetry_tol`.
+    ``R`` must be finite and symmetric up to :func:`_symmetry_tol`. It is
+    kept as a read-only copy, and the steps read its entries, (R11, R12,
+    R21, R22), from ``_noise``.
     """
     R: np.ndarray
     c: float = 0.25
     psi: Optional[float] = None
 
+    __reduce__ = _reduce_through_constructor
+
     def __post_init__(self):
-        object.__setattr__(self, "R", np.asarray(self.R, dtype=float).reshape(2, 2))
+        object.__setattr__(self, "R", _frozen_copy(self.R, (2, 2)))
         r = self.R
         if not (np.isfinite(r).all()
                 and np.abs(r - r.T).max() <= _symmetry_tol(r)):
             raise ValueError(f"R must be finite and symmetric, "
                              f"got {r.tolist()}")
+        object.__setattr__(self, "_noise", tuple(r.ravel().tolist()))
         object.__setattr__(self, "c", float(self.c))
         if self.c <= 0.0:
             raise ValueError(f"scaling factor must be positive, got {self.c}")
@@ -299,47 +386,25 @@ class FilterConfig:
 
 def _axis_floats(axis: AxisState) -> tuple:
     """(p1, p2, P11, P12, P22) of an axis state; P12 averages both sides."""
-    (c11, c12), (c21, c22) = axis.cov.tolist()
-    return (*axis.mean.tolist(), c11, 0.5 * (c12 + c21), c22)
-
-
-def _kinematic_state(mean: list, cov: list) -> KinematicState:
-    """The :class:`KinematicState` of a step's own float lists.
-
-    The arrays are new, so the state shares no memory with its inputs.
-    ``__post_init__`` is skipped: it would only re-validate floats the
-    filter produced itself. Outside input goes through the public
-    constructor.
-    """
-    kin = object.__new__(KinematicState)
-    fields = kin.__dict__
-    fields["mean"], fields["cov"] = np.array(mean), np.array(cov)
-    return kin
+    (p1, p2), ((c11, c12), (c21, c22)) = axis._floats
+    return p1, p2, c11, 0.5 * (c12 + c21), c22
 
 
 def _axis_state(axis: tuple) -> AxisState:
-    """The :class:`AxisState` of (p1, p2, P11, P12, P22), built as
-    :func:`_kinematic_state` builds its state."""
+    """The :class:`AxisState` of (p1, p2, P11, P12, P22) (:func:`_of_floats`)."""
     p1, p2, c11, c12, c22 = axis
-    state = object.__new__(AxisState)
-    fields = state.__dict__
-    fields["mean"] = np.array((p1, p2))
-    fields["cov"] = np.array(((c11, c12), (c12, c22)))
-    return state
+    return _of_floats(AxisState, ((p1, p2), ((c11, c12), (c12, c22))))
 
 
 def _estimate(kin: tuple, axis: tuple, orient: tuple) -> DecoupledEstimate:
-    """The public estimate of the (kin, axis, orient) floats of a step,
-    built as :func:`_kinematic_state` builds its state."""
-    orientation = object.__new__(OrientationState)
-    fields = orientation.__dict__
-    fields["mean"], fields["var"] = orient
-    est = object.__new__(DecoupledEstimate)
-    fields = est.__dict__
-    fields["kin"] = _kinematic_state(*kin)
-    fields["axis"] = _axis_state(axis)
-    fields["orient"] = orientation
-    return est
+    """The public estimate of the (kin, axis, orient) floats of a step.
+
+    It holds the floats alone: no array or component state is built
+    until someone reads it (:class:`DecoupledEstimate`).
+    """
+    p1, p2, c11, c12, c22 = axis
+    return _of_floats(DecoupledEstimate,
+                      (kin, ((p1, p2), ((c11, c12), (c12, c22))), orient))
 
 
 def clamp_axis_variance(axis: tuple, psi: float) -> tuple:

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from elliptrack import predict
-from elliptrack.cli import main, resolve_scenario, scenario_from_dict, \
-    scenario_to_dict
+from elliptrack.cli import estimate_from_dict, estimate_to_dict, main, \
+    resolve_scenario, scenario_from_dict, scenario_to_dict
 from elliptrack.simulation import builtin_scenarios
+
+from conftest import make_estimate
 
 
 # Step indices that are not JSON integers; MISSING drops "t" from the row.
@@ -101,6 +103,22 @@ class TestTrack:
         np.testing.assert_allclose(
             np.array(est["kinematics"]["cov"]).reshape(4, 4), pred.kin.cov)
         assert est["orientation"]["var"] == pytest.approx(pred.orient.var)
+
+    def test_estimate_record_round_trips_the_arrays_row_major(self):
+        # covariances asymmetric within rounding keep both off-diagonals
+        rng = np.random.default_rng(3)
+        est = make_estimate(kin_cov=np.eye(4) + 1e-13 * rng.normal(size=(4, 4)),
+                            axis_cov=[[1.0, 0.2], [0.2 + 1e-13, 0.5]])
+        row = json.loads(json.dumps(estimate_to_dict(5, est)))
+        assert row["kinematics"]["cov"] == est.kin.cov.ravel().tolist()
+        assert row["axis"]["cov"] == est.axis.cov.ravel().tolist()
+        back = estimate_from_dict(row)
+        for mine, theirs in ((back.kin.mean, est.kin.mean),
+                             (back.kin.cov, est.kin.cov),
+                             (back.axis.mean, est.axis.mean),
+                             (back.axis.cov, est.axis.cov)):
+            assert mine.tobytes() == theirs.tobytes()
+        assert back.orient == est.orient
 
     def test_filters_agree_on_single_measurement_streams(self, tmp_path):
         lines = [json.dumps({"t": t, "measurements": [[3.0 * t, 0.1 * t]]})

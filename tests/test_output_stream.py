@@ -2,9 +2,11 @@
 
 Short campaigns of every builtin scenario under both filters are compared
 with the per-step GWD^2 and orientation errors recorded in
-``output_stream.json``, as ``float.hex`` strings. A change that moves any
-last bit fails here. Such a change must bump ``__version__`` and
-re-record the file on purpose:
+``output_stream.json``, as ``float.hex`` strings. The ``track`` output of
+a short ``stationary`` and ``moderate`` measurement file under both
+filters is compared with the lines recorded there, byte for byte. A
+change that moves any last bit or byte fails here. Such a change must
+bump ``__version__`` and re-record the file on purpose:
 
     PYTHONPATH=src python tests/test_output_stream.py
 """
@@ -12,10 +14,12 @@ re-record the file on purpose:
 import dataclasses
 import json
 import os
+import tempfile
 
 import pytest
 
 from elliptrack import __version__, builtin_scenarios, run_scenario
+from elliptrack.cli import main
 from elliptrack.simulation import FILTER_KINDS
 
 RECORD = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -42,16 +46,37 @@ def campaign_errors(scenario, filter_kind):
                            for r in results]}
 
 
+def track_lines(scenario, filter_kind, workdir):
+    """The ``track`` output, as text lines, of the first STEPS lines of a
+    ``simulate`` file of builtin ``scenario`` at SEED."""
+    sim, short, out = (os.path.join(workdir, name)
+                       for name in ("sim.jsonl", "short.jsonl", "est.jsonl"))
+    assert main(["simulate", "--scenario", scenario, "--seed", str(SEED),
+                 "--out", sim]) == 0
+    with open(sim, "rb") as src, open(short, "wb") as dst:
+        dst.writelines(src.readlines()[:STEPS])
+    assert main(["track", short, "--scenario", scenario, "--filter",
+                 filter_kind, "--out", out]) == 0
+    with open(out, "rb") as fh:
+        return fh.read().decode("utf-8").splitlines()
+
+
 CASES = [f"{scenario}/{kind}" for scenario in builtin_scenarios()
          for kind in FILTER_KINDS]
+TRACK_CASES = [f"{scenario}/{kind}" for scenario in ("stationary", "moderate")
+               for kind in FILTER_KINDS]
 
 
 def record():
+    with tempfile.TemporaryDirectory() as workdir:
+        track = {case: track_lines(*case.split("/"), workdir)
+                 for case in TRACK_CASES}
     with open(RECORD, "w", encoding="utf-8") as fh:
         json.dump({"version": __version__, "runs": RUNS, "steps": STEPS,
                    "seed": SEED,
                    "errors": {case: campaign_errors(*case.split("/"))
-                              for case in CASES}}, fh, indent=1)
+                              for case in CASES},
+                   "track": track}, fh, indent=1)
         fh.write("\n")
 
 
@@ -65,6 +90,7 @@ def test_record_matches_the_campaign_shape(recorded):
     assert (recorded["runs"], recorded["steps"], recorded["seed"]) == (
         RUNS, STEPS, SEED)
     assert sorted(recorded["errors"]) == sorted(CASES)
+    assert sorted(recorded["track"]) == sorted(TRACK_CASES)
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -73,6 +99,14 @@ def test_per_step_errors_are_bit_identical_to_the_record(recorded, case):
     expected = recorded["errors"][case]
     assert recorded["version"] == __version__
     assert campaign_errors(*case.split("/")) == expected
+
+
+@pytest.mark.parametrize("case", TRACK_CASES)
+def test_track_output_is_byte_identical_to_the_record(recorded, case,
+                                                      tmp_path):
+    expected = recorded["track"][case]
+    assert recorded["version"] == __version__
+    assert track_lines(*case.split("/"), str(tmp_path)) == expected
 
 
 if __name__ == "__main__":

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import warnings
 from dataclasses import FrozenInstanceError
 
@@ -5,11 +8,12 @@ import numpy as np
 import pytest
 
 from elliptrack import (AxisState, DecoupledEstimate, FilterConfig,
-                        KinematicState, MeasurementSet, OrientationState,
-                        batch_update_axis, batch_update_kinematics,
-                        center_measurements, clamp_axis_variance, predict, rot,
-                        shape_matrix, step_batch, step_sequential,
-                        symmetrize_psd, wrap_angle)
+                        KinematicState, MeasurementSet, MotionModel,
+                        OrientationState, batch_update_axis,
+                        batch_update_kinematics, center_measurements,
+                        clamp_axis_variance, constant_velocity_transition,
+                        predict, rot, shape_matrix, step_batch,
+                        step_sequential, symmetrize_psd, wrap_angle)
 from elliptrack.simulation import builtin_scenarios
 from elliptrack.state import (_axis_floats, _axis_state, _estimate,
                               _has_psd_pivots)
@@ -345,3 +349,96 @@ class TestResultBuild:
         assert kin.mean.dtype == kin.cov.dtype == np.float64
         orient = OrientationState(np.float32(0.5), 1)
         assert type(orient.mean) is float and type(orient.var) is float
+
+
+def _frozen_pairs(obj):
+    """(array, the floats the steps read in its place) of every array of an
+    estimate, motion, filter or scenario config."""
+    if isinstance(obj, DecoupledEstimate):
+        kin, axis, _ = obj._floats
+        assert obj.orient == OrientationState(*obj._floats[2])
+        return [(obj.kin.mean, kin[0]), (obj.kin.cov, kin[1]),
+                (obj.kin.mean, obj.kin._floats[0]),
+                (obj.kin.cov, obj.kin._floats[1]),
+                (obj.axis.mean, axis[0]), (obj.axis.cov, axis[1]),
+                (obj.axis.mean, obj.axis._floats[0]),
+                (obj.axis.cov, obj.axis._floats[1])]
+    if isinstance(obj, MotionModel):
+        assert obj._floats[3] == obj.Q_theta
+        return list(zip((obj.F_kin, obj.Q_kin, obj.Q_axis), obj._floats))
+    if isinstance(obj, FilterConfig):
+        return [(obj.R, np.reshape(obj._noise, (2, 2)))]
+    return [*_frozen_pairs(obj.prior), *_frozen_pairs(obj.motion),
+            *_frozen_pairs(obj.filter_config())]
+
+
+def assert_frozen(obj):
+    for array, floats in _frozen_pairs(obj):
+        assert not array.flags.writeable
+        assert np.array_equal(array, floats)
+
+
+class TestReadOnlyCopies:
+    """Arrays are read-only copies, so the floats the steps read in their
+    place can never go stale, through any copy of the object."""
+
+    @staticmethod
+    def objects():
+        # an axis covariance asymmetric within the config tolerance
+        skew = np.array([[0.0, 1e-13], [-1e-13, 0.0]])
+        public = make_estimate(axis_cov=np.eye(2) + skew)
+        stepped = step_batch(public, MeasurementSet([[1.0, 0.5], [-2.0, 1.0],
+                                                     [0.5, -0.5]]),
+                             make_motion(), FilterConfig(R=np.eye(2)))
+        # a scenario carries a prior and a motion to mc --jobs workers
+        return [public, stepped, make_motion(q_axis=0.1),
+                FilterConfig(R=[[2.0, 0.5], [0.5, 1.0]], psi=0.4),
+                builtin_scenarios(runs=2)["moderate"]]
+
+    def test_public_arrays_are_read_only_copies_of_the_input(self):
+        mean, cov = np.zeros(4), np.eye(4)
+        transition, noise = constant_velocity_transition(1.0), np.eye(2)
+        kin = KinematicState(mean, cov)
+        motion = MotionModel(transition, cov, noise, 0.1)
+        cfg = FilterConfig(R=noise)
+        for array in (mean, cov, transition, noise):
+            assert array.flags.writeable
+        for mine, theirs in ((kin.mean, mean), (kin.cov, cov),
+                             (motion.F_kin, transition), (motion.Q_kin, cov),
+                             (motion.Q_axis, noise), (cfg.R, noise)):
+            assert not np.shares_memory(mine, theirs)
+            with pytest.raises(ValueError):
+                mine[0] = 7.0
+        transition[0, 2] = 5.0  # the caller's array is theirs to change
+        assert motion.F_kin[0, 2] == motion._floats[0][0][2] == 1.0
+        assert_frozen(motion)
+
+    @pytest.mark.parametrize("step", [step_sequential, step_batch])
+    def test_step_result_holds_floats_and_builds_read_only_arrays(self, step):
+        est = step(make_estimate(), MeasurementSet([[1.0, 0.5], [-2.0, 1.0]]),
+                   make_motion(), FilterConfig(R=np.eye(2)))
+        assert set(vars(est)) == {"_floats"}
+        with pytest.raises(ValueError):
+            est.kin.cov[0, 0] = 1.0
+        assert set(vars(est)) == {"_floats", "kin"}
+        assert set(vars(est.kin)) == {"_floats", "cov"}
+        for array in (est.kin.mean, est.axis.mean, est.axis.cov):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        assert_frozen(est)
+
+    @pytest.mark.parametrize("round_trip", [
+        lambda obj: pickle.loads(pickle.dumps(obj)),
+        copy.deepcopy,
+        copy.copy,
+        dataclasses.replace,
+    ], ids=["pickle", "deepcopy", "copy", "replace"])
+    def test_round_trips_keep_arrays_read_only_and_floats_matching(
+            self, round_trip):
+        for obj in self.objects():
+            twin = round_trip(obj)
+            assert type(twin) is type(obj)
+            assert_frozen(twin)
+            for (mine, _), (theirs, _) in zip(_frozen_pairs(twin),
+                                              _frozen_pairs(obj)):
+                assert mine.tobytes() == theirs.tobytes()
