@@ -6,8 +6,11 @@ reduces to a single 2x2 inverse, and the orientation with an
 information-form update. All three updates read only the prediction, so
 nothing is interleaved. Of the points themselves the updates need only
 three statistics: the count M, the sample mean, and the scatter S of the
-centered points (:func:`_scatter`). The step shares the float prediction
-and kinematic update of the sequential filter. A single measurement is
+centered points. The step splits the scan into its two coordinate
+columns once and takes the mean (:func:`_centering`) and S
+(:func:`_column_scatter`) from them. The step shares the float prediction,
+kinematic update and axis update of the sequential filter; the
+orientation update is written out on floats too. A single measurement is
 delegated wholesale to the sequential step, which needs none of the
 batch approximations.
 """
@@ -15,14 +18,13 @@ batch approximations.
 # String annotations: typing's caches would keep re-imported classes alive.
 from __future__ import annotations
 
-from operator import mul
 from typing import Optional
 
 import numpy as np
 
 from .errors import SingularPseudoCov
 from .measurements import CenteredMeasurements, MeasurementSet, _centering, \
-    _scatter
+    _column_scatter, _scatter
 from .sequential import StepDiagnostics, _guarded_solve, _predict, \
     _update_or_skip, kalman_center_update, orientation_moments, \
     step_sequential, update_axis
@@ -68,26 +70,32 @@ def batch_update_orientation(orient: tuple, shape: tuple, scatter: tuple,
     (:func:`orientation_moments` at ``shape`` and ``w``). Information adds
     per point, so the variance can only shrink; the points enter through
     the ``scatter`` alone. A zero prior variance is returned as it is.
+    Each sum over the three components starts from zero and adds from
+    left to right, so a sum of signed zeros is +0.0.
     """
     theta, var = orient
     if var == 0.0:
         return orient
-    expected, cov_bb, m_vec = orientation_moments(shape, var, w, c)
-    gamma = [[cb - var * (mi * mj) for cb, mj in zip(row, m_vec)]
-             for row, mi in zip(cov_bb, m_vec)]
-    weighted = _guarded_solve(gamma, m_vec,
-                              SingularPseudoCov("batch orientation noise "
-                                                "covariance is ill-conditioned"))
-    info_gain = sum(map(mul, m_vec, weighted))
+    ((e1, e2, e3), ((b11, b12, b13), (_, b22, b23), (*_, b33)),
+     (m1, m2, m3)) = orientation_moments(shape, var, w, c)
+    g12, g13, g23 = (b12 - var * (m1 * m2), b13 - var * (m1 * m3),
+                     b23 - var * (m2 * m3))
+    k1, k2, k3 = _guarded_solve(
+        ((b11 - var * (m1 * m1), g12, g13), (g12, b22 - var * (m2 * m2), g23),
+         (g13, g23, b33 - var * (m3 * m3))), (m1, m2, m3),
+        SingularPseudoCov("batch orientation noise covariance "
+                          "is ill-conditioned"))
+    info_gain = 0.0 + m1 * k1 + m2 * k2 + m3 * k3
     if info_gain < 0.0:
         raise SingularPseudoCov("batch orientation noise covariance "
                                 "is not positive definite")
     # The predicted-angle term enters every summand of the innovation.
-    xi_sum = [b - count * (e - m * theta)
-              for b, e, m in zip(scatter, expected, m_vec)]
+    s11, s22, s12 = scatter
     var_post = 1.0 / (1.0 / var + count * info_gain)
-    return (wrap_angle(var_post * (theta / var + sum(map(mul, weighted, xi_sum)))),
-            var_post)
+    return (wrap_angle(var_post * (theta / var + (
+        0.0 + k1 * (s11 - count * (e1 - m1 * theta))
+        + k2 * (s22 - count * (e2 - m2 * theta))
+        + k3 * (s12 - count * (e3 - m3 * theta))))), var_post)
 
 
 def step_batch(est: DecoupledEstimate, measurements: MeasurementSet,
@@ -105,11 +113,11 @@ def step_batch(est: DecoupledEstimate, measurements: MeasurementSet,
         return step_sequential(est, measurements, motion, cfg,
                                diagnostics=diagnostics)
     kin, axis, orient = _predict(est, motion)
-    points = measurements.points.tolist()
+    col1, col2 = measurements.points.T.tolist()
     noise = cfg._noise
-    (z1, z2), w = _centering(points, kin, noise)
-    scatter = _scatter(points, z1, z2)
-    count, theta = len(points), orient[0]
+    (z1, z2), w = _centering(col1, col2, kin, noise)
+    scatter = _column_scatter(col1, col2, z1, z2)
+    count, theta = len(col1), orient[0]
     shape = _shape_entries(theta, axis[0], axis[1])
     return _estimate(
         _update_or_skip(diagnostics, "kinematics", kalman_center_update, kin,

@@ -9,6 +9,7 @@ between invocations.
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -252,10 +253,10 @@ def cmd_track(args) -> int:
     for line_number, row in _read_jsonl(args.measurements):
         t = _step_index(row, line_number)
         try:
-            meas = MeasurementSet(np.array(row["measurements"], dtype=float).reshape(-1, 2))
+            meas = MeasurementSet(row["measurements"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedRecord(line_number, str(exc)) from exc
-        if not np.isfinite(meas.points).all():
+        if not all(map(math.isfinite, meas.points.ravel().tolist())):
             raise MalformedRecord(line_number, "non-finite measurement value")
         est = step(est, meas, cfg.motion, fcfg, diagnostics=diagnostics)
         try:

@@ -63,10 +63,18 @@ class CenteredMeasurements:
 
 def _scatter(points: list, c1: float, c2: float) -> tuple:
     """(S11, S22, S12) of S = sum_i (z_i - c)(z_i - c)^T over [z1, z2] rows:
-    the column sums of the pseudo-measurements (:func:`build_pseudo`),
-    formed from the centered points, so no cancellation enters."""
-    d1 = [z1 - c1 for z1, _ in points]
-    d2 = [z2 - c2 for _, z2 in points]
+    :func:`_column_scatter` of their two columns."""
+    return _column_scatter([z1 for z1, _ in points], [z2 for _, z2 in points],
+                           c1, c2)
+
+
+def _column_scatter(col1: list, col2: list, c1: float, c2: float) -> tuple:
+    """(S11, S22, S12) of S = sum_i (z_i - c)(z_i - c)^T over the columns
+    z1 = ``col1``, z2 = ``col2``: the column sums of the pseudo-measurements
+    (:func:`build_pseudo`), formed from the centered points, so no
+    cancellation enters. Each sum adds its products from left to right."""
+    d1 = [z - c1 for z in col1]
+    d2 = [z - c2 for z in col2]
     return sum(map(mul, d1, d1)), sum(map(mul, d2, d2)), sum(map(mul, d1, d2))
 
 
@@ -145,18 +153,18 @@ def sample_measurements(center, theta, axes, lam, noise_cov, source,
                         rng, count)[0]
 
 
-def _centering(points: list, kin, noise: list) -> tuple:
-    """The center (c1, c2) of a scan of [z1, z2] rows, and the entries of
-    W, the covariance of one centered point. Several points are centered
-    on their mean, with W the ``noise``; ``kin``, the predicted (mean,
-    cov) lists, is not read. A single point is centered on the predicted
-    center, which adds the predicted center covariance to W.
+def _centering(col1: list, col2: list, kin, noise: list) -> tuple:
+    """The center (c1, c2) of a scan given as its columns z1 = ``col1``,
+    z2 = ``col2``, and the entries of W, the covariance of one centered
+    point. Several points are centered on their mean, with W the
+    ``noise``; ``kin``, the predicted (mean, cov) lists, is not read. A
+    single point is centered on the predicted center, which adds the
+    predicted center covariance to W.
     """
-    m = len(points)
+    m = len(col1)
     if m == 0:
         raise EmptyMeasurementSet("cannot center an empty measurement set")
     if m > 1:
-        col1, col2 = zip(*points)
         return (sum(col1) / m, sum(col2) / m), noise
     mean, cov = kin
     r11, r12, r21, r22 = noise
@@ -170,7 +178,7 @@ def center_measurements(measurements: MeasurementSet,
     """Zero-center a measurement set for the shape updates (:func:`_centering`)."""
     kin = predicted_kin and (predicted_kin.mean.tolist(),
                              predicted_kin.cov.tolist())
-    center, w = _centering(measurements.points.tolist(), kin,
+    center, w = _centering(*measurements.points.T.tolist(), kin,
                            np.asarray(noise_cov, dtype=float).ravel().tolist())
     return CenteredMeasurements(measurements.points - center, w)
 

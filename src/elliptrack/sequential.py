@@ -252,9 +252,10 @@ def axis_moments(axis: AxisState, orient: OrientationState,
     makes the two axes decouple: each expected square is the aligned
     noise variance plus the scaled second moment of the axis length.
     """
+    theta = orient.mean
     expected, cov_aa, (d1, d2) = _axis_moments(
-        _axis_floats(axis), _aligned_entries(orient.mean, *np.ravel(w).tolist()),
-        cfg.c)
+        _axis_floats(axis), _aligned_entries(math.cos(theta), math.sin(theta),
+                                             *np.ravel(w).tolist()), cfg.c)
     return AxisMoments(np.array(expected), np.array(cov_aa),
                        np.array([[d1, 0.0], [0.0, d2]]))
 
@@ -273,9 +274,10 @@ def update_axis(axis: tuple, theta: float, scatter: tuple, count: int,
     ``psi`` then applies :func:`clamp_axis_variance` (batch variant only).
     """
     s11, s22, s12 = scatter
-    a1, a2, _ = _aligned_entries(theta, s11, s12, s12, s22)
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    a1, a2, _ = _aligned_entries(cos_t, sin_t, s11, s12, s12, s22)
     (e1, e2), cov_aa, (d1, d2) = _axis_moments(
-        axis, _aligned_entries(theta, *w), c)
+        axis, _aligned_entries(cos_t, sin_t, *w), c)
     # Cov(a, axes) is a diagonal D, so the gain is D cov_aa^-1 = X^T with
     # X = cov_aa^-1 D = adj(cov_aa) D / det.
     ((k11, k12), (k21, k22)), det = _guarded_adjugate(
@@ -381,7 +383,7 @@ def step_sequential(est: DecoupledEstimate, measurements: MeasurementSet,
     if not points:
         return _estimate(*parts)
     noise = cfg._noise
-    (c1, c2), w = _centering(points, parts[0], noise)
+    (c1, c2), w = _centering(*zip(*points), parts[0], noise)
     c = cfg.c
     for z1, z2 in points:
         kin, axis, orient = parts
@@ -389,10 +391,16 @@ def step_sequential(est: DecoupledEstimate, measurements: MeasurementSet,
         s1, s2 = z1 - c1, z2 - c2
         b = (s1 * s1, s2 * s2, s1 * s2)
         shape = _shape_entries(theta, axis[0], axis[1])
-        calls = ((kalman_center_update, kin, z1, z2, noise, c, shape),
-                 (update_axis, axis, theta, b, 1, w, c),
-                 (update_orientation, orient, b,
-                  orientation_moments(shape, var, w, c)))
         for k in sequence:
-            parts[k] = _update_or_skip(diagnostics, UPDATE_ORDER[k], *calls[k])
+            if k == 0:
+                parts[0] = _update_or_skip(diagnostics, "kinematics",
+                                           kalman_center_update, kin, z1, z2,
+                                           noise, c, shape)
+            elif k == 1:
+                parts[1] = _update_or_skip(diagnostics, "axis", update_axis,
+                                           axis, theta, b, 1, w, c)
+            else:
+                parts[2] = _update_or_skip(
+                    diagnostics, "orientation", update_orientation, orient, b,
+                    orientation_moments(shape, var, w, c))
     return _estimate(*parts)

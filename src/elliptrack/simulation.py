@@ -24,7 +24,8 @@ from .measurements import MeasurementSet, SourceDistribution, sample_scans
 from .metrics import EllipseParams, _gwd_squared, orientation_error
 from .sequential import StepDiagnostics, step_sequential
 from .state import (AxisState, DecoupledEstimate, FilterConfig, KinematicState,
-                    MotionModel, OrientationState, _has_psd_pivots,
+                    MotionModel, OrientationState, _frozen_copy,
+                    _has_psd_pivots, _reduce_through_constructor,
                     _symmetry_tol, constant_velocity_transition, rot,
                     wrap_angle)
 
@@ -47,7 +48,9 @@ class TrajectorySpec:
     heading advances by the turn rate on every step of the segment. The
     jitter values are variances of fresh zero-mean noise added to the
     nominal position and velocity each step, so the truth stays close to
-    the pre-defined path instead of drifting off it.
+    the pre-defined path instead of drifting off it. ``start_position``
+    and ``true_axes`` are read-only copies, also after a pickle, copy or
+    ``dataclasses.replace``.
     """
     segments: Tuple[Tuple[int, float], ...]
     nominal_speed: float
@@ -57,6 +60,8 @@ class TrajectorySpec:
     position_jitter: float = 0.0
     velocity_jitter: float = 0.0
 
+    __reduce__ = _reduce_through_constructor
+
     def __post_init__(self):
         counts = [n for n, _ in self.segments]
         if not counts or not all(_is_count(n) and n >= 1 for n in counts):
@@ -64,9 +69,8 @@ class TrajectorySpec:
         object.__setattr__(self, "segments", tuple((int(n), float(rate))
                                                    for n, rate in self.segments))
         object.__setattr__(self, "start_position",
-                           np.asarray(self.start_position, dtype=float).reshape(2))
-        object.__setattr__(self, "true_axes",
-                           np.asarray(self.true_axes, dtype=float).reshape(2))
+                           _frozen_copy(self.start_position, 2))
+        object.__setattr__(self, "true_axes", _frozen_copy(self.true_axes, 2))
         if np.any(self.true_axes <= 0.0):
             raise ConfigError("true semi-axes must be positive")
 
@@ -135,7 +139,11 @@ def generate_truth(traj: TrajectorySpec, rng: np.random.Generator,
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything that determines a Monte-Carlo campaign."""
+    """Everything that determines a Monte-Carlo campaign.
+
+    ``R`` is a read-only copy, so no write can bypass the checks made at
+    construction; a pickle or copy goes through the constructor again.
+    """
     name: str
     lam: float
     R: np.ndarray
@@ -148,8 +156,10 @@ class ScenarioConfig:
     psi: Optional[float] = None
     fixed_count: Optional[int] = None  # exact per-step count instead of Poisson
 
+    __reduce__ = _reduce_through_constructor
+
     def __post_init__(self):
-        object.__setattr__(self, "R", np.asarray(self.R, dtype=float).reshape(2, 2))
+        object.__setattr__(self, "R", _frozen_copy(self.R, (2, 2)))
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not isinstance(self.runs, numbers.Integral) or self.runs < 1:

@@ -170,11 +170,11 @@ def _shape_entries(theta: float, l1: float, l2: float) -> tuple:
             (sq1 - sq2) * sin_t * cos_t)
 
 
-def _aligned_entries(theta: float, m11: float, m12: float, m21: float,
-                     m22: float) -> tuple:
+def _aligned_entries(cos_t: float, sin_t: float, m11: float, m12: float,
+                     m21: float, m22: float) -> tuple:
     """(A11, A22, A12) of A = R(-theta) M R(-theta)^T: M, given by its
-    entries, in the frame at ``theta``, where the semi-axes decouple."""
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    entries, in the frame at theta, where the semi-axes decouple. The
+    angle enters as ``cos_t`` = cos(theta) and ``sin_t`` = sin(theta)."""
     mixed = cos_t * sin_t * (m12 + m21)
     return (cos_t * cos_t * m11 + mixed + sin_t * sin_t * m22,
             sin_t * sin_t * m11 - mixed + cos_t * cos_t * m22,

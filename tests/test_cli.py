@@ -171,6 +171,21 @@ class TestTrack:
         assert "line 2" in err and "non-finite" in err
         assert not (tmp_path / "est.jsonl").exists()
 
+    @pytest.mark.parametrize("points, code", [
+        ('[["nan", 2.0]]', 4), ('["1e999", 2.0]', 4), ('[[[1.0, -Infinity]]]', 4),
+        ('["1.5", "2.0", 3, 1]', 0), ('[[true, 2.0]]', 0)])
+    def test_points_are_checked_as_numpy_reads_them(self, tmp_path, capsys,
+                                                    points, code):
+        # flat, nested and string-valued lists are read as numpy converts
+        # them, and the converted floats are what the finiteness check sees
+        meas = tmp_path / "m.jsonl"
+        meas.write_text('{"t": 1, "measurements": %s}\n' % points)
+        assert main(["track", str(meas), "--scenario", "moderate",
+                     "--out", str(tmp_path / "est.jsonl")]) == code
+        if code:
+            err = capsys.readouterr().err
+            assert "line 1" in err and "non-finite" in err
+
     def test_blank_lines_count_in_reported_line(self, tmp_path, capsys):
         # file line 4 holds the NaN; the blank line 1 is skipped, not dropped
         meas = tmp_path / "m.jsonl"

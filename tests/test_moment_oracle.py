@@ -15,6 +15,7 @@ their numpy-product and row-loop forms, bit for bit where the summation
 order cannot matter.
 """
 
+import math
 from operator import mul
 
 import numpy as np
@@ -26,13 +27,17 @@ from elliptrack import (AxisState, DecoupledEstimate, FilterConfig,
                         OrientationState, StepDiagnostics, builtin_scenarios,
                         constant_velocity_transition, predict, rot, step_batch,
                         step_sequential)
+from elliptrack.batch import batch_update_orientation
 from elliptrack.errors import SingularInnovation, SingularPseudoCov
+from elliptrack.errors import EmptyMeasurementSet
 from elliptrack.measurements import (CenteredMeasurements, _scatter,
                                      aligned_squares, build_pseudo)
+from elliptrack.measurements import _centering, _column_scatter
 from elliptrack.sequential import (AXIS_FLOOR, COND_LIMIT, AxisMoments,
                                    _guarded_adjugate, _guarded_solve, _predict,
                                    _update_or_skip, kalman_center_update,
                                    orientation_moments, update_axis)
+from elliptrack.sequential import _axis_moments
 from elliptrack.simulation import sample_run_data
 from elliptrack.state import (_axis_floats, _axis_state, _has_psd_pivots,
                               _has_psd_pivots_4x4, _psd_2x2, _psd_rows,
@@ -849,3 +854,265 @@ def test_written_out_solve_equals_the_row_sums(mat, seed):
             _guarded_solve(mat.tolist(), rhs, exc)
         return
     assert _guarded_solve(mat.tolist(), rhs, exc) == expected
+
+
+# ---------------------------------------------------------------------------
+# The batch step's per-scan algebra is written out on floats: the scan is
+# split into columns once, update_axis evaluates cos/sin of its angle once,
+# and the batch orientation update names its entries. The forms below are
+# the ones they replaced: row comprehensions for the scan statistics,
+# cos/sin evaluated per rotation, and Gamma built by nested comprehensions
+# with the sums taken by sum(map(mul, ...)). The written-out code must
+# equal them bit for bit, signed zeros included, and raise where they raise.
+
+def centering_rows(points, kin, noise):
+    """The center and W of a scan of [z1, z2] rows, by zip(*points)."""
+    m = len(points)
+    if m == 0:
+        raise EmptyMeasurementSet("cannot center an empty measurement set")
+    if m > 1:
+        col1, col2 = zip(*points)
+        return (sum(col1) / m, sum(col2) / m), noise
+    mean, cov = kin
+    r11, r12, r21, r22 = noise
+    return (mean[0], mean[1]), (r11 + cov[0][0], r12 + cov[0][1],
+                                r21 + cov[1][0], r22 + cov[1][1])
+
+
+def scatter_rows(points, c1, c2):
+    """(S11, S22, S12) by one comprehension per coordinate over the rows."""
+    d1 = [z1 - c1 for z1, _ in points]
+    d2 = [z2 - c2 for _, z2 in points]
+    return sum(map(mul, d1, d1)), sum(map(mul, d2, d2)), sum(map(mul, d1, d2))
+
+
+def aligned_entries_at(theta, m11, m12, m21, m22):
+    """(A11, A22, A12) of R(-theta) M R(-theta)^T, with cos/sin per call."""
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    mixed = cos_t * sin_t * (m12 + m21)
+    return (cos_t * cos_t * m11 + mixed + sin_t * sin_t * m22,
+            sin_t * sin_t * m11 - mixed + cos_t * cos_t * m22,
+            cos_t * sin_t * (m22 - m11) + cos_t * cos_t * m12
+            - sin_t * sin_t * m21)
+
+
+def update_axis_trig_per_call(axis, theta, scatter, count, w, c, psi=None):
+    """update_axis with each rotation evaluating cos/sin of ``theta``."""
+    s11, s22, s12 = scatter
+    a1, a2, _ = aligned_entries_at(theta, s11, s12, s12, s22)
+    (e1, e2), cov_aa, (d1, d2) = _axis_moments(
+        axis, aligned_entries_at(theta, *w), c)
+    ((k11, k12), (k21, k22)), det = _guarded_adjugate(
+        cov_aa, SingularPseudoCov("axis pseudo-measurement covariance "
+                                  "is ill-conditioned"))
+    x11, x12, x21, x22 = (k11 * d1 / det, k12 * d2 / det,
+                          k21 * d1 / det, k22 * d2 / det)
+    nu1, nu2 = a1 - count * e1, a2 - count * e2
+    p1, p2, c11, c12, c22 = axis
+    updated = (max(p1 + (x11 * nu1 + x21 * nu2), AXIS_FLOOR),
+               max(p2 + (x12 * nu1 + x22 * nu2), AXIS_FLOOR),
+               *_psd_2x2(c11 - count * (x11 * d1),
+                         0.5 * ((c12 - count * (x21 * d2))
+                                + (c12 - count * (x12 * d1))),
+                         c22 - count * (x22 * d2)))
+    return updated if psi is None else clamp_axis_variance(updated, psi)
+
+
+def batch_update_orientation_comprehension(orient, shape, scatter, count, w,
+                                           c):
+    """The batch orientation update with Gamma as a nested comprehension."""
+    theta, var = orient
+    if var == 0.0:
+        return orient
+    expected, cov_bb, m_vec = orientation_moments(shape, var, w, c)
+    gamma = [[cb - var * (mi * mj) for cb, mj in zip(row, m_vec)]
+             for row, mi in zip(cov_bb, m_vec)]
+    weighted = _guarded_solve(gamma, m_vec,
+                              SingularPseudoCov("batch orientation noise "
+                                                "covariance is ill-conditioned"))
+    info_gain = sum(map(mul, m_vec, weighted))
+    if info_gain < 0.0:
+        raise SingularPseudoCov("batch orientation noise covariance "
+                                "is not positive definite")
+    xi_sum = [b - count * (e - m * theta)
+              for b, e, m in zip(scatter, expected, m_vec)]
+    var_post = 1.0 / (1.0 / var + count * info_gain)
+    return (wrap_angle(var_post * (theta / var + sum(map(mul, weighted, xi_sum)))),
+            var_post)
+
+
+def _exact(value):
+    """The bytes of the floats in ``value``; -0.0 and 0.0 differ."""
+    return np.array(value, dtype=float).tobytes()
+
+
+def _exact_or_error(update, *args):
+    try:
+        return _exact(update(*args))
+    except (SingularPseudoCov, EmptyMeasurementSet) as exc:
+        return type(exc), str(exc)
+
+
+# Coordinates with signed zeros and values that cancel when centered.
+coordinates = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]),
+                        st.floats(-1e3, 1e3, allow_nan=False))
+
+
+@st.composite
+def scans(draw, min_size=0):
+    """[z1, z2] rows; in some draws one point repeated, so S is zero."""
+    rows = draw(st.lists(st.tuples(coordinates, coordinates),
+                         min_size=min_size, max_size=20))
+    if rows and draw(st.booleans()):
+        rows = [rows[0]] * len(rows)
+    return [list(row) for row in rows]
+
+
+@st.composite
+def noise_entries(draw):
+    """(W11, W12, W21, W22) of a symmetric W: PSD, indefinite or zero."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    root = rng.normal(size=(2, 2))
+    w = draw(st.sampled_from([root @ root.T, root + root.T, np.zeros((2, 2)),
+                              -np.zeros((2, 2))]))
+    return w.ravel().tolist()
+
+
+@settings(max_examples=300)
+@given(points=scans(), center=st.tuples(coordinates, coordinates),
+       noise=noise_entries(), seed=st.integers(0, 2 ** 32 - 1))
+@example(points=[], center=(0.0, 0.0), noise=[1.0, 0.0, 0.0, 1.0], seed=0)
+@example(points=[[-0.0, 0.0]] * 3, center=(-0.0, 0.0),
+         noise=[1.0, -0.0, -0.0, 1.0], seed=0)
+def test_column_statistics_equal_the_row_forms_bit_for_bit(points, center,
+                                                          noise, seed):
+    # the mean and W of the columns, and the scatter about the scan's own
+    # mean and about any center, against the row comprehensions
+    rng = np.random.default_rng(seed)
+    root = rng.normal(size=(4, 4))
+    kin = (rng.normal(size=4).tolist(), (root @ root.T).tolist())
+    col1, col2 = MeasurementSet(points).points.T.tolist()
+    def flat(centering, *args):
+        center, w = centering(*args)
+        return (*center, *w)
+
+    assert (_exact_or_error(flat, _centering, col1, col2, kin, noise)
+            == _exact_or_error(flat, centering_rows, points, kin, noise))
+    centers = [center]
+    if len(points) > 1:
+        centers.append(centering_rows(points, kin, noise)[0])
+    for c1, c2 in centers:
+        expected = _exact(scatter_rows(points, c1, c2))
+        assert _exact(_column_scatter(col1, col2, c1, c2)) == expected
+        assert _exact(_scatter(points, c1, c2)) == expected
+
+
+# Inputs that reach each exit of the orientation update: the kappa_F skip
+# (zero noise and a degenerate extent make Gamma singular), the rejected
+# negative information (an indefinite W), and a zero angle variance.
+ORIENTATION_SKIP = ((0.3298148443794737, 20.0), (5.76994316198272, 0.0),
+                    [0.0, 0.0, 0.0, 0.0])
+ORIENTATION_NEGATIVE = ((2.410195721651175, 0.4929722163862067),
+                        (0.971070419289934, 1.4971819889169884),
+                        [-0.45264929211044586, -0.2155971630897659,
+                         -0.2155971630897659, -0.23193237764418947])
+
+
+@st.composite
+def orientation_problems(draw):
+    """(orient, axes, W) with signed-zero angles and variances, round and
+    degenerate extents, and PSD, indefinite or zero W."""
+    theta = draw(st.one_of(st.sampled_from([0.0, -0.0, math.pi / 2, math.pi]),
+                           st.floats(-4.0, 4.0)))
+    var = draw(st.sampled_from([0.0, -0.0, 1e-6, 0.05, 0.5, 2.0, 20.0]))
+    axes = draw(st.one_of(st.sampled_from([(5.0, 2.0), (3.0, 3.0), (4.0, 0.0),
+                                           (0.0, 0.0), (-0.0, 2.0)]),
+                          st.tuples(st.floats(0.0, 8.0), st.floats(0.0, 8.0))))
+    return (theta, var), axes, draw(noise_entries())
+
+
+@settings(max_examples=400)
+@given(problem=orientation_problems(), points=scans(min_size=2),
+       c=st.sampled_from([0.25, 1.0 / 3.0]))
+@example(problem=ORIENTATION_SKIP, points=[[1.0, 2.0], [0.0, 0.5], [2.0, 1.0]],
+         c=0.25)
+@example(problem=ORIENTATION_NEGATIVE,
+         points=[[1.0, 2.0], [0.0, 0.5], [2.0, 1.0]], c=0.25)
+@example(problem=((-0.0, 0.5), (3.0, 3.0), [1.0, -0.0, -0.0, 1.0]),
+         points=[[-0.0, 0.0]] * 2, c=0.25)
+@example(problem=((0.7, 0.0), (5.0, 2.0), [1.0, 0.0, 0.0, 1.0]),
+         points=[[1.0, 2.0], [3.0, -1.0]], c=0.25)
+def test_batch_orientation_update_equals_the_comprehension_form_bit_for_bit(
+        problem, points, c):
+    (theta, var), (l1, l2), w = problem
+    orient = (theta, var)
+    shape = _shape_entries(theta, l1, l2)
+    col1, col2 = MeasurementSet(points).points.T.tolist()
+    (c1, c2), _ = centering_rows(points, None, w)
+    scatter = scatter_rows(points, c1, c2)
+    args = (shape, scatter, len(points), w, c)
+    out = _exact_or_error(batch_update_orientation, orient, *args)
+    assert out == _exact_or_error(batch_update_orientation_comprehension,
+                                  orient, *args)
+    if var == 0.0:
+        assert batch_update_orientation(orient, *args) is orient
+
+
+def test_orientation_examples_reach_both_rejections():
+    # the examples above keep exercising both raises of the update
+    for problem, reason in ((ORIENTATION_SKIP, "ill-conditioned"),
+                            (ORIENTATION_NEGATIVE, "not positive definite")):
+        (theta, var), (l1, l2), w = problem
+        for update in (batch_update_orientation,
+                       batch_update_orientation_comprehension):
+            with pytest.raises(SingularPseudoCov, match=reason):
+                update((theta, var), _shape_entries(theta, l1, l2),
+                       (1.0, 2.0, 0.5), 3, w, 0.25)
+
+
+@settings(max_examples=400)
+@given(problem=orientation_problems(), points=scans(min_size=1),
+       seed=st.integers(0, 2 ** 32 - 1), c=st.sampled_from([0.25, 1.0 / 3.0]),
+       psi=st.sampled_from([None, 0.4]))
+@example(problem=((-0.0, 0.5), (3.0, 3.0), [1.0, -0.0, -0.0, 1.0]),
+         points=[[-0.0, 0.0]], seed=0, c=0.25, psi=None)
+@example(problem=((0.3, 0.5), (0.0, 0.0), [0.0, 0.0, 0.0, 0.0]),
+         points=[[0.0, 0.0]] * 2, seed=0, c=0.25, psi=0.4)
+def test_update_axis_equals_the_trig_per_call_form_bit_for_bit(
+        problem, points, seed, c, psi):
+    # both filters' axis update: one point (the sequential b) or the
+    # scatter of a scan about its mean (the batch step), from PSD,
+    # singular or indefinite priors
+    (theta, _), (l1, l2), w = problem
+    rng = np.random.default_rng(seed)
+    root = rng.normal(size=(2, 2)) * rng.choice([0.0, 0.1, 1.0])
+    cov = root @ root.T + rng.choice([0.0, 1.0]) * (root - root.T)
+    axis = (l1, l2, cov[0, 0], cov[0, 1], cov[1, 1])
+    (c1, c2), _ = centering_rows(points, ([0.0] * 4, [[0.0] * 4] * 4), w)
+    args = (theta, scatter_rows(points, c1, c2), len(points), w, c, psi)
+    assert (_exact_or_error(update_axis, axis, *args)
+            == _exact_or_error(update_axis_trig_per_call, axis, *args))
+
+
+def test_batch_updates_equal_the_replaced_forms_on_a_seeded_sweep():
+    # a reordered product (var * m1 * m2 for var * (m1 * m2), say) changes
+    # the result on about one input in a thousand, too rarely for the
+    # property tests above to meet; a cheap sweep of 20 000 draws does
+    rng = np.random.default_rng(2024)
+    for _ in range(20_000):
+        theta = rng.uniform(-4.0, 4.0)
+        l1, l2 = rng.uniform(0.3, 6.0, size=2).tolist()
+        root = rng.normal(size=(2, 2)) * rng.choice([0.1, 1.0])
+        w = (root @ root.T).ravel().tolist()
+        points = (rng.normal(size=(rng.integers(2, 15), 2)) * 3.0).tolist()
+        (c1, c2), _ = centering_rows(points, None, w)
+        scatter = scatter_rows(points, c1, c2)
+        orient = (theta, rng.choice([0.01, 0.05, 0.5, 2.0]))
+        args = (_shape_entries(theta, l1, l2), scatter, len(points), w, 0.25)
+        assert (_exact_or_error(batch_update_orientation, orient, *args)
+                == _exact_or_error(batch_update_orientation_comprehension,
+                                   orient, *args))
+        axis = (l1, l2, *rng.uniform(0.0, 0.3, size=3).tolist())
+        args = (theta, scatter, len(points), w, 0.25, 0.4)
+        assert (_exact_or_error(update_axis, axis, *args)
+                == _exact_or_error(update_axis_trig_per_call, axis, *args))

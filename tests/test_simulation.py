@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -167,6 +169,51 @@ class TestBuiltinScenarios:
                              ("runs", 2.5), ("psi", 2.0), ("psi", 0.0)]:
             with pytest.raises(ConfigError):
                 dataclasses.replace(scen, **{field: value})
+
+
+class TestScenarioArraysAreReadOnly:
+    """A scenario's R and trajectory arrays are read-only copies, so no
+    write can bypass the checks made when the scenario was built."""
+
+    @staticmethod
+    def scenario_and_inputs():
+        inputs = (np.array([[1.0, 0.2], [0.2, 1.0]]), np.array([1.0, -2.0]),
+                  np.array([5.0, 2.0]))
+        scen = builtin_scenarios(runs=2)["moderate"]
+        traj = dataclasses.replace(scen.trajectory, start_position=inputs[1],
+                                   true_axes=inputs[2])
+        return dataclasses.replace(scen, R=inputs[0], trajectory=traj), inputs
+
+    @staticmethod
+    def arrays(scen):
+        return scen.R, scen.trajectory.start_position, scen.trajectory.true_axes
+
+    def test_in_place_write_raises_and_the_callers_array_stays_writeable(self):
+        scen, inputs = self.scenario_and_inputs()
+        for mine, theirs in zip(self.arrays(scen), inputs):
+            assert theirs.flags.writeable
+            assert not np.shares_memory(mine, theirs)
+            with pytest.raises(ValueError):
+                mine[0] = 7.0
+        inputs[0][0, 1] = 7.0  # the caller's array is theirs to change
+        assert scen.R[0, 1] == 0.2
+        assert scen.filter_config().R[0, 1] == 0.2
+
+    @pytest.mark.parametrize("round_trip", [
+        lambda obj: pickle.loads(pickle.dumps(obj)),
+        copy.deepcopy,
+        copy.copy,
+        dataclasses.replace,
+    ], ids=["pickle", "deepcopy", "copy", "replace"])
+    def test_round_trips_keep_the_arrays_read_only(self, round_trip):
+        scen, _ = self.scenario_and_inputs()
+        twin, traj = round_trip(scen), round_trip(scen.trajectory)
+        assert type(twin) is type(scen) and type(traj) is type(scen.trajectory)
+        for mine, theirs in zip(
+                (*self.arrays(twin), traj.start_position, traj.true_axes),
+                (*self.arrays(scen), *self.arrays(scen)[1:])):
+            assert not mine.flags.writeable
+            assert mine.tobytes() == theirs.tobytes()
 
 
 class TestRunScenario:
