@@ -3,7 +3,8 @@
 from .batch import (batch_update_axis, batch_update_kinematics,
                     batch_update_orientation, step_batch)
 from .errors import (ConfigError, EllipTrackError, EmptyMeasurementSet,
-                     MalformedRecord, NotPSD, SingularInnovation,
+                     MalformedRecord, NonFiniteState, NotPSD,
+                     SingularInnovation,
                      SingularPseudoCov, StepMisalignment)
 from .measurements import (CenteredMeasurements, MeasurementSet,
                            SourceDistribution, build_pseudo,

@@ -22,12 +22,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import SingularPseudoCov
+from .errors import SingularInnovation, SingularPseudoCov
 from .measurements import CenteredMeasurements, MeasurementSet, _centering, \
     _column_scatter, _scatter
-from .sequential import StepDiagnostics, _guarded_solve, _predict, \
-    _update_or_skip, kalman_center_update, orientation_moments, \
-    step_sequential, update_axis
+from .sequential import StepDiagnostics, _count_skip, _guarded_solve, \
+    _predict, kalman_center_update, orientation_moments, step_sequential, \
+    update_axis
 from .state import (AxisState, DecoupledEstimate, FilterConfig, KinematicState,
                     MotionModel, OrientationState, _axis_floats, _axis_state,
                     _estimate, _of_floats, _shape_entries, wrap_angle)
@@ -82,9 +82,8 @@ def batch_update_orientation(orient: tuple, shape: tuple, scatter: tuple,
                      b23 - var * (m2 * m3))
     k1, k2, k3 = _guarded_solve(
         ((b11 - var * (m1 * m1), g12, g13), (g12, b22 - var * (m2 * m2), g23),
-         (g13, g23, b33 - var * (m3 * m3))), (m1, m2, m3),
-        SingularPseudoCov("batch orientation noise covariance "
-                          "is ill-conditioned"))
+         (g13, g23, b33 - var * (m3 * m3))), (m1, m2, m3), SingularPseudoCov,
+        "batch orientation noise covariance is ill-conditioned")
     info_gain = 0.0 + m1 * k1 + m2 * k2 + m3 * k3
     if info_gain < 0.0:
         raise SingularPseudoCov("batch orientation noise covariance "
@@ -117,12 +116,19 @@ def step_batch(est: DecoupledEstimate, measurements: MeasurementSet,
     noise = cfg._noise
     (z1, z2), w = _centering(col1, col2, kin, noise)
     scatter = _column_scatter(col1, col2, z1, z2)
-    count, theta = len(col1), orient[0]
+    count, theta, c = len(col1), orient[0], cfg.c
     shape = _shape_entries(theta, axis[0], axis[1])
-    return _estimate(
-        _update_or_skip(diagnostics, "kinematics", kalman_center_update, kin,
-                        z1, z2, noise, cfg.c, shape, count),
-        _update_or_skip(diagnostics, "axis", update_axis, axis, theta,
-                        scatter, count, w, cfg.c, cfg.psi),
-        _update_or_skip(diagnostics, "orientation", batch_update_orientation,
-                        orient, shape, scatter, count, w, cfg.c))
+    # A skipped update leaves its component at the prediction.
+    try:
+        kin = kalman_center_update(kin, z1, z2, noise, c, shape, count)
+    except SingularInnovation:
+        _count_skip(diagnostics, "kinematics")
+    try:
+        axis = update_axis(axis, theta, scatter, count, w, c, cfg.psi)
+    except SingularPseudoCov:
+        _count_skip(diagnostics, "axis")
+    try:
+        orient = batch_update_orientation(orient, shape, scatter, count, w, c)
+    except SingularPseudoCov:
+        _count_skip(diagnostics, "orientation")
+    return _estimate(kin, axis, orient)

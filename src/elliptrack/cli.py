@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, EllipTrackError, MalformedRecord, \
-    StepMisalignment
+    NonFiniteState, StepMisalignment
 from .measurements import MeasurementSet, SourceDistribution
 from .metrics import EllipseParams, ellipse_from_estimate, gwd_squared, \
     orientation_error
@@ -33,6 +33,7 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_MALFORMED = 4
 EXIT_MISALIGNED = 5
+EXIT_NON_FINITE = 6
 
 SIM_SCHEMA = "elliptrack.sim-steps/1"
 ESTIMATE_SCHEMA = "elliptrack.estimates/1"
@@ -258,10 +259,12 @@ def cmd_track(args) -> int:
             raise MalformedRecord(line_number, str(exc)) from exc
         if not all(map(math.isfinite, meas.points.ravel().tolist())):
             raise MalformedRecord(line_number, "non-finite measurement value")
-        est = step(est, meas, cfg.motion, fcfg, diagnostics=diagnostics)
         try:
+            est = step(est, meas, cfg.motion, fcfg, diagnostics=diagnostics)
             lines.append(json.dumps(estimate_to_dict(t, est), allow_nan=False))
-        except ValueError as exc:
+        # ValueError: json's allow_nan, for a state that went non-finite
+        # where the step does not look.
+        except (NonFiniteState, ValueError) as exc:
             raise MalformedRecord(line_number, "the estimate after this step "
                                   "is not finite") from exc
     _write_atomic(args.out, "\n".join(lines) + "\n")
@@ -329,17 +332,6 @@ def cmd_mc(args) -> int:
     started = time.perf_counter()
     cfg = resolve_scenario(args.scenario, seed=args.seed, runs=args.runs)
     summary, _ = run_scenario(cfg, args.filter, jobs=args.jobs)
-    os.makedirs(args.out, exist_ok=True)
-    csv_path = os.path.join(args.out, "per_step_errors.csv")
-    summary_path = os.path.join(args.out, "summary.json")
-    manifest_path = os.path.join(args.out, "manifest.json")
-
-    rows = ["t,mean_gwd_sq,mean_orient_err"]
-    rows.extend(f"{t + 1},{float(summary.per_step_mean_gwd_sq[t])!r},"
-                f"{float(summary.per_step_mean_orient_err[t])!r}"
-                for t in range(summary.steps))
-    _write_atomic(csv_path, "\n".join(rows) + "\n")
-
     summary_doc = {
         "schema": SUMMARY_SCHEMA,
         "scenario": summary.scenario,
@@ -355,7 +347,23 @@ def cmd_mc(args) -> int:
             "mean_step_runtime_seconds": summary.mean_step_runtime,
         },
     }
-    _write_atomic(summary_path, json.dumps(summary_doc, indent=2) + "\n")
+    # A non-finite per-step error makes its overall mean non-finite too, so
+    # this check comes before anything is written.
+    try:
+        summary_text = json.dumps(summary_doc, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteState("a campaign score is not finite: a filter state "
+                             "or its error overflowed") from exc
+    os.makedirs(args.out, exist_ok=True)
+    csv_path = os.path.join(args.out, "per_step_errors.csv")
+    summary_path = os.path.join(args.out, "summary.json")
+    manifest_path = os.path.join(args.out, "manifest.json")
+    rows = ["t,mean_gwd_sq,mean_orient_err"]
+    rows.extend(f"{t + 1},{float(summary.per_step_mean_gwd_sq[t])!r},"
+                f"{float(summary.per_step_mean_orient_err[t])!r}"
+                for t in range(summary.steps))
+    _write_atomic(csv_path, "\n".join(rows) + "\n")
+    _write_atomic(summary_path, summary_text + "\n")
 
     manifest = {
         "schema": MANIFEST_SCHEMA,
@@ -378,7 +386,8 @@ def cmd_mc(args) -> int:
         },
         "wall_clock_seconds": time.perf_counter() - started,
     }
-    _write_atomic(manifest_path, json.dumps(manifest, indent=2) + "\n")
+    _write_atomic(manifest_path,
+                  json.dumps(manifest, indent=2, allow_nan=False) + "\n")
     return 0
 
 
@@ -443,6 +452,9 @@ def main(argv=None) -> int:
     except StepMisalignment as exc:
         print(f"step misalignment: {exc}", file=sys.stderr)
         return EXIT_MISALIGNED
+    except NonFiniteState as exc:
+        print(f"non-finite result: {exc}", file=sys.stderr)
+        return EXIT_NON_FINITE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -17,6 +17,10 @@ class SingularPseudoCov(EllipTrackError):
     """A pseudo-measurement covariance is numerically singular."""
 
 
+class NonFiniteState(EllipTrackError):
+    """A filter state or a result computed from it overflowed to inf or NaN."""
+
+
 class NotPSD(EllipTrackError):
     """A matrix required to be positive semi-definite is not."""
 

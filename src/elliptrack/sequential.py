@@ -84,48 +84,47 @@ def _det3(r0: list, r1: list, r2: list) -> float:
                            - (u[2] - fu * top[2]) * (v[1] - fv * top[1]))
 
 
-def _guarded_adjugate(rows, exc):
-    """(adj(A), det(A)) of a 2x2 or 3x3 nested-list ``rows``, or raise ``exc``.
+def _guarded_det(a: float, b: float, c: float, d: float, error,
+                 message: str) -> float:
+    """det(A) of A = [[a, b], [c, d]], or raise ``error(message)``.
 
-    ``exc`` is raised for a non-finite entry or when the Frobenius
-    condition number kappa_F = ||A||_F ||adj A||_F / |det A| (between the
-    2-norm one and n times it) reaches ``COND_LIMIT``. A numerically
-    singular matrix leaves a rounding residue as det, so kappa_F ~ 1/eps.
+    The adjugate is [[d, -b], [-c, a]]; callers name its entries. The
+    exception is built only when the guard trips: for a non-finite entry,
+    or when the Frobenius condition number kappa_F = ||A||_F ||adj A||_F
+    / |det A| (between the 2-norm one and n times it) reaches
+    ``COND_LIMIT``. At 2x2 both norms are ``hypot(a, b, c, d)``. A
+    numerically singular matrix leaves a rounding residue as det, so
+    kappa_F ~ 1/eps.
     """
-    if len(rows) == 2:
-        (a, b), (c, d) = rows
-        adj = ((d, -b), (-c, a))
-        det = a * d - b * c
-        norm = norm_adj = math.hypot(a, b, c, d)
-    else:
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        adj = ((e * i - f * h, c * h - b * i, b * f - c * e),
-               (f * g - d * i, a * i - c * g, c * d - a * f),
-               (d * h - e * g, b * g - a * h, a * e - b * d))
-        det = _det3(*rows)
-        norm = math.hypot(a, b, c, d, e, f, g, h, i)
-        norm_adj = math.hypot(*adj[0], *adj[1], *adj[2])
+    det = a * d - b * c
+    norm = math.hypot(a, b, c, d)
     # A non-finite entry makes the norm inf or NaN. The comparison is
     # negated so that a NaN product (inf * 0) also raises.
-    if not (math.isfinite(norm) and norm * norm_adj < COND_LIMIT * abs(det)):
-        raise exc
-    return adj, det
+    if not (math.isfinite(norm) and norm * norm < COND_LIMIT * abs(det)):
+        raise error(message)
+    return det
 
 
-def _guarded_solve(mat, rhs, exc):
-    """x = adj(A) rhs / det(A) as a list, for one right-hand side ``rhs``.
+def _guarded_solve(rows, rhs, error, message: str) -> list:
+    """x = adj(A) rhs / det(A) as a list, for the 3x3 nested-list ``rows``
+    and one right-hand side ``rhs``.
 
-    Raises ``exc`` where :func:`_guarded_adjugate` does.
+    Raises ``error(message)`` where :func:`_guarded_det` does, with the
+    norm of the 3x3 adjugate.
     """
-    adj, det = _guarded_adjugate(mat, exc)
-    if len(adj) == 2:
-        (a, b), (c, d) = adj
-        x, y = rhs
-        return [(a * x + b * y) / det, (c * x + d * y) / det]
-    (a, b, c), (d, e, f), (g, h, i) = adj
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    m11, m12, m13 = e * i - f * h, c * h - b * i, b * f - c * e
+    m21, m22, m23 = f * g - d * i, a * i - c * g, c * d - a * f
+    m31, m32, m33 = d * h - e * g, b * g - a * h, a * e - b * d
+    det = _det3(*rows)
+    norm = math.hypot(a, b, c, d, e, f, g, h, i)
+    norm_adj = math.hypot(m11, m12, m13, m21, m22, m23, m31, m32, m33)
+    if not (math.isfinite(norm) and norm * norm_adj < COND_LIMIT * abs(det)):
+        raise error(message)
     x, y, z = rhs
-    return [(a * x + b * y + c * z) / det, (d * x + e * y + f * z) / det,
-            (g * x + h * y + i * z) / det]
+    return [(m11 * x + m12 * y + m13 * z) / det,
+            (m21 * x + m22 * y + m23 * z) / det,
+            (m31 * x + m32 * y + m33 * z) / det]
 
 
 def _predict(est: DecoupledEstimate, motion: MotionModel) -> tuple:
@@ -209,16 +208,16 @@ def kalman_center_update(kin: tuple, z1: float, z2: float, noise, c: float,
                        (p20, p21, p22, p23), (p30, p31, p32, p33)) = kin
     r11, r12, r21, r22 = noise
     x11, x22, x12 = shape
-    ((a11, a12), (a21, a22)), det = _guarded_adjugate(
-        ((p00 + (r11 + c * x11) / count, p01 + (r12 + c * x12) / count),
-         (p10 + (r21 + c * x12) / count, p11 + (r22 + c * x22) / count)),
-        SingularInnovation("kinematic innovation covariance "
-                           "is ill-conditioned"))
+    s11, s12 = p00 + (r11 + c * x11) / count, p01 + (r12 + c * x12) / count
+    s21, s22 = p10 + (r21 + c * x12) / count, p11 + (r22 + c * x22) / count
+    det = _guarded_det(s11, s12, s21, s22, SingularInnovation,
+                       "kinematic innovation covariance is ill-conditioned")
+    # S^-1 = [[s22, -s12], [-s21, s11]] / det.
     r1, r2 = z1 - m0, z2 - m1
-    u0, v0 = (a11 * p00 + a12 * p10) / det, (a21 * p00 + a22 * p10) / det
-    u1, v1 = (a11 * p01 + a12 * p11) / det, (a21 * p01 + a22 * p11) / det
-    u2, v2 = (a11 * p02 + a12 * p12) / det, (a21 * p02 + a22 * p12) / det
-    u3, v3 = (a11 * p03 + a12 * p13) / det, (a21 * p03 + a22 * p13) / det
+    u0, v0 = (s22 * p00 - s12 * p10) / det, (s11 * p10 - s21 * p00) / det
+    u1, v1 = (s22 * p01 - s12 * p11) / det, (s11 * p11 - s21 * p01) / det
+    u2, v2 = (s22 * p02 - s12 * p12) / det, (s11 * p12 - s21 * p02) / det
+    u3, v3 = (s22 * p03 - s12 * p13) / det, (s11 * p13 - s21 * p03) / det
     return ([m0 + (u0 * r1 + v0 * r2), m1 + (u1 * r1 + v1 * r2),
              m2 + (u2 * r1 + v2 * r2), m3 + (u3 * r1 + v3 * r2)],
             _psd_rows([
@@ -276,15 +275,15 @@ def update_axis(axis: tuple, theta: float, scatter: tuple, count: int,
     s11, s22, s12 = scatter
     cos_t, sin_t = math.cos(theta), math.sin(theta)
     a1, a2, _ = _aligned_entries(cos_t, sin_t, s11, s12, s12, s22)
-    (e1, e2), cov_aa, (d1, d2) = _axis_moments(
+    (e1, e2), ((q11, q12), (q21, q22)), (d1, d2) = _axis_moments(
         axis, _aligned_entries(cos_t, sin_t, *w), c)
+    det = _guarded_det(q11, q12, q21, q22, SingularPseudoCov,
+                       "axis pseudo-measurement covariance is ill-conditioned")
     # Cov(a, axes) is a diagonal D, so the gain is D cov_aa^-1 = X^T with
-    # X = cov_aa^-1 D = adj(cov_aa) D / det.
-    ((k11, k12), (k21, k22)), det = _guarded_adjugate(
-        cov_aa, SingularPseudoCov("axis pseudo-measurement covariance "
-                                  "is ill-conditioned"))
-    x11, x12, x21, x22 = (k11 * d1 / det, k12 * d2 / det,
-                          k21 * d1 / det, k22 * d2 / det)
+    # X = cov_aa^-1 D = adj(cov_aa) D / det, adj(cov_aa) = [[q22, -q12],
+    # [-q21, q11]].
+    x11, x12, x21, x22 = (q22 * d1 / det, -q12 * d2 / det,
+                          -q21 * d1 / det, q11 * d2 / det)
     nu1, nu2 = a1 - count * e1, a2 - count * e2
     p1, p2, c11, c12, c22 = axis
     updated = (max(p1 + (x11 * nu1 + x21 * nu2), AXIS_FLOOR),
@@ -332,28 +331,24 @@ def update_orientation(orient: tuple, b: tuple, mom: tuple) -> tuple:
     theta, var = orient
     (e1, e2, e3), cov_bb, (m1, m2, m3) = mom
     cross = (var * m1, var * m2, var * m3)
-    g1, g2, g3 = _guarded_solve(cov_bb, cross,
-                                SingularPseudoCov("orientation pseudo-measurement "
-                                                  "covariance is ill-conditioned"))
+    g1, g2, g3 = _guarded_solve(cov_bb, cross, SingularPseudoCov,
+                                "orientation pseudo-measurement covariance "
+                                "is ill-conditioned")
     b1, b2, b3 = b
     return (wrap_angle(theta + (g1 * (b1 - e1) + g2 * (b2 - e2) + g3 * (b3 - e3))),
             max(var - (g1 * cross[0] + g2 * cross[1] + g3 * cross[2]), 0.0))
 
 
-def _update_or_skip(diagnostics: Optional[StepDiagnostics], component: str,
-                    update, prior, *args):
-    """Return ``update(prior, *args)``, or ``prior`` if the update is skipped.
+def _count_skip(diagnostics: Optional[StepDiagnostics],
+                component: str) -> None:
+    """Count a skipped update of ``component`` in ``diagnostics``, if given.
 
-    An ill-conditioned solve skips the update and counts it in
-    ``diagnostics`` under ``component``.
+    Runs only for an update whose guard tripped; the steps call each
+    update directly inside its own ``try``.
     """
-    try:
-        return update(prior, *args)
-    except (SingularInnovation, SingularPseudoCov):
-        if diagnostics is not None:
-            counter = "skipped_" + component
-            setattr(diagnostics, counter, getattr(diagnostics, counter) + 1)
-        return prior
+    if diagnostics is not None:
+        counter = "skipped_" + component
+        setattr(diagnostics, counter, getattr(diagnostics, counter) + 1)
 
 
 def step_sequential(est: DecoupledEstimate, measurements: MeasurementSet,
@@ -392,15 +387,16 @@ def step_sequential(est: DecoupledEstimate, measurements: MeasurementSet,
         b = (s1 * s1, s2 * s2, s1 * s2)
         shape = _shape_entries(theta, axis[0], axis[1])
         for k in sequence:
-            if k == 0:
-                parts[0] = _update_or_skip(diagnostics, "kinematics",
-                                           kalman_center_update, kin, z1, z2,
-                                           noise, c, shape)
-            elif k == 1:
-                parts[1] = _update_or_skip(diagnostics, "axis", update_axis,
-                                           axis, theta, b, 1, w, c)
-            else:
-                parts[2] = _update_or_skip(
-                    diagnostics, "orientation", update_orientation, orient, b,
-                    orientation_moments(shape, var, w, c))
+            # A skipped update leaves its part at the snapshot.
+            try:
+                if k == 0:
+                    parts[0] = kalman_center_update(kin, z1, z2, noise, c,
+                                                    shape)
+                elif k == 1:
+                    parts[1] = update_axis(axis, theta, b, 1, w, c)
+                else:
+                    parts[2] = update_orientation(
+                        orient, b, orientation_moments(shape, var, w, c))
+            except (SingularInnovation, SingularPseudoCov):
+                _count_skip(diagnostics, UPDATE_ORDER[k])
     return _estimate(*parts)

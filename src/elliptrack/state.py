@@ -13,6 +13,8 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import NonFiniteState
+
 # Semi-axis means are floored here after every update; a quadratic
 # pseudo-measurement outlier can otherwise drive a length negative.
 AXIS_FLOOR = 1e-3
@@ -126,7 +128,9 @@ def _psd_rows(rows: list) -> list:
     """Symmetrize the square nested list ``rows`` in place, then floor
     negative eigenvalues at zero. The eigendecomposition runs only when
     the scalar LDL^T pass (:func:`_has_psd_pivots`, written out at 4x4)
-    finds it is needed.
+    finds it is needed. A NaN entry always fails that pass; a matrix
+    with a non-finite entry that reaches the eigendecomposition raises
+    :class:`NonFiniteState` instead.
     """
     if len(rows) == 4:
         r0, r1, r2, r3 = rows
@@ -144,7 +148,10 @@ def _psd_rows(rows: list) -> list:
                 row[j] = rows[j][i] = 0.5 * (row[j] + rows[j][i])
         if _has_psd_pivots([row[:] for row in rows]):
             return rows
-    eigval, eigvec = np.linalg.eigh(np.array(rows))
+    array = np.array(rows)
+    if not np.isfinite(array).all():
+        raise NonFiniteState("a covariance overflowed to a non-finite value")
+    eigval, eigvec = np.linalg.eigh(array)
     return ((eigvec * np.maximum(eigval, 0.0)) @ eigvec.T).tolist()
 
 
@@ -415,7 +422,13 @@ def clamp_axis_variance(axis: tuple, psi: float) -> tuple:
     negative lengths. A state within both caps is returned as it is.
     """
     p1, p2, c11, c12, c22 = axis
-    cap1, cap2 = (psi * p1) ** 2, (psi * p2) ** 2
+    try:
+        cap1, cap2 = (psi * p1) ** 2, (psi * p2) ** 2
+    except OverflowError:
+        # Past the float range ``**`` raises where x * x rounds to inf.
+        # ``**`` stays on the normal path: libm's pow and x * x may differ
+        # in the last bit.
+        cap1, cap2 = (psi * p1) * (psi * p1), (psi * p2) * (psi * p2)
     if not (c11 > cap1 or c22 > cap2):
         return axis
     factor = 1.0

@@ -8,6 +8,7 @@ from elliptrack import (AxisState, DecoupledEstimate, FilterConfig, KinematicSta
                         shape_matrix, step_batch, step_sequential)
 from elliptrack.batch import (batch_update_axis, batch_update_kinematics,
                               batch_update_orientation)
+from elliptrack.errors import SingularInnovation, SingularPseudoCov
 from elliptrack.measurements import (CenteredMeasurements, aligned_squares,
                                      center_measurements)
 from elliptrack.sequential import (axis_moments, kalman_center_update,
@@ -300,6 +301,26 @@ class TestStepBatch:
         assert np.array_equal(out.axis.cov, pred.axis.cov)
         assert out.orient == pred.orient
 
+    def test_one_point_skips_are_counted_once(self, default_config):
+        # step_batch takes no update order; a one-point scan goes to the
+        # sequential step, which counts each skip, and the batch step adds
+        # none of its own
+        est = DecoupledEstimate(
+            kin=KinematicState(np.zeros(4), np.diag([1.0, 1.0, 0.0, 0.0])),
+            axis=AxisState([1e9, 1e-3], np.diag([1.0, 1.0])),
+            orient=OrientationState(0.0, 0.1),
+        )
+        motion = make_motion(q_pos=0.0, q_vel=0.0, q_theta=0.0)
+        z = MeasurementSet([[1.0, 0.0]])
+        diag, seq_diag = StepDiagnostics(), StepDiagnostics()
+        out = step_batch(est, z, motion, default_config, diagnostics=diag)
+        ref = step_sequential(est, z, motion, default_config,
+                              diagnostics=seq_diag)
+        assert diag.as_dict() == seq_diag.as_dict()
+        assert diag.skipped_kinematics == 1 and diag.skipped_axis == 1
+        assert out._floats == ref._floats
+        assert out._floats[:2] == predict(est, motion)._floats[:2]
+
 
 class TestClosedFormStep:
     @pytest.mark.parametrize("scenario, step",
@@ -321,6 +342,35 @@ class TestClosedFormStep:
                    diagnostics=diagnostics)
         assert diagnostics.as_dict() == StepDiagnostics().as_dict()
         assert np.all(np.isfinite(out.kin.cov)) and out.orient.var > 0.0
+
+    @pytest.mark.parametrize("scenario, step", [
+        ("moderate", step_sequential), ("moderate", step_batch),
+        ("stationary", step_sequential), ("stationary", step_batch)])
+    def test_healthy_steps_build_no_exception(self, monkeypatch, scenario,
+                                              step):
+        # a guard builds its exception only when it trips, so seeded runs
+        # that skip nothing construct none
+        built = []
+
+        def counting_init(self, *args):
+            built.append(type(self))
+            Exception.__init__(self, *args)
+
+        for cls in (SingularInnovation, SingularPseudoCov):
+            monkeypatch.setattr(cls, "__init__", counting_init)
+        cfg = builtin_scenarios(runs=2, seed=7)[scenario]
+        fcfg = cfg.filter_config()
+        diagnostics = StepDiagnostics()
+        steps = 0
+        for run in range(cfg.runs):
+            est = cfg.prior
+            for scan in sample_run_data(cfg, run)[1]:
+                est = step(est, scan, cfg.motion, fcfg,
+                           diagnostics=diagnostics)
+                steps += len(scan) > 0
+        assert steps > 100
+        assert diagnostics.as_dict() == StepDiagnostics().as_dict()
+        assert built == []
 
     @pytest.mark.parametrize("scenario", ["moderate", "noisy"])
     def test_batch_campaign_repairs_without_eigh(self, monkeypatch, scenario):

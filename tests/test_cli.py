@@ -530,6 +530,43 @@ class TestExitCodes:
         assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @staticmethod
+    def _extreme_prior_config(tmp_path, scale):
+        """The moderate config with a finite prior kinematic covariance of
+        ``scale`` I, which a step overflows."""
+        data = scenario_to_dict(builtin_scenarios()["moderate"])
+        data["prior"]["kinematics"]["cov"] = (scale * np.eye(4)).tolist()
+        config = tmp_path / "extreme.json"
+        config.write_text(json.dumps(data))
+        return str(config)
+
+    @pytest.mark.parametrize("scale, kind", [(1e300, "batch"),
+                                             (1e307, "sequential"),
+                                             (1e300, "sequential")])
+    def test_campaign_that_overflows_exits_6(self, tmp_path, capsys, scale,
+                                             kind):
+        # these used to end in an OverflowError from the batch axis clamp,
+        # a LinAlgError from eigh on an overflowed covariance, and exit 0
+        # with "Infinity" written to summary.json
+        out = tmp_path / "o"
+        assert main(["mc", self._extreme_prior_config(tmp_path, scale),
+                     "--filter", kind, "--runs", "2", "--out", str(out)]) == 6
+        assert "non-finite result" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_track_step_that_overflows_exits_4(self, tmp_path, capsys):
+        # a LinAlgError from eigh used to end the run with a traceback
+        sim = tmp_path / "sim.jsonl"
+        assert main(["simulate", "--scenario", "moderate", "--seed", "7",
+                     "--out", str(sim)]) == 0
+        out = tmp_path / "est.jsonl"
+        assert main(["track", str(sim), "--config",
+                     self._extreme_prior_config(tmp_path, 1e307),
+                     "--filter", "sequential", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "line 5" in err and "not finite" in err
+        assert not out.exists()
+
     def test_unwritable_output_exits_3(self, tmp_path):
         assert main(["simulate", "--scenario", "moderate", "--seed", "1",
                      "--out", str(tmp_path / "missing" / "o.jsonl")]) == 3

@@ -12,7 +12,9 @@ per-point terms with the Cholesky/eigenvalue repair. Property tests draw
 random PSD priors and point clouds and hold the float steps to them.
 The written-out prediction, kinematic update and solve are also held to
 their numpy-product and row-loop forms, bit for bit where the summation
-order cannot matter.
+order cannot matter. The flat guards, the direct update calls of the
+steps and their lazily built exceptions are held bit for bit to the
+nested-adjugate guards and the skip wrapper they replaced.
 """
 
 import math
@@ -29,19 +31,20 @@ from elliptrack import (AxisState, DecoupledEstimate, FilterConfig,
                         step_sequential)
 from elliptrack.batch import batch_update_orientation
 from elliptrack.errors import SingularInnovation, SingularPseudoCov
-from elliptrack.errors import EmptyMeasurementSet
+from elliptrack.errors import EmptyMeasurementSet, NonFiniteState
 from elliptrack.measurements import (CenteredMeasurements, _scatter,
                                      aligned_squares, build_pseudo)
 from elliptrack.measurements import _centering, _column_scatter
 from elliptrack.sequential import (AXIS_FLOOR, COND_LIMIT, AxisMoments,
-                                   _guarded_adjugate, _guarded_solve, _predict,
-                                   _update_or_skip, kalman_center_update,
+                                   _guarded_solve, _predict,
+                                   kalman_center_update,
                                    orientation_moments, update_axis)
-from elliptrack.sequential import _axis_moments
+from elliptrack.sequential import (UPDATE_ORDER, _axis_moments, _det3,
+                                   _guarded_det, update_orientation)
 from elliptrack.simulation import sample_run_data
-from elliptrack.state import (_axis_floats, _axis_state, _has_psd_pivots,
-                              _has_psd_pivots_4x4, _psd_2x2, _psd_rows,
-                              _shape_entries, _symmetry_tol,
+from elliptrack.state import (_axis_floats, _axis_state, _estimate,
+                              _has_psd_pivots, _has_psd_pivots_4x4, _psd_2x2,
+                              _psd_rows, _shape_entries, _symmetry_tol,
                               clamp_axis_variance, wrap_angle)
 
 from conftest import QUAD_SELECT, assert_symmetric_psd, symmetrize_psd_oracle
@@ -57,6 +60,56 @@ QUAD_SELECT_ALT = np.array([[1.0, 0.0, 0.0, 0.0],
                             [0.0, 0.0, 1.0, 0.0]])
 
 TOL = 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The guard and skip forms the filters replaced. The kappa_F guard returned
+# the adjugate as nested tuples with the determinant, its caller built the
+# exception up front, and each update ran through a skip wrapper. The
+# oracles below call them; the flat guards and direct calls must equal them.
+
+def _guarded_adjugate(rows, exc):
+    """(adj(A), det(A)) of a 2x2 or 3x3 nested-list ``rows``, or raise ``exc``."""
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        adj = ((d, -b), (-c, a))
+        det = a * d - b * c
+        norm = norm_adj = math.hypot(a, b, c, d)
+    else:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        adj = ((e * i - f * h, c * h - b * i, b * f - c * e),
+               (f * g - d * i, a * i - c * g, c * d - a * f),
+               (d * h - e * g, b * g - a * h, a * e - b * d))
+        det = _det3(*rows)
+        norm = math.hypot(a, b, c, d, e, f, g, h, i)
+        norm_adj = math.hypot(*adj[0], *adj[1], *adj[2])
+    if not (math.isfinite(norm) and norm * norm_adj < COND_LIMIT * abs(det)):
+        raise exc
+    return adj, det
+
+
+def _guarded_solve_nested(mat, rhs, exc):
+    """x = adj(A) rhs / det(A) as a list, by :func:`_guarded_adjugate`."""
+    adj, det = _guarded_adjugate(mat, exc)
+    if len(adj) == 2:
+        (a, b), (c, d) = adj
+        x, y = rhs
+        return [(a * x + b * y) / det, (c * x + d * y) / det]
+    (a, b, c), (d, e, f), (g, h, i) = adj
+    x, y, z = rhs
+    return [(a * x + b * y + c * z) / det, (d * x + e * y + f * z) / det,
+            (g * x + h * y + i * z) / det]
+
+
+def _update_or_skip(diagnostics, component, update, prior, *args):
+    """Return ``update(prior, *args)``, or ``prior`` counted as skipped."""
+    try:
+        return update(prior, *args)
+    except (SingularInnovation, SingularPseudoCov):
+        if diagnostics is not None:
+            counter = "skipped_" + component
+            setattr(diagnostics, counter, getattr(diagnostics, counter) + 1)
+        return prior
 
 
 def orientation_moments_oracle(axis, orient, w, cfg):
@@ -514,12 +567,15 @@ def symmetric_4x4(draw):
 
 def _psd_rows_loop(rows):
     """The loop form of :func:`_psd_rows`: nested-loop symmetrization, a
-    copy for :func:`_has_psd_pivots`, and the eigenvalue floor."""
+    copy for :func:`_has_psd_pivots`, and the eigenvalue floor, which
+    rejects a non-finite matrix."""
     for i, row in enumerate(rows):
         for j in range(i + 1, len(rows)):
             row[j] = rows[j][i] = 0.5 * (row[j] + rows[j][i])
     if _has_psd_pivots([row[:] for row in rows]):
         return rows
+    if not all(math.isfinite(x) for row in rows for x in row):
+        raise NonFiniteState("a covariance overflowed to a non-finite value")
     eigval, eigvec = np.linalg.eigh(np.array(rows))
     return ((eigvec * np.maximum(eigval, 0.0)) @ eigvec.T).tolist()
 
@@ -527,8 +583,8 @@ def _psd_rows_loop(rows):
 def _bits_or_error(repair, rows):
     try:
         return np.array(repair(rows)).tobytes()
-    except np.linalg.LinAlgError as exc:
-        return type(exc)
+    except (np.linalg.LinAlgError, NonFiniteState) as exc:
+        return type(exc), str(exc)
 
 
 @settings(max_examples=400)
@@ -570,6 +626,18 @@ def test_psd_rows_is_bit_equal_to_the_loop_form(rows, seed, skew):
     assert _bits_or_error(_psd_rows, rows) == expected
 
 
+def guarded_solve_by_size(mat, rhs, error, message):
+    """adj(A) rhs / det(A): a 3x3 A by :func:`_guarded_solve`, a 2x2 one
+    through :func:`_guarded_det`, naming the adjugate entries (d, -b, -c,
+    a) as the filters' 2x2 solves do."""
+    if len(mat) == 3:
+        return _guarded_solve(mat, rhs, error, message)
+    (a, b), (c, d) = mat
+    det = _guarded_det(a, b, c, d, error, message)
+    x, y = rhs
+    return [(d * x - b * y) / det, (a * y - c * x) / det]
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_guarded_solve_matches_eigenvalue_oracle(n):
     # symmetric matrices Q diag(+-lambda) Q^T, PD or indefinite, with the
@@ -588,7 +656,7 @@ def test_guarded_solve_matches_eigenvalue_oracle(n):
         rhs = rng.normal(size=(n, 2) if trial % 3 else n)
         expected = guarded_solve_oracle(mat, rhs)
         try:
-            out = _guarded_solve(mat, rhs, SingularPseudoCov("skip"))
+            out = guarded_solve_by_size(mat, rhs, SingularPseudoCov, "skip")
         except SingularPseudoCov:
             out = None
         if not COND_LIMIT / 10.0 <= cond <= COND_LIMIT * 10.0:
@@ -606,11 +674,11 @@ def test_guarded_solve_matches_eigenvalue_oracle(n):
 
 
 def test_guarded_solve_rejects_non_finite_and_zero():
-    exc = SingularPseudoCov("skip")
     for mat in ([[np.nan, 0.0], [0.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]],
                 np.zeros((2, 2)), np.zeros((3, 3)), np.ones((3, 3))):
-        with pytest.raises(SingularPseudoCov):
-            _guarded_solve(np.asarray(mat), np.ones(len(mat)), exc)
+        with pytest.raises(SingularPseudoCov, match="skip"):
+            guarded_solve_by_size(np.asarray(mat), np.ones(len(mat)),
+                                  SingularPseudoCov, "skip")
 
 
 def kappa_f_oracle(mat):
@@ -625,12 +693,12 @@ def kappa_f_oracle(mat):
 
 
 @st.composite
-def guard_matrices(draw):
+def guard_matrices(draw, sizes=(2, 3)):
     """2x2 and 3x3 matrices: U diag(sigma) V^T with the condition number
     log-uniform in [1, 1e20] or, as often, in [10^11.5, 10^12.5] around the
     limit, at scales 1e-20..1e20; small integer matrices (often exactly
     singular); and either with a non-finite entry."""
-    n = draw(st.sampled_from([2, 3]))
+    n = draw(st.sampled_from(sizes))
     if draw(st.booleans()):
         entries = draw(st.lists(st.integers(-4, 4), min_size=n * n,
                                 max_size=n * n))
@@ -659,11 +727,12 @@ KAPPA_BAND = 1e-3
 @example(mat=np.array([[1.0, 2.0], [2.0, 4.0]]))
 @example(mat=np.eye(3))
 @example(mat=np.diag([1.0, 1e-12 * (1.0 + 2 * KAPPA_BAND)]))
-def test_guarded_adjugate_raises_exactly_when_kappa_f_reaches_the_limit(mat):
+def test_guards_raise_exactly_when_kappa_f_reaches_the_limit(mat):
     kappa = kappa_f_oracle(mat)
     assume(not abs(kappa / COND_LIMIT - 1.0) < KAPPA_BAND)
     try:
-        _guarded_adjugate(mat.tolist(), SingularPseudoCov("skip"))
+        guarded_solve_by_size(mat.tolist(), [1.0] * len(mat),
+                              SingularPseudoCov, "skip")
         raised = False
     except SingularPseudoCov:
         raised = True
@@ -693,7 +762,8 @@ def kalman_center_update_rows(kin, z1, z2, noise, c, shape, count=1):
         ((top[0] + (r11 + c * x11) / count, top[1] + (r12 + c * x12) / count),
          (bottom[0] + (r21 + c * x12) / count,
           bottom[1] + (r22 + c * x22) / count)),
-        SingularInnovation("ill-conditioned"))
+        SingularInnovation("kinematic innovation covariance "
+                           "is ill-conditioned"))
     r1, r2 = z1 - mean[0], z2 - mean[1]
     new_mean, new_cov = [], []
     for m, row, t, b in zip(mean, cov, top, bottom):
@@ -843,17 +913,18 @@ def test_written_out_prediction_and_update_match_the_numpy_forms(problem):
 
 
 @settings(max_examples=300)
-@given(mat=guard_matrices(), seed=st.integers(0, 2 ** 32 - 1))
+@given(mat=guard_matrices(sizes=(3,)), seed=st.integers(0, 2 ** 32 - 1))
 def test_written_out_solve_equals_the_row_sums(mat, seed):
     rhs = np.random.default_rng(seed).normal(size=len(mat)).tolist()
-    exc = SingularPseudoCov("skip")
     try:
-        expected = guarded_solve_rows(mat.tolist(), rhs, exc)
+        expected = guarded_solve_rows(mat.tolist(), rhs,
+                                      SingularPseudoCov("skip"))
     except SingularPseudoCov:
         with pytest.raises(SingularPseudoCov):
-            _guarded_solve(mat.tolist(), rhs, exc)
+            _guarded_solve(mat.tolist(), rhs, SingularPseudoCov, "skip")
         return
-    assert _guarded_solve(mat.tolist(), rhs, exc) == expected
+    assert _guarded_solve(mat.tolist(), rhs, SingularPseudoCov,
+                          "skip") == expected
 
 
 # ---------------------------------------------------------------------------
@@ -927,9 +998,10 @@ def batch_update_orientation_comprehension(orient, shape, scatter, count, w,
     expected, cov_bb, m_vec = orientation_moments(shape, var, w, c)
     gamma = [[cb - var * (mi * mj) for cb, mj in zip(row, m_vec)]
              for row, mi in zip(cov_bb, m_vec)]
-    weighted = _guarded_solve(gamma, m_vec,
-                              SingularPseudoCov("batch orientation noise "
-                                                "covariance is ill-conditioned"))
+    weighted = _guarded_solve_nested(gamma, m_vec,
+                                     SingularPseudoCov("batch orientation noise "
+                                                       "covariance is "
+                                                       "ill-conditioned"))
     info_gain = sum(map(mul, m_vec, weighted))
     if info_gain < 0.0:
         raise SingularPseudoCov("batch orientation noise covariance "
@@ -949,7 +1021,8 @@ def _exact(value):
 def _exact_or_error(update, *args):
     try:
         return _exact(update(*args))
-    except (SingularPseudoCov, EmptyMeasurementSet) as exc:
+    except (SingularInnovation, SingularPseudoCov, NonFiniteState,
+            EmptyMeasurementSet) as exc:
         return type(exc), str(exc)
 
 
@@ -1116,3 +1189,235 @@ def test_batch_updates_equal_the_replaced_forms_on_a_seeded_sweep():
         args = (theta, scatter, len(points), w, 0.25, 0.4)
         assert (_exact_or_error(update_axis, axis, *args)
                 == _exact_or_error(update_axis_trig_per_call, axis, *args))
+
+
+# ---------------------------------------------------------------------------
+# The steps call each update directly inside its own try, the 2x2 guard
+# returns det alone and its callers name the adjugate entries, the 3x3
+# guard keeps its cofactors in locals, and every guard builds its
+# exception only when it trips. Each is held bit for bit, signed zeros
+# included, to the nested-adjugate guards and the skip wrapper above: the
+# same floats, the same skip counts, and a tripped guard raising the same
+# exception type with the same message.
+
+def update_orientation_nested(orient, b, mom):
+    """The sequential orientation update through :func:`_guarded_solve_nested`."""
+    theta, var = orient
+    (e1, e2, e3), cov_bb, (m1, m2, m3) = mom
+    cross = (var * m1, var * m2, var * m3)
+    g1, g2, g3 = _guarded_solve_nested(
+        cov_bb, cross, SingularPseudoCov("orientation pseudo-measurement "
+                                         "covariance is ill-conditioned"))
+    b1, b2, b3 = b
+    return (wrap_angle(theta + (g1 * (b1 - e1) + g2 * (b2 - e2) + g3 * (b3 - e3))),
+            max(var - (g1 * cross[0] + g2 * cross[1] + g3 * cross[2]), 0.0))
+
+
+def step_sequential_wrapped(est, measurements, motion, cfg, order,
+                            diagnostics):
+    """The sequential step with each update run through :func:`_update_or_skip`."""
+    sequence = [UPDATE_ORDER.index(component) for component in order]
+    parts = list(_predict(est, motion))
+    points = measurements.points.tolist()
+    if not points:
+        return _estimate(*parts)
+    noise = cfg._noise
+    (c1, c2), w = _centering(*zip(*points), parts[0], noise)
+    c = cfg.c
+    for z1, z2 in points:
+        kin, axis, orient = parts
+        theta, var = orient
+        s1, s2 = z1 - c1, z2 - c2
+        b = (s1 * s1, s2 * s2, s1 * s2)
+        shape = _shape_entries(theta, axis[0], axis[1])
+        for k in sequence:
+            if k == 0:
+                parts[0] = _update_or_skip(diagnostics, "kinematics",
+                                           kalman_center_update, kin, z1, z2,
+                                           noise, c, shape)
+            elif k == 1:
+                parts[1] = _update_or_skip(diagnostics, "axis", update_axis,
+                                           axis, theta, b, 1, w, c)
+            else:
+                parts[2] = _update_or_skip(
+                    diagnostics, "orientation", update_orientation, orient, b,
+                    orientation_moments(shape, var, w, c))
+    return _estimate(*parts)
+
+
+def step_batch_wrapped(est, measurements, motion, cfg, diagnostics):
+    """The batch step with each update run through :func:`_update_or_skip`."""
+    if len(measurements) <= 1:
+        return step_sequential_wrapped(est, measurements, motion, cfg,
+                                       UPDATE_ORDER, diagnostics)
+    kin, axis, orient = _predict(est, motion)
+    col1, col2 = measurements.points.T.tolist()
+    noise = cfg._noise
+    (z1, z2), w = _centering(col1, col2, kin, noise)
+    scatter = _column_scatter(col1, col2, z1, z2)
+    count, theta = len(col1), orient[0]
+    shape = _shape_entries(theta, axis[0], axis[1])
+    return _estimate(
+        _update_or_skip(diagnostics, "kinematics", kalman_center_update, kin,
+                        z1, z2, noise, cfg.c, shape, count),
+        _update_or_skip(diagnostics, "axis", update_axis, axis, theta,
+                        scatter, count, w, cfg.c, cfg.psi),
+        _update_or_skip(diagnostics, "orientation", batch_update_orientation,
+                        orient, shape, scatter, count, w, cfg.c))
+
+
+def _estimate_floats(est):
+    """The floats of an estimate, flattened."""
+    (kin_mean, kin_cov), (axis_mean, axis_cov), orient = est._floats
+    return [*kin_mean, *(x for row in kin_cov for x in row), *axis_mean,
+            *(x for row in axis_cov for x in row), *orient]
+
+
+# Entries with signed zeros, extreme magnitudes and non-finite values.
+SPECIAL_ENTRIES = (0.0, -0.0, 1.0, -1.0, 1e-300, 1e300, math.inf, -math.inf,
+                   math.nan)
+
+
+@st.composite
+def guard_inputs(draw):
+    """:func:`guard_matrices` rows with up to two entries set to a signed
+    zero, and a right-hand side with signed zeros."""
+    mat = draw(guard_matrices())
+    n = len(mat)
+    for _ in range(draw(st.integers(0, 2))):
+        mat[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = \
+            draw(st.sampled_from([0.0, -0.0]))
+    rhs = draw(st.lists(coordinates, min_size=n, max_size=n))
+    return mat.tolist(), rhs
+
+
+@settings(max_examples=500)
+@given(problem=guard_inputs(),
+       error=st.sampled_from([SingularInnovation, SingularPseudoCov]))
+@example(problem=([[0.0, -0.0], [-0.0, 0.0]], [1.0, -0.0]),
+         error=SingularInnovation)
+@example(problem=([[-0.0, 1.0], [1.0, -0.0]], [-0.0, 0.0]),
+         error=SingularPseudoCov)
+@example(problem=([[1.0, 0.0, 0.0], [0.0, float("nan"), 0.0],
+                   [0.0, 0.0, 1.0]], [1.0, 2.0, 3.0]),
+         error=SingularPseudoCov)
+@example(problem=([[1.0, -0.0, 0.0], [-0.0, 1.0, 0.0], [0.0, 0.0, 1e-13]],
+                  [-0.0, 1.0, 0.0]), error=SingularPseudoCov)
+def test_flat_guards_equal_the_nested_adjugate_forms_bit_for_bit(problem,
+                                                                error):
+    # a 2x2 solve through _guarded_det and the adjugate entries named as
+    # the filters name them, and the 3x3 _guarded_solve, against the
+    # nested-tuple guard: kappa_F trips, non-finite entries, signed zeros,
+    # and the type and message of a tripped guard's exception
+    rows, rhs = problem
+    message = f"{len(rows)}x{len(rows)} guard tripped"
+    assert (_exact_or_error(guarded_solve_by_size, rows, rhs, error, message)
+            == _exact_or_error(_guarded_solve_nested, rows, rhs,
+                               error(message)))
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        assert (_exact_or_error(_guarded_det, a, b, c, d, error, message)
+                == _exact_or_error(lambda: _guarded_adjugate(
+                    rows, error(message))[1]))
+
+
+@st.composite
+def kinematic_update_args(draw):
+    """(kin, z1, z2, noise, c, shape, count) of a kinematic update: a PSD
+    or zero prior, noise and shape, each zero in some draws (a singular
+    innovation covariance), with up to three entries replaced by
+    :data:`SPECIAL_ENTRIES`."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    root = rng.normal(size=(4, 4)) * draw(st.sampled_from([0.0, 1e-8, 1.0,
+                                                           1e8]))
+    mean, cov = (rng.normal(size=4) * 5.0).tolist(), (root @ root.T).tolist()
+    noise_root = rng.normal(size=(2, 2)) * draw(st.sampled_from([0.0, 1.0]))
+    noise = (noise_root @ noise_root.T).ravel().tolist()
+    lengths = rng.uniform(0.0, 6.0, size=2) * draw(st.sampled_from([0.0, 1.0]))
+    shape = list(_shape_entries(float(rng.uniform(-np.pi, np.pi)),
+                                *lengths.tolist()))
+    rows = [mean, *cov, noise, shape]
+    for _ in range(draw(st.integers(0, 3))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        row[draw(st.integers(0, len(row) - 1))] = \
+            draw(st.sampled_from(SPECIAL_ENTRIES))
+    return ((mean, cov), draw(coordinates), draw(coordinates), noise,
+            draw(st.sampled_from([0.25, 1.0 / 3.0])), tuple(shape),
+            draw(st.integers(1, 12)))
+
+
+@settings(max_examples=400)
+@given(args=kinematic_update_args())
+@example(args=(([1.0, -0.0, 0.0, 2.0], [[0.0] * 4 for _ in range(4)]), -0.0,
+               0.0, [0.0, -0.0, -0.0, 0.0], 0.25, (0.0, 0.0, -0.0), 1))
+@example(args=(([1.0, -0.0, 0.0, 2.0], np.eye(4).tolist()), -0.0, 0.0,
+               [1.0, -0.0, -0.0, 1.0], 0.25, (0.0, 0.0, -0.0), 3))
+def test_kinematic_update_equals_the_nested_adjugate_form_bit_for_bit(args):
+    assert (_exact_or_error(lambda: _estimate_floats(_estimate(
+        kalman_center_update(*args), (1.0, 1.0, 0.0, 0.0, 0.0), (0.0, 0.0))))
+        == _exact_or_error(lambda: _estimate_floats(_estimate(
+            kalman_center_update_rows(*args), (1.0, 1.0, 0.0, 0.0, 0.0),
+            (0.0, 0.0)))))
+
+
+@settings(max_examples=400)
+@given(problem=orientation_problems(), point=st.tuples(coordinates, coordinates),
+       c=st.sampled_from([0.25, 1.0 / 3.0]),
+       special=st.sampled_from([None, -0.0, math.inf, math.nan]),
+       where=st.integers(0, 3))
+@example(problem=((0.3, 0.0), (4.0, 0.0), [0.0, 0.0, 0.0, 0.0]),
+         point=(1.0, -0.0), c=0.25, special=None, where=0)
+@example(problem=((0.3, 0.5), (4.0, 2.0), [1.0, 0.0, 0.0, 1.0]),
+         point=(1.0, -0.0), c=0.25, special=math.inf, where=0)
+def test_orientation_update_equals_the_nested_form_bit_for_bit(
+        problem, point, c, special, where):
+    (theta, var), (l1, l2), w = problem
+    if special is not None:
+        w = list(w)
+        w[where] = special
+    mom = orientation_moments(_shape_entries(theta, l1, l2), var, w, c)
+    s1, s2 = point
+    b = (s1 * s1, s2 * s2, s1 * s2)
+    assert (_exact_or_error(update_orientation, (theta, var), b, mom)
+            == _exact_or_error(update_orientation_nested, (theta, var), b,
+                               mom))
+
+
+@st.composite
+def problems_with_skips(draw):
+    """:func:`problems`, in half the draws with an axis estimate so
+    elongated that every guard trips, and an update order that may be
+    permuted, omit components or repeat them."""
+    est, scan, motion, cfg = draw(problems())
+    if draw(st.booleans()):
+        est = DecoupledEstimate(est.kin, AxisState([1e9, 1e-3], np.eye(2)),
+                                est.orient)
+    order = draw(st.one_of(st.permutations(UPDATE_ORDER),
+                           st.lists(st.sampled_from(UPDATE_ORDER),
+                                    max_size=5)))
+    return est, scan, motion, cfg, tuple(order)
+
+
+def _step_or_error(step, *args):
+    try:
+        return _exact(_estimate_floats(step(*args)))
+    except NonFiniteState as exc:
+        return type(exc), str(exc)
+
+
+@given(problem=problems_with_skips())
+def test_direct_update_calls_equal_the_skip_wrapper_bit_for_bit(problem):
+    # both steps against their forms with every update run through
+    # _update_or_skip: the same floats, and every skip counted once
+    est, scan, motion, cfg, order = problem
+    for run, wrapped in (
+            (lambda d: step_sequential(est, scan, motion, cfg, order=order,
+                                       diagnostics=d),
+             lambda d: step_sequential_wrapped(est, scan, motion, cfg, order,
+                                               d)),
+            (lambda d: step_batch(est, scan, motion, cfg, diagnostics=d),
+             lambda d: step_batch_wrapped(est, scan, motion, cfg, d))):
+        diagnostics, wrapped_diagnostics = StepDiagnostics(), StepDiagnostics()
+        assert (_step_or_error(run, diagnostics)
+                == _step_or_error(wrapped, wrapped_diagnostics))
+        assert diagnostics.as_dict() == wrapped_diagnostics.as_dict()

@@ -348,3 +348,30 @@ class TestStepSequential:
         assert diag.skipped_kinematics == 3
         np.testing.assert_array_equal(out.axis.mean, est.axis.mean)
         assert out.orient.mean == est.orient.mean
+
+    @pytest.mark.parametrize("order, runs", [
+        (("orientation", "kinematics", "axis"), (1, 1, 1)),
+        (("axis", "orientation"), (0, 1, 1)),
+        (("axis", "kinematics", "axis", "orientation"), (1, 2, 1)),
+    ], ids=["permuted", "omitted", "repeated"])
+    def test_skips_are_counted_once_in_any_order(self, default_config, order,
+                                                 runs):
+        # the elongated estimate above under a permuted order, one that
+        # omits the kinematic update and one that runs the axis update
+        # twice: each tripped update is counted once per run of it and per
+        # point, and every component comes back as the prediction, whether
+        # its update was skipped or not run
+        est = DecoupledEstimate(
+            kin=KinematicState(np.zeros(4), np.diag([1.0, 1.0, 0.0, 0.0])),
+            axis=AxisState([1e9, 1e-3], np.diag([1.0, 1.0])),
+            orient=OrientationState(0.0, 0.0),
+        )
+        motion = make_motion(q_pos=0.0, q_vel=0.0, q_theta=0.0)
+        z = MeasurementSet([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        diag = StepDiagnostics()
+        out = step_sequential(est, z, motion, default_config, order=order,
+                              diagnostics=diag)
+        assert diag.as_dict() == {
+            "skipped_kinematics": 3 * runs[0], "skipped_axis": 3 * runs[1],
+            "skipped_orientation": 3 * runs[2]}
+        assert out._floats == predict(est, motion)._floats
