@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import SingularInnovation, SingularPseudoCov
 from .measurements import CenteredMeasurements, MeasurementSet, _centering, \
-    _column_scatter, _scatter
+    _column_scatter
 from .sequential import StepDiagnostics, _count_skip, _guarded_solve, \
     _predict, kalman_center_update, orientation_moments, step_sequential, \
     update_axis
@@ -55,8 +55,8 @@ def batch_update_axis(axis: AxisState, centered: CenteredMeasurements,
     stacked update is :func:`update_axis` on the scatter of all the
     points. Applies the psi variance clamp afterwards when configured.
     """
-    return _axis_state(update_axis(_axis_floats(axis), orient.mean,
-                                   _scatter(centered.s.tolist(), 0.0, 0.0),
+    scatter = _column_scatter(*centered.s.T.tolist(), 0.0, 0.0)
+    return _axis_state(update_axis(_axis_floats(axis), orient.mean, scatter,
                                    len(centered), centered.W.ravel().tolist(),
                                    cfg.c, cfg.psi))
 

@@ -61,13 +61,6 @@ class CenteredMeasurements:
         return self.s.shape[0]
 
 
-def _scatter(points: list, c1: float, c2: float) -> tuple:
-    """(S11, S22, S12) of S = sum_i (z_i - c)(z_i - c)^T over [z1, z2] rows:
-    :func:`_column_scatter` of their two columns."""
-    return _column_scatter([z1 for z1, _ in points], [z2 for _, z2 in points],
-                           c1, c2)
-
-
 def _column_scatter(col1: list, col2: list, c1: float, c2: float) -> tuple:
     """(S11, S22, S12) of S = sum_i (z_i - c)(z_i - c)^T over the columns
     z1 = ``col1``, z2 = ``col2``: the column sums of the pseudo-measurements

@@ -25,7 +25,7 @@ from .metrics import EllipseParams, _gwd_squared, orientation_error
 from .sequential import StepDiagnostics, step_sequential
 from .state import (AxisState, DecoupledEstimate, FilterConfig, KinematicState,
                     MotionModel, OrientationState, _frozen_copy,
-                    _has_psd_pivots, _reduce_through_constructor,
+                    _has_psd_pivots_4x4, _reduce_through_constructor,
                     _symmetry_tol, constant_velocity_transition, rot,
                     wrap_angle)
 
@@ -38,6 +38,19 @@ FILTER_KINDS = ("sequential", "batch")
 
 def _is_count(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_covariance(cov: np.ndarray) -> bool:
+    """True if the 2x2 or 4x4 ``cov`` is symmetric and PSD up to rounding,
+    1e-12 of the largest entry of A + A^T: A - A^T within it, and A + A^T
+    shifted up by it passing :func:`_has_psd_pivots_4x4`, a 2x2 padded
+    with zeros (which leaves the verdict as it is)."""
+    n, tol = len(cov), _symmetry_tol(cov)
+    sym = np.zeros((4, 4))
+    sym[:n, :n] = cov + cov.T
+    sym[range(n), range(n)] += tol
+    return (bool(np.abs(cov - cov.T).max() <= tol)
+            and _has_psd_pivots_4x4(sym.tolist()))
 
 
 @dataclass(frozen=True)
@@ -160,9 +173,9 @@ class ScenarioConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "R", _frozen_copy(self.R, (2, 2)))
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+        if not (_is_count(self.seed) and self.seed >= 0):
             raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if not isinstance(self.runs, numbers.Integral) or self.runs < 1:
+        if not (_is_count(self.runs) and self.runs >= 1):
             raise ConfigError(f"need an integer number of runs >= 1, "
                               f"got {self.runs!r}")
         if not 0.0 < self.lam < np.inf:
@@ -181,9 +194,7 @@ class ScenarioConfig:
     def _check_numbers(self):
         """Reject non-finite numbers and negative variances.
 
-        A covariance A must be symmetric and PSD up to rounding, 1e-12 of
-        the largest entry of A + A^T: A - A^T within it, and A + A^T shifted
-        up by it passing the pivot test of :func:`symmetrize_psd`.
+        Every covariance must pass :func:`_is_covariance`.
         """
         prior, motion, traj = self.prior, self.motion, self.trajectory
         variances = {"prior orientation var": prior.orient.var,
@@ -209,11 +220,7 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} is a variance and cannot be "
                                   f"negative, got {value}")
         for name, cov in covariances.items():
-            sym = cov + cov.T
-            tol = _symmetry_tol(cov)
-            sym.flat[::len(sym) + 1] += tol
-            if (np.abs(cov - cov.T).max() > tol
-                    or not _has_psd_pivots(sym.tolist())):
+            if not _is_covariance(cov):
                 raise ConfigError(f"{name} must be a symmetric positive semi-"
                                   f"definite covariance, got {cov.tolist()}")
 

@@ -34,41 +34,18 @@ def wrap_angle(theta: float) -> float:
     return wrapped
 
 
-def _has_psd_pivots(rows: list) -> bool:
-    """True if LDL^T elimination of the symmetric ``rows`` meets no bad pivot.
-
-    Works on the upper triangle of a nested list in place. A zero pivot
-    passes only when the rest of its row is exactly zero, so an exactly
-    singular block (a noise-free velocity, say) passes while a matrix that
-    is merely close to singular must have positive pivots. NaN fails.
-    """
-    n = len(rows)
-    for k in range(n):
-        pivot_row = rows[k]
-        pivot = pivot_row[k]
-        if pivot > 0.0:
-            for i in range(k + 1, n):
-                factor = pivot_row[i] / pivot
-                row = rows[i]
-                for j in range(i, n):
-                    row[j] -= factor * pivot_row[j]
-        elif pivot != 0.0 or any(pivot_row[k + 1:]):
-            return False
-    return True
-
-
 def _psd_2x2(p11: float, p12: float, p22: float) -> tuple:
     """(P11, P12, P22) of the PSD projection of [[p11, p12], [p12, p22]].
 
-    Input that passes :func:`_has_psd_pivots` comes back unchanged.
-    Otherwise the negative eigenvalue is floored in closed form: the
-    result is lam u u^T, with lam the larger eigenvalue and u its unit
-    eigenvector. u is built from the larger diagonal entry's side, where
-    nothing cancels, and P22 is formed as the pivot test forms it,
-    (P12 / P11) P12, so the output passes the test exactly and repairing
-    it again changes nothing. NaN propagates.
+    Input that passes the pivot test of :func:`_has_psd_pivots_4x4` comes
+    back unchanged. Otherwise the negative eigenvalue is floored in closed
+    form: the result is lam u u^T, with lam the larger eigenvalue and u its
+    unit eigenvector. u is built from the larger diagonal entry's side,
+    where nothing cancels, and P22 is formed as the pivot test forms it,
+    (P12 / P11) P12, so the output passes the test exactly and repairing it
+    again changes nothing. NaN propagates.
     """
-    # The pivot test of :func:`_has_psd_pivots`, written out for 2x2.
+    # The pivot test of :func:`_has_psd_pivots_4x4`, written out for 2x2.
     if p11 > 0.0:
         if p22 - (p12 / p11) * p12 >= 0.0:
             return p11, p12, p22
@@ -92,11 +69,12 @@ def _psd_2x2(p11: float, p12: float, p22: float) -> tuple:
 
 
 def _has_psd_pivots_4x4(rows: list) -> bool:
-    """:func:`_has_psd_pivots` written out for a 4x4 ``rows``.
+    """True if LDL^T elimination of the 4x4 ``rows`` meets no bad pivot.
 
-    Reads the upper triangle and leaves ``rows`` as it is. The float
-    operations, their order and the zero-pivot rule are those of the loop,
-    so the verdict is the same on every input.
+    Reads the upper triangle and leaves ``rows`` as it is. A zero pivot
+    passes only when the rest of its row is exactly zero, so an exactly
+    singular block (a noise-free velocity, say) passes while a matrix
+    that is merely close to singular must have positive pivots. NaN fails.
     """
     (a00, a01, a02, a03), (_, a11, a12, a13), (_, _, a22, a23), (*_, a33) = rows
     if a00 > 0.0:
@@ -125,29 +103,22 @@ def _has_psd_pivots_4x4(rows: list) -> bool:
 
 
 def _psd_rows(rows: list) -> list:
-    """Symmetrize the square nested list ``rows`` in place, then floor
+    """Symmetrize the 4x4 nested list ``rows`` in place, then floor
     negative eigenvalues at zero. The eigendecomposition runs only when
-    the scalar LDL^T pass (:func:`_has_psd_pivots`, written out at 4x4)
-    finds it is needed. A NaN entry always fails that pass; a matrix
-    with a non-finite entry that reaches the eigendecomposition raises
+    the scalar LDL^T pass (:func:`_has_psd_pivots_4x4`) finds it is
+    needed. A NaN entry always fails that pass; a matrix with a
+    non-finite entry that reaches the eigendecomposition raises
     :class:`NonFiniteState` instead.
     """
-    if len(rows) == 4:
-        r0, r1, r2, r3 = rows
-        r0[1] = r1[0] = 0.5 * (r0[1] + r1[0])
-        r0[2] = r2[0] = 0.5 * (r0[2] + r2[0])
-        r0[3] = r3[0] = 0.5 * (r0[3] + r3[0])
-        r1[2] = r2[1] = 0.5 * (r1[2] + r2[1])
-        r1[3] = r3[1] = 0.5 * (r1[3] + r3[1])
-        r2[3] = r3[2] = 0.5 * (r2[3] + r3[2])
-        if _has_psd_pivots_4x4(rows):
-            return rows
-    else:
-        for i, row in enumerate(rows):
-            for j in range(i + 1, len(rows)):
-                row[j] = rows[j][i] = 0.5 * (row[j] + rows[j][i])
-        if _has_psd_pivots([row[:] for row in rows]):
-            return rows
+    r0, r1, r2, r3 = rows
+    r0[1] = r1[0] = 0.5 * (r0[1] + r1[0])
+    r0[2] = r2[0] = 0.5 * (r0[2] + r2[0])
+    r0[3] = r3[0] = 0.5 * (r0[3] + r3[0])
+    r1[2] = r2[1] = 0.5 * (r1[2] + r2[1])
+    r1[3] = r3[1] = 0.5 * (r1[3] + r3[1])
+    r2[3] = r3[2] = 0.5 * (r2[3] + r3[2])
+    if _has_psd_pivots_4x4(rows):
+        return rows
     array = np.array(rows)
     if not np.isfinite(array).all():
         raise NonFiniteState("a covariance overflowed to a non-finite value")
@@ -159,12 +130,15 @@ def symmetrize_psd(mat: np.ndarray) -> np.ndarray:
     """The symmetric PSD matrix nearest to ``mat`` in the eigen sense.
 
     Idempotent on symmetric PSD input. A 2x2 input is handled by
-    :func:`_psd_2x2`, larger ones by :func:`_psd_rows`.
+    :func:`_psd_2x2`, a 4x4 one by :func:`_psd_rows`; any other shape
+    raises ``ValueError``.
     """
-    if len(mat) == 2:
+    if mat.shape == (2, 2):
         (p11, p12), (p21, p22) = mat.tolist()
         p11, p12, p22 = _psd_2x2(p11, 0.5 * (p12 + p21), p22)
         return np.array([[p11, p12], [p12, p22]])
+    if mat.shape != (4, 4):
+        raise ValueError(f"expected a 2x2 or 4x4 matrix, got shape {mat.shape}")
     return np.array(_psd_rows(mat.tolist()))
 
 
@@ -252,10 +226,6 @@ class KinematicState(_FloatBacked):
     mean: np.ndarray
     cov: np.ndarray
     _DIM = 4
-
-    @property
-    def center(self) -> np.ndarray:
-        return self.mean[:2]
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ from hypothesis import settings
 
 from elliptrack import (AxisState, DecoupledEstimate, FilterConfig,
                         KinematicState, MotionModel, OrientationState,
-                        constant_velocity_transition, matrix_sqrt_2x2,
-                        shape_matrix)
+                        constant_velocity_transition)
+from elliptrack.metrics import matrix_sqrt_2x2
+from elliptrack.state import shape_matrix
 
 # Selection matrix mapping vec(2x2) (column-major) to (m11, m22, m21);
 # applied to s (x) s it yields the pseudo-measurement b = (s1^2, s2^2, s1*s2).
@@ -26,6 +27,30 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if item.path.name == "test_acceptance.py":
             item.add_marker(pytest.mark.acceptance)
+
+
+def _has_psd_pivots(rows):
+    """True if LDL^T elimination of the symmetric ``rows`` meets no bad pivot.
+
+    The loop form of the pivot test, for any size, that the written-out
+    ``state._has_psd_pivots_4x4`` and the inline 2x2 test of
+    ``state._psd_2x2`` are held to. Works on the upper triangle of a
+    nested list in place. A zero pivot passes only when the rest of its
+    row is exactly zero. NaN fails.
+    """
+    n = len(rows)
+    for k in range(n):
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        if pivot > 0.0:
+            for i in range(k + 1, n):
+                factor = pivot_row[i] / pivot
+                row = rows[i]
+                for j in range(i, n):
+                    row[j] -= factor * pivot_row[j]
+        elif pivot != 0.0 or any(pivot_row[k + 1:]):
+            return False
+    return True
 
 
 def symmetrize_psd_oracle(mat):

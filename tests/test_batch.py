@@ -5,7 +5,7 @@ import pytest
 
 from elliptrack import (AxisState, DecoupledEstimate, FilterConfig, KinematicState, MeasurementSet,
                         OrientationState, StepDiagnostics, predict, rot,
-                        shape_matrix, step_batch, step_sequential)
+                        step_batch, step_sequential)
 from elliptrack.batch import (batch_update_axis, batch_update_kinematics,
                               batch_update_orientation)
 from elliptrack.errors import SingularInnovation, SingularPseudoCov
@@ -13,8 +13,8 @@ from elliptrack.measurements import (CenteredMeasurements, aligned_squares,
                                      center_measurements)
 from elliptrack.sequential import (axis_moments, kalman_center_update,
                                    orientation_moments, update_orientation)
-from elliptrack.measurements import _scatter
-from elliptrack.state import _shape_entries
+from elliptrack.measurements import _column_scatter
+from elliptrack.state import _shape_entries, shape_matrix
 from elliptrack.simulation import builtin_scenarios, sample_run_data
 
 from conftest import assert_symmetric_psd, make_estimate, make_motion
@@ -24,7 +24,7 @@ def orientation_update(orient, centered, axis, cfg):
     """batch_update_orientation on the scan ``centered``, as a dataclass."""
     return OrientationState(*batch_update_orientation(
         (orient.mean, orient.var), _shape_entries(orient.mean, *axis.mean),
-        _scatter(centered.s.tolist(), 0.0, 0.0), len(centered),
+        _column_scatter(*centered.s.T.tolist(), 0.0, 0.0), len(centered),
         centered.W.ravel().tolist(), cfg.c))
 
 
@@ -173,8 +173,8 @@ class TestBatchOrientation:
         centered = CenteredMeasurements(np.ones((3, 2)), cfg.R)
         prior = (0.3, 0.0)
         assert batch_update_orientation(
-            prior, _shape_entries(0.3, *axis.mean), _scatter([[1.0, 1.0]] * 3,
-                                                             0.0, 0.0),
+            prior, _shape_entries(0.3, *axis.mean),
+            _column_scatter([1.0] * 3, [1.0] * 3, 0.0, 0.0),
             3, cfg.R.ravel().tolist(), cfg.c) is prior
 
     def test_variance_always_shrinks(self):

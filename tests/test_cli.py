@@ -478,7 +478,9 @@ class TestExitCodes:
         assert made == sizes
 
     @pytest.mark.parametrize("overrides", [{"seed": 1.5}, {"runs": 2.5},
-                                           {"seed": -1}, {"psi": 2.0}])
+                                           {"seed": -1}, {"psi": 2.0},
+                                           {"runs": True}, {"seed": True},
+                                           {"seed": False}])
     def test_bad_seed_runs_or_psi_in_config_exits_2(self, tmp_path, capsys,
                                                     overrides):
         config = write_config(tmp_path, **overrides)

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from elliptrack import (EmptyMeasurementSet, KinematicState, MeasurementSet,
-                        SourceDistribution, build_pseudo, center_measurements,
-                        rot, sample_measurements)
+                        SourceDistribution, build_pseudo, rot,
+                        sample_measurements)
 from elliptrack.measurements import (CenteredMeasurements, _noise_factor,
-                                     aligned_squares, sample_scans)
+                                     aligned_squares, center_measurements,
+                                     sample_scans)
 from elliptrack.simulation import builtin_scenarios
 
 from conftest import QUAD_SELECT

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from elliptrack import (EllipseParams, NotPSD, gwd_squared, matrix_sqrt_2x2,
-                        orientation_error, rot)
+from elliptrack import EllipseParams, gwd_squared, orientation_error, rot
+from elliptrack.errors import NotPSD
+from elliptrack.metrics import matrix_sqrt_2x2
 
 from conftest import gwd_squared_oracle
 

@@ -17,7 +17,9 @@ steps and their lazily built exceptions are held bit for bit to the
 nested-adjugate guards and the skip wrapper they replaced.
 """
 
+import dataclasses
 import math
+import warnings
 from operator import mul
 
 import numpy as np
@@ -31,9 +33,9 @@ from elliptrack import (AxisState, DecoupledEstimate, FilterConfig,
                         step_sequential)
 from elliptrack.batch import batch_update_orientation
 from elliptrack.errors import SingularInnovation, SingularPseudoCov
-from elliptrack.errors import EmptyMeasurementSet, NonFiniteState
-from elliptrack.measurements import (CenteredMeasurements, _scatter,
-                                     aligned_squares, build_pseudo)
+from elliptrack.errors import ConfigError, EmptyMeasurementSet, NonFiniteState
+from elliptrack.measurements import (CenteredMeasurements, aligned_squares,
+                                     build_pseudo)
 from elliptrack.measurements import _centering, _column_scatter
 from elliptrack.sequential import (AXIS_FLOOR, COND_LIMIT, AxisMoments,
                                    _guarded_solve, _predict,
@@ -41,13 +43,14 @@ from elliptrack.sequential import (AXIS_FLOOR, COND_LIMIT, AxisMoments,
                                    orientation_moments, update_axis)
 from elliptrack.sequential import (UPDATE_ORDER, _axis_moments, _det3,
                                    _guarded_det, update_orientation)
-from elliptrack.simulation import sample_run_data
+from elliptrack.simulation import _is_covariance, sample_run_data
 from elliptrack.state import (_axis_floats, _axis_state, _estimate,
-                              _has_psd_pivots, _has_psd_pivots_4x4, _psd_2x2,
-                              _psd_rows, _shape_entries, _symmetry_tol,
+                              _has_psd_pivots_4x4, _psd_2x2, _psd_rows,
+                              _shape_entries, _symmetry_tol,
                               clamp_axis_variance, wrap_angle)
 
-from conftest import QUAD_SELECT, assert_symmetric_psd, symmetrize_psd_oracle
+from conftest import (QUAD_SELECT, _has_psd_pivots, assert_symmetric_psd,
+                      symmetrize_psd_oracle)
 
 # Selects the object center from the 4-d kinematic state.
 H_CENTER = np.array([[1.0, 0.0, 0.0, 0.0],
@@ -367,7 +370,7 @@ def test_update_axis_matches_single_row_and_stacked_forms():
         for pts, oracle in ((points[:1], update_axis_oracle(axis, stacked[0],
                                                             mom)),
                             (points, stacked_axis_oracle(axis, stacked, mom))):
-            scatter = _scatter(pts.tolist(), 0.0, 0.0)
+            scatter = _column_scatter(*pts.T.tolist(), 0.0, 0.0)
             pairs.append((_axis_state(update_axis(
                 _axis_floats(axis), orient.mean, scatter, len(pts),
                 w.ravel().tolist(), cfg.c)), oracle))
@@ -610,6 +613,70 @@ def test_written_out_4x4_pivot_test_gives_the_loop_verdict(rows):
     assert _has_psd_pivots_4x4(rows) is _has_psd_pivots(
         [row[:] for row in rows])
     assert repr(rows) == before
+
+
+def covariance_verdict_loop(cov):
+    """The config check's verdict with the loop pivot test on the unpadded
+    ``cov``: A - A^T within the tolerance, and A + A^T shifted up by it
+    passing :func:`_has_psd_pivots`."""
+    sym = cov + cov.T
+    tol = _symmetry_tol(cov)
+    sym.flat[::len(sym) + 1] += tol
+    return (bool(np.abs(cov - cov.T).max() <= tol)
+            and _has_psd_pivots(sym.tolist()))
+
+
+@st.composite
+def config_covariances(draw):
+    """A 2x2 or 4x4 covariance for the config check: a
+    :func:`symmetric_4x4` or its top-left 2x2, with one mirrored pair
+    skewed by a multiple of the symmetry tolerance around 1, so A - A^T
+    lands just inside, at or just outside it."""
+    n = draw(st.sampled_from([2, 4]))
+    cov = np.array(draw(symmetric_4x4()))[:n, :n]
+    i, j = draw(st.sampled_from([(i, j) for i in range(n)
+                                 for j in range(i + 1, n)]))
+    with np.errstate(invalid="ignore", over="ignore"):
+        cov[j, i] += draw(st.sampled_from([0.0, 0.5, 1.0 - 1e-9, 1.0,
+                                           1.0 + 1e-9, 2.0])) * _symmetry_tol(cov)
+    return cov
+
+
+@settings(max_examples=400)
+@given(cov=config_covariances())
+@example(cov=np.array([[0.0, 1.0], [1.0, 0.0]]))
+@example(cov=np.array([[0.0, 0.0], [0.0, 1.0]]))
+@example(cov=np.array([[1.0, 1.0], [1.0, 1.0]]))
+@example(cov=np.array([[1.0, float("nan")], [float("nan"), 1.0]]))
+@example(cov=np.array([[4.0, 1.0], [1.0 + 8e-12, 1.0]]))
+@example(cov=np.array([[4.0, 1.0], [1.0 + 1.2e-11, 1.0]]))
+@example(cov=np.array([[1.0, 1.0 + 1.5e-12], [1.0, 1.0]]))
+@example(cov=np.diag([0.1, 0.1, 0.0, 0.0]))
+@example(cov=np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                       [1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]))
+def test_config_covariance_check_gives_the_loop_verdict(cov):
+    # the written-out 4x4 test, a 2x2 padded with zeros into it, against
+    # the loop on the matrix as given: zero pivots with zero or non-zero
+    # column, exactly singular blocks, NaN, +-inf and skews at the edge
+    # of the symmetry tolerance; a scenario with ``cov`` as its prior axis
+    # covariance (2x2) or Q_kin (4x4) builds exactly when the verdict holds
+    with np.errstate(invalid="ignore", over="ignore"):
+        verdict = covariance_verdict_loop(cov)
+        assert _is_covariance(cov) is verdict
+    scen = builtin_scenarios(runs=1)["moderate"]
+    if len(cov) == 2:
+        change = {"prior": dataclasses.replace(
+            scen.prior, axis=AxisState(scen.prior.axis.mean, cov))}
+    else:
+        change = {"motion": dataclasses.replace(scen.motion, Q_kin=cov)}
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            dataclasses.replace(scen, **change)
+    except ConfigError:
+        assert not verdict
+    else:
+        assert verdict
 
 
 @settings(max_examples=200)
@@ -1077,7 +1144,6 @@ def test_column_statistics_equal_the_row_forms_bit_for_bit(points, center,
     for c1, c2 in centers:
         expected = _exact(scatter_rows(points, c1, c2))
         assert _exact(_column_scatter(col1, col2, c1, c2)) == expected
-        assert _exact(_scatter(points, c1, c2)) == expected
 
 
 # Inputs that reach each exit of the orientation update: the kappa_F skip

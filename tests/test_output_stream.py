@@ -9,11 +9,16 @@ change that moves any last bit or byte fails here. Such a change must
 bump ``__version__`` and re-record the file on purpose:
 
     PYTHONPATH=src python tests/test_output_stream.py
+
+The script refuses to overwrite a record made at the current version
+with one that differs from it, so a changed stream cannot be re-recorded
+without the version bump.
 """
 
 import dataclasses
 import json
 import os
+import sys
 import tempfile
 
 import pytest
@@ -71,12 +76,19 @@ def record():
     with tempfile.TemporaryDirectory() as workdir:
         track = {case: track_lines(*case.split("/"), workdir)
                  for case in TRACK_CASES}
+    new = {"version": __version__, "runs": RUNS, "steps": STEPS, "seed": SEED,
+           "errors": {case: campaign_errors(*case.split("/"))
+                      for case in CASES},
+           "track": track}
+    if os.path.exists(RECORD):
+        with open(RECORD, encoding="utf-8") as fh:
+            old = json.load(fh)
+        if old.get("version") == __version__ and old != new:
+            sys.exit(f"refusing to re-record {RECORD}: it was recorded at "
+                     f"version {__version__} and the output stream differs "
+                     f"from it; bump __version__ first")
     with open(RECORD, "w", encoding="utf-8") as fh:
-        json.dump({"version": __version__, "runs": RUNS, "steps": STEPS,
-                   "seed": SEED,
-                   "errors": {case: campaign_errors(*case.split("/"))
-                              for case in CASES},
-                   "track": track}, fh, indent=1)
+        json.dump(new, fh, indent=1)
         fh.write("\n")
 
 

@@ -5,8 +5,9 @@ import pytest
 
 from elliptrack import (AxisState, DecoupledEstimate,
                         KinematicState, MeasurementSet, OrientationState,
-                        SourceDistribution, batch_update_kinematics, predict,
-                        rot, sample_measurements, step_sequential)
+                        SourceDistribution, predict, rot,
+                        sample_measurements, step_sequential)
+from elliptrack.batch import batch_update_kinematics
 from elliptrack.sequential import (StepDiagnostics, axis_moments,
                                    orientation_moments, update_axis,
                                    update_orientation)

@@ -10,16 +10,17 @@ import pytest
 from elliptrack import (AxisState, DecoupledEstimate, FilterConfig,
                         KinematicState, MeasurementSet, MotionModel,
                         OrientationState, batch_update_axis,
-                        batch_update_kinematics, center_measurements,
                         clamp_axis_variance, constant_velocity_transition,
-                        predict, rot, shape_matrix, step_batch,
-                        step_sequential, symmetrize_psd, wrap_angle)
+                        predict, rot, step_batch, step_sequential,
+                        wrap_angle)
+from elliptrack.batch import batch_update_kinematics
+from elliptrack.measurements import center_measurements
 from elliptrack.simulation import builtin_scenarios
 from elliptrack.state import (_axis_floats, _axis_state, _estimate,
-                              _has_psd_pivots)
+                              shape_matrix, symmetrize_psd)
 
-from conftest import (assert_symmetric_psd, make_estimate, make_motion,
-                      symmetrize_psd_oracle)
+from conftest import (_has_psd_pivots, assert_symmetric_psd, make_estimate,
+                      make_motion, symmetrize_psd_oracle)
 
 
 class TestRot:
@@ -127,8 +128,9 @@ class TestClampAxisVariance:
 
 
 class TestSymmetrizePsd:
-    def test_identity_unchanged(self):
-        assert np.array_equal(symmetrize_psd(np.eye(3)), np.eye(3))
+    def test_rejects_sizes_other_than_2x2_and_4x4(self):
+        with pytest.raises(ValueError, match="2x2 or 4x4"):
+            symmetrize_psd(np.eye(3))
 
     def test_asymmetric_input(self):
         # (M + M^T)/2 = [[1,1],[1,1]] with eigenvalues {2, 0}: no flooring
@@ -147,8 +149,6 @@ class TestSymmetrizePsd:
             psd = root @ root.T
             once = symmetrize_psd(psd)
             np.testing.assert_allclose(once, psd, atol=1e-12)
-            assert_symmetric_psd(symmetrize_psd(rng.normal(size=(3, 3))),
-                                 sym_tol=1e-12, eig_tol=-1e-10)
 
 
 class TestSymmetrizePsdFastPath:
@@ -169,7 +169,7 @@ class TestSymmetrizePsdFastPath:
         out = symmetrize_psd(np.array([[0.0, 1.0], [1.0, 0.0]]))
         np.testing.assert_allclose(out, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 4])
     def test_matches_lapack_oracle(self, n):
         rng = np.random.default_rng(40 + n)
         repaired = 0
