@@ -401,8 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_scenario_opts(p, require=True):
-        group = p.add_mutually_exclusive_group(required=require)
+    def add_scenario_opts(p):
+        group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--scenario", help="builtin scenario name")
         group.add_argument("--config", help="path to a JSON scenario config")
 

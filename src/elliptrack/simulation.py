@@ -24,10 +24,9 @@ from .measurements import MeasurementSet, SourceDistribution, sample_scans
 from .metrics import EllipseParams, _gwd_squared, orientation_error
 from .sequential import StepDiagnostics, step_sequential
 from .state import (AxisState, DecoupledEstimate, FilterConfig, KinematicState,
-                    MotionModel, OrientationState, _frozen_copy,
-                    _has_psd_pivots_4x4, _reduce_through_constructor,
-                    _symmetry_tol, constant_velocity_transition, rot,
-                    wrap_angle)
+                    MotionModel, OrientationState, _check_numbers,
+                    _frozen_copy, _reduce_through_constructor,
+                    constant_velocity_transition, rot, wrap_angle)
 
 # Sampled true semi-axes are floored here; the shape priors put a little
 # Gaussian mass on negative lengths.
@@ -40,19 +39,6 @@ def _is_count(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _is_covariance(cov: np.ndarray) -> bool:
-    """True if the 2x2 or 4x4 ``cov`` is symmetric and PSD up to rounding,
-    1e-12 of the largest entry of A + A^T: A - A^T within it, and A + A^T
-    shifted up by it passing :func:`_has_psd_pivots_4x4`, a 2x2 padded
-    with zeros (which leaves the verdict as it is)."""
-    n, tol = len(cov), _symmetry_tol(cov)
-    sym = np.zeros((4, 4))
-    sym[:n, :n] = cov + cov.T
-    sym[range(n), range(n)] += tol
-    return (bool(np.abs(cov - cov.T).max() <= tol)
-            and _has_psd_pivots_4x4(sym.tolist()))
-
-
 @dataclass(frozen=True)
 class TrajectorySpec:
     """Nominal path of the true object plus per-step truth jitter.
@@ -61,8 +47,10 @@ class TrajectorySpec:
     heading advances by the turn rate on every step of the segment. The
     jitter values are variances of fresh zero-mean noise added to the
     nominal position and velocity each step, so the truth stays close to
-    the pre-defined path instead of drifting off it. ``start_position``
-    and ``true_axes`` are read-only copies, also after a pickle, copy or
+    the pre-defined path instead of drifting off it. The speed and turn
+    rates must be finite and the jitters finite variances >= 0, or the
+    constructor raises :class:`ConfigError`. ``start_position`` and
+    ``true_axes`` are read-only copies, also after a pickle, copy or
     ``dataclasses.replace``.
     """
     segments: Tuple[Tuple[int, float], ...]
@@ -86,6 +74,10 @@ class TrajectorySpec:
         object.__setattr__(self, "true_axes", _frozen_copy(self.true_axes, 2))
         if np.any(self.true_axes <= 0.0):
             raise ConfigError("true semi-axes must be positive")
+        _check_numbers({"position_jitter": self.position_jitter,
+                        "velocity_jitter": self.velocity_jitter}, {},
+                       {"nominal_speed": self.nominal_speed,
+                        "segment turn rates": [rate for _, rate in self.segments]})
 
     @property
     def steps(self) -> int:
@@ -105,32 +97,26 @@ class TruthState:
 
 
 def generate_truth(traj: TrajectorySpec, rng: np.random.Generator,
-                   start_position: Optional[np.ndarray] = None,
-                   start_velocity: Optional[np.ndarray] = None,
-                   axes: Optional[np.ndarray] = None,
-                   theta0: Optional[float] = None) -> List[TruthState]:
+                   start_position: np.ndarray, start_velocity: np.ndarray,
+                   axes: np.ndarray, theta0: float) -> List[TruthState]:
     """Generate the per-step ground truth for one run.
 
-    The heading integrates the segment turn rates; the nominal position
-    integrates the nominal velocity. Fresh jitter is added to position
-    and velocity each step. The true orientation is the heading of the
-    (jittered) velocity; a stationary object keeps its initial angle.
-    The start pose defaults to the nominal one but is usually a draw from
-    the scenario prior. All T steps are computed at once, over every
-    segment; the jitter is one (T, 4) block of standard normals, each
-    row holding step t's velocity jitter and then its position jitter.
+    The heading integrates the segment turn rates from the heading of
+    ``start_velocity``, whose norm is the speed (``traj.start_heading``
+    at speed 0); the nominal position integrates the nominal velocity
+    from ``start_position``. Fresh jitter is added to position and
+    velocity each step. The true orientation is the heading of the
+    (jittered) velocity; a stationary object keeps ``theta0``. All T
+    steps are computed at once, over every segment; the jitter is one
+    (T, 4) block of standard normals, each row holding step t's velocity
+    jitter and then its position jitter.
     """
-    position = np.array(traj.start_position if start_position is None
-                        else start_position, dtype=float)
-    if start_velocity is None:
-        heading = traj.start_heading
-        speed = traj.nominal_speed
-    else:
-        start_velocity = np.asarray(start_velocity, dtype=float)
-        speed = float(np.linalg.norm(start_velocity))
-        heading = float(np.arctan2(start_velocity[1], start_velocity[0])) \
-            if speed > 0.0 else traj.start_heading
-    axes = np.array(traj.true_axes if axes is None else axes, dtype=float)
+    position = np.array(start_position, dtype=float)
+    start_velocity = np.asarray(start_velocity, dtype=float)
+    speed = float(np.linalg.norm(start_velocity))
+    heading = float(np.arctan2(start_velocity[1], start_velocity[0])) \
+        if speed > 0.0 else traj.start_heading
+    axes = np.array(axes, dtype=float)
 
     counts, rates = zip(*traj.segments)
     # Running sums that start from the initial value add in the same order
@@ -144,8 +130,7 @@ def generate_truth(traj: TrajectorySpec, rng: np.random.Generator,
     if speed > 0.0:
         thetas = map(wrap_angle, np.arctan2(velocities[:, 1], velocities[:, 0]))
     else:
-        thetas = [wrap_angle(traj.start_heading if theta0 is None else theta0)
-                  ] * len(headings)
+        thetas = [wrap_angle(theta0)] * len(headings)
     return [TruthState(center, velocity, theta, axes)
             for center, velocity, theta in zip(centers, velocities, thetas)]
 
@@ -154,8 +139,11 @@ def generate_truth(traj: TrajectorySpec, rng: np.random.Generator,
 class ScenarioConfig:
     """Everything that determines a Monte-Carlo campaign.
 
-    ``R`` is a read-only copy, so no write can bypass the checks made at
-    construction; a pickle or copy goes through the constructor again.
+    The constructor checks the counts, the Poisson rate and the prior, and
+    builds the campaign's one :class:`FilterConfig` (which checks ``R`` and
+    ``psi``); the motion and trajectory checked themselves when they were
+    built. ``R`` is that filter config's read-only copy, so no write can
+    bypass the checks; a pickle or copy goes through the constructor again.
     """
     name: str
     lam: float
@@ -172,7 +160,6 @@ class ScenarioConfig:
     __reduce__ = _reduce_through_constructor
 
     def __post_init__(self):
-        object.__setattr__(self, "R", _frozen_copy(self.R, (2, 2)))
         if not (_is_count(self.seed) and self.seed >= 0):
             raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not (_is_count(self.runs) and self.runs >= 1):
@@ -184,49 +171,24 @@ class ScenarioConfig:
         count = self.fixed_count
         if count is not None and not (_is_count(count) and count >= 0):
             raise ConfigError(f"fixed_count must be an integer >= 0, got {count!r}")
-        # The numbers first, so a bad R is reported as a bad covariance.
-        self._check_numbers()
+        prior = self.prior
+        _check_numbers({"prior orientation var": prior.orient.var},
+                       {"prior kinematics cov": prior.kin.cov,
+                        "prior axis cov": prior.axis.cov},
+                       {"prior kinematics mean": prior.kin.mean,
+                        "prior axis mean": prior.axis.mean,
+                        "prior orientation mean": prior.orient.mean})
         try:
-            self.filter_config()
+            fcfg = FilterConfig(R=self.R, c=self.source_dist.scaling_factor,
+                                psi=self.psi)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-
-    def _check_numbers(self):
-        """Reject non-finite numbers and negative variances.
-
-        Every covariance must pass :func:`_is_covariance`.
-        """
-        prior, motion, traj = self.prior, self.motion, self.trajectory
-        variances = {"prior orientation var": prior.orient.var,
-                     "Q_theta": motion.Q_theta,
-                     "position_jitter": traj.position_jitter,
-                     "velocity_jitter": traj.velocity_jitter}
-        covariances = {"R": self.R,
-                       "prior kinematics cov": prior.kin.cov,
-                       "prior axis cov": prior.axis.cov,
-                       "Q_kin": motion.Q_kin,
-                       "Q_axis": motion.Q_axis}
-        others = {"prior kinematics mean": prior.kin.mean,
-                  "prior axis mean": prior.axis.mean,
-                  "prior orientation mean": prior.orient.mean,
-                  "F_kin": motion.F_kin,
-                  "nominal_speed": traj.nominal_speed,
-                  "segment turn rates": [rate for _, rate in traj.segments]}
-        for name, value in {**variances, **covariances, **others}.items():
-            if not np.isfinite(value).all():
-                raise ConfigError(f"{name} must be finite, got {value}")
-        for name, value in variances.items():
-            if value < 0.0:
-                raise ConfigError(f"{name} is a variance and cannot be "
-                                  f"negative, got {value}")
-        for name, cov in covariances.items():
-            if not _is_covariance(cov):
-                raise ConfigError(f"{name} must be a symmetric positive semi-"
-                                  f"definite covariance, got {cov.tolist()}")
+        object.__setattr__(self, "R", fcfg.R)
+        object.__setattr__(self, "_filter_config", fcfg)
 
     def filter_config(self) -> FilterConfig:
-        return FilterConfig(R=self.R, c=self.source_dist.scaling_factor,
-                            psi=self.psi)
+        """The one filter config built with the scenario."""
+        return self._filter_config
 
 
 @dataclass
@@ -361,7 +323,7 @@ def run_scenario(cfg: ScenarioConfig, filter_kind: str, jobs: int = 1
     exactly (runtimes aside). The results come back in run order. The
     pool starts all its workers at once, so it gets at most one per run.
     """
-    if not isinstance(jobs, numbers.Integral) or jobs < 1:
+    if not (_is_count(jobs) and jobs >= 1):
         raise ConfigError(f"need an integer number of jobs >= 1, got {jobs!r}")
     step_function(filter_kind)  # validate up front
     run = partial(run_single, cfg, filter_kind)

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NonFiniteState
+from .errors import ConfigError, NonFiniteState
 
 # Semi-axis means are floored here after every update; a quadratic
 # pseudo-measurement outlier can otherwise drive a length negative.
@@ -289,9 +289,11 @@ class MotionModel:
     """Linear transition and process noise for the three components.
 
     The semi-axis transition is fixed to the identity, so only its
-    process noise is configurable. The arrays are read-only copies, and
-    the steps read ``_floats``, (F_kin, Q_kin, Q_axis) as row tuples and
-    Q_theta, derived from them once.
+    process noise is configurable. F_kin must be finite, Q_kin and Q_axis
+    must pass :func:`_is_covariance` and Q_theta must be a finite variance
+    >= 0; anything else raises :class:`ConfigError`. The arrays are
+    read-only copies, and the steps read ``_floats``, (F_kin, Q_kin,
+    Q_axis) as row tuples and Q_theta, derived from them once.
     """
     F_kin: np.ndarray
     Q_kin: np.ndarray
@@ -307,6 +309,9 @@ class MotionModel:
         for name, array in zip(("F_kin", "Q_kin", "Q_axis"), arrays):
             object.__setattr__(self, name, array)
         object.__setattr__(self, "Q_theta", float(self.Q_theta))
+        _check_numbers({"Q_theta": self.Q_theta},
+                       {"Q_kin": self.Q_kin, "Q_axis": self.Q_axis},
+                       {"F_kin": self.F_kin})
         object.__setattr__(self, "_floats", (
             *(tuple(map(tuple, array.tolist())) for array in arrays),
             self.Q_theta))
@@ -316,6 +321,36 @@ def _symmetry_tol(mat: np.ndarray) -> float:
     """The rounding a covariance ``mat`` may carry: 1e-12 of the largest
     entry of A + A^T. A - A^T must stay within it."""
     return 1e-12 * np.abs(mat + mat.T).max()
+
+
+def _is_covariance(cov: np.ndarray) -> bool:
+    """True if the 2x2 or 4x4 ``cov`` is symmetric and PSD up to rounding,
+    1e-12 of the largest entry of A + A^T: A - A^T within it, and A + A^T
+    shifted up by it passing :func:`_has_psd_pivots_4x4`, a 2x2 padded
+    with zeros (which leaves the verdict as it is)."""
+    n, tol = len(cov), _symmetry_tol(cov)
+    sym = np.zeros((4, 4))
+    sym[:n, :n] = cov + cov.T
+    sym[range(n), range(n)] += tol
+    return (bool(np.abs(cov - cov.T).max() <= tol)
+            and _has_psd_pivots_4x4(sym.tolist()))
+
+
+def _check_numbers(variances: dict, covariances: dict, others: dict):
+    """Raise :class:`ConfigError` naming the first bad entry of the dicts
+    of named values: any number that is not finite, then a negative
+    variance, then a covariance that fails :func:`_is_covariance`."""
+    for name, value in {**variances, **covariances, **others}.items():
+        if not np.isfinite(value).all():
+            raise ConfigError(f"{name} must be finite, got {value}")
+    for name, value in variances.items():
+        if value < 0.0:
+            raise ConfigError(f"{name} is a variance and cannot be "
+                              f"negative, got {value}")
+    for name, cov in covariances.items():
+        if not _is_covariance(cov):
+            raise ConfigError(f"{name} must be a symmetric positive semi-"
+                              f"definite covariance, got {cov.tolist()}")
 
 
 def constant_velocity_transition(dt: float = 1.0) -> np.ndarray:
@@ -334,9 +369,9 @@ class FilterConfig:
     moment-matches a uniform distribution on an ellipse, 1/3 on a
     rectangle. ``psi``, when set, bounds each semi-axis standard
     deviation at ``psi`` times the estimated length (batch variant only).
-    ``R`` must be finite and symmetric up to :func:`_symmetry_tol`. It is
-    kept as a read-only copy, and the steps read its entries, (R11, R12,
-    R21, R22), from ``_noise``.
+    ``R`` must be finite and pass :func:`_is_covariance`; the constructor
+    raises ``ValueError`` otherwise. It is kept as a read-only copy, and
+    the steps read its entries, (R11, R12, R21, R22), from ``_noise``.
     """
     R: np.ndarray
     c: float = 0.25
@@ -347,10 +382,10 @@ class FilterConfig:
     def __post_init__(self):
         object.__setattr__(self, "R", _frozen_copy(self.R, (2, 2)))
         r = self.R
-        if not (np.isfinite(r).all()
-                and np.abs(r - r.T).max() <= _symmetry_tol(r)):
-            raise ValueError(f"R must be finite and symmetric, "
-                             f"got {r.tolist()}")
+        # Finite first: the covariance test's arithmetic warns on inf.
+        if not (np.isfinite(r).all() and _is_covariance(r)):
+            raise ValueError(f"R must be a symmetric positive semi-definite "
+                             f"covariance, got {r.tolist()}")
         object.__setattr__(self, "_noise", tuple(r.ravel().tolist()))
         object.__setattr__(self, "c", float(self.c))
         if self.c <= 0.0:

@@ -43,10 +43,10 @@ from elliptrack.sequential import (AXIS_FLOOR, COND_LIMIT, AxisMoments,
                                    orientation_moments, update_axis)
 from elliptrack.sequential import (UPDATE_ORDER, _axis_moments, _det3,
                                    _guarded_det, update_orientation)
-from elliptrack.simulation import _is_covariance, sample_run_data
+from elliptrack.simulation import sample_run_data
 from elliptrack.state import (_axis_floats, _axis_state, _estimate,
-                              _has_psd_pivots_4x4, _psd_2x2, _psd_rows,
-                              _shape_entries, _symmetry_tol,
+                              _has_psd_pivots_4x4, _is_covariance, _psd_2x2,
+                              _psd_rows, _shape_entries, _symmetry_tol,
                               clamp_axis_variance, wrap_angle)
 
 from conftest import (QUAD_SELECT, _has_psd_pivots, assert_symmetric_psd,
@@ -664,14 +664,15 @@ def test_config_covariance_check_gives_the_loop_verdict(cov):
         verdict = covariance_verdict_loop(cov)
         assert _is_covariance(cov) is verdict
     scen = builtin_scenarios(runs=1)["moderate"]
-    if len(cov) == 2:
-        change = {"prior": dataclasses.replace(
-            scen.prior, axis=AxisState(scen.prior.axis.mean, cov))}
-    else:
-        change = {"motion": dataclasses.replace(scen.motion, Q_kin=cov)}
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
+            # the motion checks its own Q_kin, so it is built in here too
+            if len(cov) == 2:
+                change = {"prior": dataclasses.replace(
+                    scen.prior, axis=AxisState(scen.prior.axis.mean, cov))}
+            else:
+                change = {"motion": dataclasses.replace(scen.motion, Q_kin=cov)}
             dataclasses.replace(scen, **change)
     except ConfigError:
         assert not verdict

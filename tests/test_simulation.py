@@ -38,9 +38,20 @@ def straight_spec(steps=5, speed=1.0, **kwargs):
                           true_axes=np.array([5.0, 2.0]), **kwargs)
 
 
+def nominal_start(traj, **overrides):
+    """The start state of :func:`generate_truth` at the trajectory's
+    nominal pose, speed and semi-axes, with ``overrides`` replacing any."""
+    heading = traj.start_heading
+    velocity = traj.nominal_speed * np.array([np.cos(heading), np.sin(heading)])
+    return {"start_position": traj.start_position, "start_velocity": velocity,
+            "axes": traj.true_axes, "theta0": heading, **overrides}
+
+
 class TestGenerateTruth:
     def test_straight_noise_free_integration(self):
-        states = generate_truth(straight_spec(), np.random.default_rng(0))
+        spec = straight_spec()
+        states = generate_truth(spec, np.random.default_rng(0),
+                                **nominal_start(spec))
         positions = np.array([s.center for s in states])
         np.testing.assert_allclose(positions,
                                    [[1, 0], [2, 0], [3, 0], [4, 0], [5, 0]],
@@ -51,7 +62,8 @@ class TestGenerateTruth:
         spec = TrajectorySpec(segments=((5, np.pi / 10),), nominal_speed=1.0,
                               start_position=np.zeros(2), start_heading=0.0,
                               true_axes=np.array([5.0, 2.0]))
-        states = generate_truth(spec, np.random.default_rng(0))
+        states = generate_truth(spec, np.random.default_rng(0),
+                                **nominal_start(spec))
         assert states[-1].theta == pytest.approx(np.pi / 2)
 
     def test_default_trajectory_has_three_turns(self):
@@ -69,14 +81,16 @@ class TestGenerateTruth:
         assert len(rates) == 80
 
     def test_axes_constant_over_run(self):
-        states = generate_truth(straight_spec(steps=30, position_jitter=1.0),
-                                np.random.default_rng(1), axes=[4.4, 1.1])
+        spec = straight_spec(steps=30, position_jitter=1.0)
+        states = generate_truth(spec, np.random.default_rng(1),
+                                **nominal_start(spec, axes=[4.4, 1.1]))
         for s in states:
             np.testing.assert_array_equal(s.axes, [4.4, 1.1])
 
     def test_stationary_keeps_sampled_orientation(self):
         spec = straight_spec(steps=10, speed=0.0)
-        states = generate_truth(spec, np.random.default_rng(2), theta0=1.2345)
+        states = generate_truth(spec, np.random.default_rng(2),
+                                **nominal_start(spec, theta0=1.2345))
         assert all(s.theta == pytest.approx(1.2345) for s in states)
         np.testing.assert_allclose([s.center for s in states],
                                    np.zeros((10, 2)), atol=1e-12)
@@ -84,7 +98,8 @@ class TestGenerateTruth:
     def test_jitter_is_fresh_not_integrated(self):
         # the truth stays near the nominal path instead of random-walking
         spec = straight_spec(steps=400, position_jitter=1.0)
-        states = generate_truth(spec, np.random.default_rng(3))
+        states = generate_truth(spec, np.random.default_rng(3),
+                                **nominal_start(spec))
         offsets = np.array([s.center - [t + 1.0, 0.0]
                             for t, s in enumerate(states)])
         assert np.abs(offsets).max() < 6.0
@@ -118,6 +133,16 @@ class TestGenerateTruth:
             TrajectorySpec(segments=(), nominal_speed=1.0,
                            start_position=np.zeros(2), start_heading=0.0,
                            true_axes=np.array([5.0, 2.0]))
+
+    @pytest.mark.parametrize("change, message", [
+        ({"nominal_speed": np.nan}, "nominal_speed must be finite"),
+        ({"segments": ((3, 0.0), (2, np.inf))}, "segment turn rates"),
+        ({"position_jitter": -1.0}, "position_jitter is a variance"),
+        ({"velocity_jitter": np.inf}, "velocity_jitter must be finite"),
+    ])
+    def test_rejects_bad_numbers(self, change, message):
+        with pytest.raises(ConfigError, match=message):
+            dataclasses.replace(straight_spec(), **change)
 
 
 class TestBuiltinScenarios:
@@ -169,6 +194,26 @@ class TestBuiltinScenarios:
                              ("runs", 2.5), ("psi", 2.0), ("psi", 0.0)]:
             with pytest.raises(ConfigError):
                 dataclasses.replace(scen, **{field: value})
+
+
+class TestScenarioFilterConfig:
+    def test_is_built_once(self):
+        scen = builtin_scenarios(runs=1)["moderate"]
+        assert scen.filter_config() is scen.filter_config()
+        assert scen.filter_config().R is scen.R
+
+    @pytest.mark.parametrize("round_trip", [
+        lambda obj: pickle.loads(pickle.dumps(obj)),
+        copy.deepcopy,
+        dataclasses.replace,
+    ], ids=["pickle", "deepcopy", "replace"])
+    def test_copies_carry_an_equal_config(self, round_trip):
+        scen = builtin_scenarios(runs=1)["moderate"]
+        mine, theirs = scen.filter_config(), round_trip(scen).filter_config()
+        assert theirs is not mine
+        assert theirs.R.tobytes() == mine.R.tobytes()
+        assert theirs._noise == mine._noise
+        assert (theirs.c, theirs.psi) == (mine.c, mine.psi) == (0.25, 0.4)
 
 
 class TestScenarioArraysAreReadOnly:
@@ -259,6 +304,12 @@ class TestRunScenario:
     def test_unknown_filter_kind(self):
         with pytest.raises(ConfigError):
             run_scenario(self._small(), "up")
+
+    @pytest.mark.parametrize("jobs", [True, 0, 1.0])
+    def test_jobs_must_be_a_count(self, jobs):
+        # jobs=True used to run as one worker
+        with pytest.raises(ConfigError, match="number of jobs"):
+            run_scenario(self._small(), "batch", jobs=jobs)
 
     def test_run_data_shared_between_runs_is_independent(self):
         cfg = self._small(runs=2)

@@ -7,8 +7,8 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from elliptrack import (AxisState, DecoupledEstimate, FilterConfig,
-                        KinematicState, MeasurementSet, MotionModel,
+from elliptrack import (AxisState, ConfigError, DecoupledEstimate,
+                        FilterConfig, KinematicState, MeasurementSet, MotionModel,
                         OrientationState, batch_update_axis,
                         clamp_axis_variance, constant_velocity_transition,
                         predict, rot, step_batch, step_sequential,
@@ -250,14 +250,34 @@ class TestFilterConfig:
         # non-finite R is rejected before any arithmetic can warn
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError,
-                               match="R must be finite and symmetric"):
+            with pytest.raises(ValueError, match="R must be a symmetric"):
                 FilterConfig(R=noise)
+
+    def test_rejects_indefinite_noise(self):
+        # diag(1, -5) used to be accepted: on moderate run 0 the batch
+        # filter then ran all 80 steps and ended at l2 = 17.9 m (truth 0.52)
+        with pytest.raises(ValueError, match="R must be a symmetric"):
+            FilterConfig(R=np.diag([1.0, -5.0]))
 
     def test_accepts_noise_symmetric_up_to_rounding(self):
         # |R12 - R21| = 2e-12 against 1e-12 of the largest entry of R + R^T (4)
         noise = [[2.0, 0.5], [0.5 + 2e-12, 1.0]]
         assert FilterConfig(R=noise).R.tolist() == noise
+
+
+class TestMotionModel:
+    @pytest.mark.parametrize("change, message", [
+        ({"Q_kin": np.diag([1.0, 1.0, 2.0, -1.0])}, "Q_kin must be a symmetric"),
+        ({"Q_axis": np.array([[1.0, 2.0], [2.0, 1.0]])},
+         "Q_axis must be a symmetric"),
+        ({"F_kin": np.diag([1.0, 1.0, np.inf, 1.0])}, "F_kin must be finite"),
+        ({"Q_theta": -0.5}, "Q_theta is a variance"),
+        ({"Q_theta": np.nan}, "Q_theta must be finite"),
+    ])
+    def test_rejects_bad_numbers(self, change, message):
+        # each used to be accepted; only a scenario checked its motion
+        with pytest.raises(ConfigError, match=message):
+            dataclasses.replace(make_motion(), **change)
 
 
 def _arrays(est):
