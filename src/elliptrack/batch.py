@@ -30,7 +30,7 @@ from .sequential import StepDiagnostics, _count_skip, _guarded_solve, \
     update_axis
 from .state import (AxisState, DecoupledEstimate, FilterConfig, KinematicState,
                     MotionModel, OrientationState, _axis_floats, _axis_state,
-                    _estimate, _of_floats, _shape_entries, wrap_angle)
+                    _estimate, _shape_entries, wrap_angle)
 
 
 def batch_update_kinematics(kin: KinematicState, measurements: MeasurementSet,
@@ -42,7 +42,7 @@ def batch_update_kinematics(kin: KinematicState, measurements: MeasurementSet,
     this is exactly the sequential update, :func:`kalman_center_update`.
     """
     (x11, x12), (_, x22) = np.asarray(shape_est, dtype=float).tolist()
-    return _of_floats(KinematicState, kalman_center_update(
+    return KinematicState(*kalman_center_update(
         kin._floats, *measurements.points.mean(axis=0).tolist(), cfg._noise,
         cfg.c, (x11, x22, x12), len(measurements)))
 

@@ -17,7 +17,7 @@ floats alone (:func:`_estimate`); arrays are built only when read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -45,14 +45,11 @@ class StepDiagnostics:
     skipped_orientation: int = 0
 
     def merge(self, other: "StepDiagnostics") -> None:
-        self.skipped_kinematics += other.skipped_kinematics
-        self.skipped_axis += other.skipped_axis
-        self.skipped_orientation += other.skipped_orientation
+        for name, count in other.as_dict().items():
+            setattr(self, name, getattr(self, name) + count)
 
     def as_dict(self) -> dict:
-        return {"skipped_kinematics": self.skipped_kinematics,
-                "skipped_axis": self.skipped_axis,
-                "skipped_orientation": self.skipped_orientation}
+        return asdict(self)
 
 
 @dataclass(frozen=True)

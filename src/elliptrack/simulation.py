@@ -47,11 +47,11 @@ class TrajectorySpec:
     heading advances by the turn rate on every step of the segment. The
     jitter values are variances of fresh zero-mean noise added to the
     nominal position and velocity each step, so the truth stays close to
-    the pre-defined path instead of drifting off it. The speed and turn
-    rates must be finite and the jitters finite variances >= 0, or the
-    constructor raises :class:`ConfigError`. ``start_position`` and
-    ``true_axes`` are read-only copies, also after a pickle, copy or
-    ``dataclasses.replace``.
+    the pre-defined path instead of drifting off it. The speed, turn
+    rates, start position and heading and true axes must be finite and
+    the jitters finite variances >= 0, or the constructor raises
+    :class:`ConfigError`. ``start_position`` and ``true_axes`` are
+    read-only copies, also after a pickle, copy or ``dataclasses.replace``.
     """
     segments: Tuple[Tuple[int, float], ...]
     nominal_speed: float
@@ -77,7 +77,10 @@ class TrajectorySpec:
         _check_numbers({"position_jitter": self.position_jitter,
                         "velocity_jitter": self.velocity_jitter}, {},
                        {"nominal_speed": self.nominal_speed,
-                        "segment turn rates": [rate for _, rate in self.segments]})
+                        "segment turn rates": [rate for _, rate in self.segments],
+                        "start_position": self.start_position,
+                        "start_heading": self.start_heading,
+                        "true_axes": self.true_axes})
 
     @property
     def steps(self) -> int:

@@ -185,21 +185,10 @@ def _reduce_through_constructor(self):
     return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
-def _of_floats(cls, floats):
-    """The ``cls`` object whose one stored form is ``floats``, built without
-    ``__post_init__``: a step's own floats need no re-validation."""
-    obj = object.__new__(cls)
-    obj.__dict__["_floats"] = floats
-    return obj
-
-
 class _FloatBacked:
-    """A Gaussian component stored as the floats (mean, covariance rows).
-
-    ``mean`` and ``cov`` are read-only arrays. The public constructor makes
-    them as copies of its input and derives the floats from them once. A
-    state built by a step (:func:`_of_floats`) holds the floats alone, and
-    each array is built from them on its first read and cached.
+    """A Gaussian component: read-only ``mean`` and ``cov`` arrays, copied
+    from the constructor's input, and the floats (mean, covariance rows)
+    derived from them once, which the steps read.
     """
     __reduce__ = _reduce_through_constructor
 
@@ -209,15 +198,6 @@ class _FloatBacked:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "_floats", (mean.tolist(), cov.tolist()))
-
-    def __getattr__(self, name):
-        # Runs only for a name the instance does not hold yet.
-        if name != "mean" and name != "cov":
-            raise AttributeError(name)
-        array = np.array(self._floats[name == "cov"])
-        array.setflags(write=False)
-        self.__dict__[name] = array
-        return array
 
 
 @dataclass(frozen=True)
@@ -259,7 +239,8 @@ class DecoupledEstimate:
     the kinematic and axis (mean, covariance rows) and (theta, var). The
     public constructor takes them from the component states. An estimate
     built by a step (:func:`_estimate`) holds the floats alone, and each
-    component state is built from them on its first read and cached.
+    component state is built from them through its public constructor on
+    its first read and cached.
     """
     kin: KinematicState
     axis: AxisState
@@ -273,9 +254,9 @@ class DecoupledEstimate:
     def __getattr__(self, name):
         # Runs only for a name the instance does not hold yet.
         if name == "kin":
-            state = _of_floats(KinematicState, self._floats[0])
+            state = KinematicState(*self._floats[0])
         elif name == "axis":
-            state = _of_floats(AxisState, self._floats[1])
+            state = AxisState(*self._floats[1])
         elif name == "orient":
             state = OrientationState(*self._floats[2])
         else:
@@ -403,9 +384,9 @@ def _axis_floats(axis: AxisState) -> tuple:
 
 
 def _axis_state(axis: tuple) -> AxisState:
-    """The :class:`AxisState` of (p1, p2, P11, P12, P22) (:func:`_of_floats`)."""
+    """The :class:`AxisState` of (p1, p2, P11, P12, P22)."""
     p1, p2, c11, c12, c22 = axis
-    return _of_floats(AxisState, ((p1, p2), ((c11, c12), (c12, c22))))
+    return AxisState((p1, p2), ((c11, c12), (c12, c22)))
 
 
 def _estimate(kin: tuple, axis: tuple, orient: tuple) -> DecoupledEstimate:
@@ -415,8 +396,10 @@ def _estimate(kin: tuple, axis: tuple, orient: tuple) -> DecoupledEstimate:
     until someone reads it (:class:`DecoupledEstimate`).
     """
     p1, p2, c11, c12, c22 = axis
-    return _of_floats(DecoupledEstimate,
-                      (kin, ((p1, p2), ((c11, c12), (c12, c22))), orient))
+    est = object.__new__(DecoupledEstimate)
+    est.__dict__["_floats"] = (kin, ((p1, p2), ((c11, c12), (c12, c22))),
+                               orient)
+    return est
 
 
 def clamp_axis_variance(axis: tuple, psi: float) -> tuple:

@@ -494,6 +494,10 @@ class TestExitCodes:
         (("motion", "Q_theta"), -1.0),
         (("trajectory", "position_jitter"), -1.0),
         (("R",), [[1.0, 2.0], [2.0, 1.0]]),
+        (("trajectory", "start_heading"), float("nan")),
+        (("trajectory", "start_heading"), float("inf")),
+        (("trajectory", "start_position"), [float("nan"), 0.0]),
+        (("trajectory", "true_axes"), [float("nan"), 2.0]),
     ])
     def test_non_finite_or_negative_variance_config_exits_2(self, tmp_path,
                                                            capsys, path,

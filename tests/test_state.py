@@ -14,8 +14,9 @@ from elliptrack import (AxisState, ConfigError, DecoupledEstimate,
                         predict, rot, step_batch, step_sequential,
                         wrap_angle)
 from elliptrack.batch import batch_update_kinematics
+from elliptrack.cli import main
 from elliptrack.measurements import center_measurements
-from elliptrack.simulation import builtin_scenarios
+from elliptrack.simulation import builtin_scenarios, run_scenario
 from elliptrack.state import (_axis_floats, _axis_state, _estimate,
                               shape_matrix, symmetrize_psd)
 
@@ -441,11 +442,29 @@ class TestReadOnlyCopies:
         with pytest.raises(ValueError):
             est.kin.cov[0, 0] = 1.0
         assert set(vars(est)) == {"_floats", "kin"}
-        assert set(vars(est.kin)) == {"_floats", "cov"}
+        assert set(vars(est.kin)) == {"_floats", "mean", "cov"}
         for array in (est.kin.mean, est.axis.mean, est.axis.cov):
             with pytest.raises(ValueError):
                 array[0] = 1.0
         assert_frozen(est)
+
+    @pytest.mark.parametrize("filter_kind", ["sequential", "batch"])
+    def test_campaign_and_track_build_no_component_of_a_step_result(
+            self, monkeypatch, tmp_path, filter_kind):
+        # Building a component costs each read; both paths time the steps
+        # and read a step result's floats alone.
+        sim, out = tmp_path / "sim.jsonl", tmp_path / "est.jsonl"
+        assert main(["simulate", "--scenario", "stationary", "--seed", "5",
+                     "--out", str(sim)]) == 0
+        built, lazy = [], DecoupledEstimate.__getattr__
+        monkeypatch.setattr(DecoupledEstimate, "__getattr__",
+                            lambda est, name: built.append(name)
+                            or lazy(est, name))
+        run_scenario(builtin_scenarios(runs=2, seed=5)["moderate"],
+                     filter_kind)
+        assert main(["track", str(sim), "--scenario", "stationary",
+                     "--filter", filter_kind, "--out", str(out)]) == 0
+        assert built == []
 
     @pytest.mark.parametrize("round_trip", [
         lambda obj: pickle.loads(pickle.dumps(obj)),
