@@ -29,11 +29,16 @@ from .simulation import FILTER_KINDS, ScenarioConfig, TrajectorySpec, \
 from .state import (AxisState, DecoupledEstimate, KinematicState, MotionModel,
                     OrientationState)
 
-EXIT_CONFIG = 2
-EXIT_IO = 3
-EXIT_MALFORMED = 4
-EXIT_MISALIGNED = 5
-EXIT_NON_FINITE = 6
+# Each error the commands raise, its exit code and its stderr prefix, most
+# specific first: an error takes the first row it is an instance of.
+EXITS = (
+    (ConfigError, 2, "config error"),
+    (OSError, 3, "i/o error"),
+    (MalformedRecord, 4, "malformed record"),
+    (StepMisalignment, 5, "step misalignment"),
+    (NonFiniteState, 6, "non-finite result"),
+    (EllipTrackError, 1, "error"),
+)
 
 SIM_SCHEMA = "elliptrack.sim-steps/1"
 ESTIMATE_SCHEMA = "elliptrack.estimates/1"
@@ -118,6 +123,8 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
             psi=data.get("psi"),
             fixed_count=data.get("fixed_count"),
         )
+    except ConfigError:
+        raise
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ConfigError(f"invalid scenario config: {exc}") from exc
 
@@ -138,11 +145,9 @@ def resolve_scenario(name_or_path: str, seed: Optional[int] = None,
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config is not valid JSON: {exc}") from exc
         cfg = scenario_from_dict(data)
-    if seed is not None:
-        cfg = dataclasses.replace(cfg, seed=seed)
-    if runs is not None:
-        cfg = dataclasses.replace(cfg, runs=runs)
-    return cfg
+    overrides = {key: value for key, value in (("seed", seed), ("runs", runs))
+                 if value is not None}
+    return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
 # ---------------------------------------------------------------------------
@@ -443,24 +448,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except MalformedRecord as exc:
-        print(f"malformed record: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    except StepMisalignment as exc:
-        print(f"step misalignment: {exc}", file=sys.stderr)
-        return EXIT_MISALIGNED
-    except NonFiniteState as exc:
-        print(f"non-finite result: {exc}", file=sys.stderr)
-        return EXIT_NON_FINITE
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except EllipTrackError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except tuple(error for error, _, _ in EXITS) as exc:
+        code, prefix = next((code, prefix) for error, code, prefix in EXITS
+                            if isinstance(exc, error))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ class NotPSD(EllipTrackError):
     """A matrix required to be positive semi-definite is not."""
 
 
-class ConfigError(EllipTrackError):
+class ConfigError(EllipTrackError, ValueError):
     """A scenario or filter configuration is inconsistent."""
 
 

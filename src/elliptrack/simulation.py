@@ -32,6 +32,9 @@ from .state import (AxisState, DecoupledEstimate, FilterConfig, KinematicState,
 # Gaussian mass on negative lengths.
 TRUTH_AXIS_FLOOR = 0.1
 
+# The largest rate Generator.poisson accepts, computed as numpy computes it.
+POISSON_RATE_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
+
 FILTER_KINDS = ("sequential", "batch")
 
 
@@ -168,9 +171,9 @@ class ScenarioConfig:
         if not (_is_count(self.runs) and self.runs >= 1):
             raise ConfigError(f"need an integer number of runs >= 1, "
                               f"got {self.runs!r}")
-        if not 0.0 < self.lam < np.inf:
-            raise ConfigError(f"Poisson rate must be positive and finite, "
-                              f"got {self.lam}")
+        if not 0.0 < self.lam <= POISSON_RATE_MAX:
+            raise ConfigError(f"Poisson rate must be positive and at most "
+                              f"{POISSON_RATE_MAX}, got {self.lam}")
         count = self.fixed_count
         if count is not None and not (_is_count(count) and count >= 0):
             raise ConfigError(f"fixed_count must be an integer >= 0, got {count!r}")
@@ -181,11 +184,8 @@ class ScenarioConfig:
                        {"prior kinematics mean": prior.kin.mean,
                         "prior axis mean": prior.axis.mean,
                         "prior orientation mean": prior.orient.mean})
-        try:
-            fcfg = FilterConfig(R=self.R, c=self.source_dist.scaling_factor,
-                                psi=self.psi)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        fcfg = FilterConfig(R=self.R, c=self.source_dist.scaling_factor,
+                            psi=self.psi)
         object.__setattr__(self, "R", fcfg.R)
         object.__setattr__(self, "_filter_config", fcfg)
 
@@ -342,24 +342,27 @@ def run_scenario(cfg: ScenarioConfig, filter_kind: str, jobs: int = 1
     return summarize(cfg, filter_kind, results), results
 
 
-def _standard_motion() -> MotionModel:
-    return MotionModel(F_kin=constant_velocity_transition(1.0),
-                       Q_kin=np.diag([1.0, 1.0, 2.0, 2.0]),
-                       Q_axis=np.zeros((2, 2)),
-                       Q_theta=0.1)
+def builtin_scenarios(runs: int = 500, seed: int = 1234) -> dict:
+    """The built-in measurement regimes.
 
-
-def _standard_prior() -> DecoupledEstimate:
-    return DecoupledEstimate(
+    Three moving-target regimes share one prior, motion model and
+    trajectory, the same immutable objects, and vary the measurement rate
+    and noise; the stationary regime studies shape convergence from
+    exactly one measurement per step.
+    """
+    r_moderate = rot(np.pi / 4.0) @ np.diag([1.5, 2.0 / 3.0]) @ rot(np.pi / 4.0).T
+    r_noisy = rot(np.pi / 4.0) @ np.diag([3.0, 1.0]) @ rot(np.pi / 4.0).T
+    prior = DecoupledEstimate(
         kin=KinematicState([0.0, 0.0, 3.0, 0.0], np.diag([2.0, 2.0, 0.5, 0.5])),
         axis=AxisState([5.0, 2.0], np.eye(2)),
         orient=OrientationState(0.0, 0.1),
     )
-
-
-def _standard_trajectory() -> TrajectorySpec:
+    motion = MotionModel(F_kin=constant_velocity_transition(1.0),
+                         Q_kin=np.diag([1.0, 1.0, 2.0, 2.0]),
+                         Q_axis=np.zeros((2, 2)),
+                         Q_theta=0.1)
     turn = (np.pi / 2.0) / 6.0
-    return TrajectorySpec(
+    trajectory = TrajectorySpec(
         segments=((18, 0.0), (6, turn), (14, 0.0), (6, turn),
                   (14, 0.0), (6, turn), (16, 0.0)),
         nominal_speed=3.0,
@@ -369,27 +372,11 @@ def _standard_trajectory() -> TrajectorySpec:
         position_jitter=1.0,
         velocity_jitter=0.0,
     )
-
-
-def builtin_scenarios(runs: int = 500, seed: int = 1234) -> dict:
-    """The built-in measurement regimes.
-
-    Three moving-target regimes share the trajectory and priors and vary
-    the measurement rate and noise; the stationary regime studies shape
-    convergence from exactly one measurement per step.
-    """
-    r_moderate = rot(np.pi / 4.0) @ np.diag([1.5, 2.0 / 3.0]) @ rot(np.pi / 4.0).T
-    r_noisy = rot(np.pi / 4.0) @ np.diag([3.0, 1.0]) @ rot(np.pi / 4.0).T
-
-    def moving(name, lam, noise):
-        return ScenarioConfig(
-            name=name, lam=lam, R=noise,
-            prior=_standard_prior(), motion=_standard_motion(),
-            trajectory=_standard_trajectory(),
-            runs=runs, seed=seed,
-            source_dist=SourceDistribution.UNIFORM_ELLIPSE,
-            psi=0.4,
-        )
+    moving = partial(ScenarioConfig,
+                     prior=prior, motion=motion, trajectory=trajectory,
+                     runs=runs, seed=seed,
+                     source_dist=SourceDistribution.UNIFORM_ELLIPSE,
+                     psi=0.4)
 
     stationary = ScenarioConfig(
         name="stationary", lam=1.0, R=np.eye(2),
@@ -411,8 +398,8 @@ def builtin_scenarios(runs: int = 500, seed: int = 1234) -> dict:
     )
 
     return {
-        "moderate": moving("moderate", 12.0, r_moderate),
-        "noisy": moving("noisy", 12.0, r_noisy),
-        "sparse": moving("sparse", 6.0, r_moderate),
+        "moderate": moving(name="moderate", lam=12.0, R=r_moderate),
+        "noisy": moving(name="noisy", lam=12.0, R=r_noisy),
+        "sparse": moving(name="sparse", lam=6.0, R=r_moderate),
         "stationary": stationary,
     }

@@ -350,8 +350,8 @@ class FilterConfig:
     moment-matches a uniform distribution on an ellipse, 1/3 on a
     rectangle. ``psi``, when set, bounds each semi-axis standard
     deviation at ``psi`` times the estimated length (batch variant only).
-    ``R`` must be finite and pass :func:`_is_covariance`; the constructor
-    raises ``ValueError`` otherwise. It is kept as a read-only copy, and
+    ``R`` must be finite and pass :func:`_is_covariance`; a bad ``R``, ``c``
+    or ``psi`` raises :class:`ConfigError`. ``R`` is a read-only copy, and
     the steps read its entries, (R11, R12, R21, R22), from ``_noise``.
     """
     R: np.ndarray
@@ -365,16 +365,16 @@ class FilterConfig:
         r = self.R
         # Finite first: the covariance test's arithmetic warns on inf.
         if not (np.isfinite(r).all() and _is_covariance(r)):
-            raise ValueError(f"R must be a symmetric positive semi-definite "
-                             f"covariance, got {r.tolist()}")
+            raise ConfigError(f"R must be a symmetric positive semi-definite "
+                              f"covariance, got {r.tolist()}")
         object.__setattr__(self, "_noise", tuple(r.ravel().tolist()))
         object.__setattr__(self, "c", float(self.c))
         if self.c <= 0.0:
-            raise ValueError(f"scaling factor must be positive, got {self.c}")
+            raise ConfigError(f"scaling factor must be positive, got {self.c}")
         if self.psi is not None:
             object.__setattr__(self, "psi", float(self.psi))
             if not 0.0 < self.psi <= 1.0:
-                raise ValueError(f"psi must lie in (0, 1], got {self.psi}")
+                raise ConfigError(f"psi must lie in (0, 1], got {self.psi}")
 
 
 def _axis_floats(axis: AxisState) -> tuple:

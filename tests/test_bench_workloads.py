@@ -34,7 +34,8 @@ def workloads(monkeypatch):
     return load_by_path("bench_workloads", "workloads.py")
 
 
-@pytest.mark.parametrize("name", ["batch_moderate", "stationary_cli"])
+@pytest.mark.parametrize("name", ["batch_moderate", "seq_moderate",
+                                  "stationary_cli"])
 def test_traced_workload_runs_without_a_failure(workloads, tmp_path, name):
     # The package as the other tests imported it: ``load_library`` would
     # import it afresh, and their classes would no longer be the package's.

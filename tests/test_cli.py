@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from elliptrack import predict
+from elliptrack import cli, predict
 from elliptrack.cli import estimate_from_dict, estimate_to_dict, main, \
     resolve_scenario, scenario_from_dict, scenario_to_dict
+from elliptrack.errors import ConfigError, EllipTrackError, MalformedRecord, \
+    NonFiniteState, SingularPseudoCov, StepMisalignment
 from elliptrack.simulation import builtin_scenarios
 
 from conftest import make_estimate
@@ -498,6 +500,9 @@ class TestExitCodes:
         (("trajectory", "start_heading"), float("inf")),
         (("trajectory", "start_position"), [float("nan"), 0.0]),
         (("trajectory", "true_axes"), [float("nan"), 2.0]),
+        # above numpy's largest Poisson rate: rng.poisson used to raise
+        # "lam value too large", a traceback and exit 1
+        (("lambda",), 1e19),
     ])
     def test_non_finite_or_negative_variance_config_exits_2(self, tmp_path,
                                                            capsys, path,
@@ -576,6 +581,24 @@ class TestExitCodes:
     def test_unwritable_output_exits_3(self, tmp_path):
         assert main(["simulate", "--scenario", "moderate", "--seed", "1",
                      "--out", str(tmp_path / "missing" / "o.jsonl")]) == 3
+
+    @pytest.mark.parametrize("error, code, prefix", [
+        (ConfigError("bad"), 2, "config error"),
+        (OSError("bad"), 3, "i/o error"),
+        (MalformedRecord(3, "bad"), 4, "malformed record"),
+        (StepMisalignment("bad"), 5, "step misalignment"),
+        (NonFiniteState("bad"), 6, "non-finite result"),
+        (SingularPseudoCov("bad"), 1, "error"),
+        (EllipTrackError("bad"), 1, "error"),
+    ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+    def test_each_error_exits_with_its_code_and_prefix(
+            self, monkeypatch, tmp_path, capsys, error, code, prefix):
+        def fail(args):
+            raise error
+        monkeypatch.setattr(cli, "cmd_simulate", fail)
+        assert main(["simulate", "--scenario", "moderate",
+                     "--out", str(tmp_path / "o.jsonl")]) == code
+        assert capsys.readouterr().err == f"{prefix}: {error}\n"
 
 
 # Exit codes of the README table that malformed `track` or `eval` input may

@@ -160,8 +160,13 @@ class TestBuiltinScenarios:
         np.testing.assert_allclose(scen.R, builtin_scenarios()["moderate"].R)
 
     def test_shared_priors(self):
+        scens = builtin_scenarios()
         for name in ("moderate", "noisy", "sparse"):
-            scen = builtin_scenarios()[name]
+            scen = scens[name]
+            # the same objects, built and checked once
+            assert scen.prior is scens["moderate"].prior
+            assert scen.motion is scens["moderate"].motion
+            assert scen.trajectory is scens["moderate"].trajectory
             np.testing.assert_array_equal(scen.prior.axis.mean, [5, 2])
             np.testing.assert_array_equal(scen.prior.axis.cov, np.eye(2))
             np.testing.assert_array_equal(np.diag(scen.prior.kin.cov),
@@ -191,7 +196,10 @@ class TestBuiltinScenarios:
         with pytest.raises(ConfigError):
             dataclasses.replace(scen, lam=0.0)
         for field, value in [("seed", -1), ("seed", 1.5), ("seed", "7"),
-                             ("runs", 2.5), ("psi", 2.0), ("psi", 0.0)]:
+                             ("runs", 2.5), ("psi", 2.0), ("psi", 0.0),
+                             # numpy's Generator.poisson raises above
+                             # 9.223372006484771e18
+                             ("lam", 1e19)]:
             with pytest.raises(ConfigError):
                 dataclasses.replace(scen, **{field: value})
 

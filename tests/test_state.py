@@ -230,11 +230,12 @@ class TestSymmetrizePsdFastPath:
 
 class TestFilterConfig:
     def test_rejects_nonpositive_scaling(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="scaling factor"):
             FilterConfig(R=np.eye(2), c=0.0)
+        assert issubclass(ConfigError, ValueError)
 
     def test_rejects_psi_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="psi must lie"):
             FilterConfig(R=np.eye(2), c=0.25, psi=1.5)
 
     def test_accepts_valid_psi(self):
@@ -251,13 +252,13 @@ class TestFilterConfig:
         # non-finite R is rejected before any arithmetic can warn
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="R must be a symmetric"):
+            with pytest.raises(ConfigError, match="R must be a symmetric"):
                 FilterConfig(R=noise)
 
     def test_rejects_indefinite_noise(self):
         # diag(1, -5) used to be accepted: on moderate run 0 the batch
         # filter then ran all 80 steps and ended at l2 = 17.9 m (truth 0.52)
-        with pytest.raises(ValueError, match="R must be a symmetric"):
+        with pytest.raises(ConfigError, match="R must be a symmetric"):
             FilterConfig(R=np.diag([1.0, -5.0]))
 
     def test_accepts_noise_symmetric_up_to_rounding(self):
