@@ -50,79 +50,54 @@ MANIFEST_SCHEMA = "elliptrack.manifest/1"
 # ---------------------------------------------------------------------------
 # config (de)serialization
 
+# A scenario config holds the fields of ScenarioConfig and of the configs
+# nested in it, in declaration order; these fields take another JSON key.
+_KEYS = {"lam": "lambda", "kin": "kinematics", "orient": "orientation"}
+_NESTED = {"prior": DecoupledEstimate, "kin": KinematicState,
+           "axis": AxisState, "orient": OrientationState,
+           "motion": MotionModel, "trajectory": TrajectorySpec,
+           "source_dist": SourceDistribution}
+
+
+def _encode(value):
+    if dataclasses.is_dataclass(value):
+        return {_KEYS.get(f.name, f.name): _encode(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_encode(item) for item in value]
+    if isinstance(value, SourceDistribution):
+        return value.value
+    return value
+
+
+def _decode(kind, value, key: str):
+    """``value``, read from under ``key``, as a ``kind``: a config
+    dataclass from the keys of its fields, a missing key taking the
+    field's default if it has one; the source distribution by its name."""
+    if not dataclasses.is_dataclass(kind):
+        return kind(value)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a JSON object, got {json.dumps(value)}")
+    fields = {}
+    for f in dataclasses.fields(kind):
+        name = _KEYS.get(f.name, f.name)
+        if name in value or f.default is dataclasses.MISSING:
+            fields[f.name] = value[name] if f.name not in _NESTED \
+                else _decode(_NESTED[f.name], value[name], name)
+    return kind(**fields)
+
+
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
-    return {
-        "name": cfg.name,
-        "lambda": cfg.lam,
-        "R": cfg.R.tolist(),
-        "prior": {
-            "kinematics": {"mean": cfg.prior.kin.mean.tolist(),
-                           "cov": cfg.prior.kin.cov.tolist()},
-            "axis": {"mean": cfg.prior.axis.mean.tolist(),
-                     "cov": cfg.prior.axis.cov.tolist()},
-            "orientation": {"mean": cfg.prior.orient.mean,
-                            "var": cfg.prior.orient.var},
-        },
-        "motion": {
-            "F_kin": cfg.motion.F_kin.tolist(),
-            "Q_kin": cfg.motion.Q_kin.tolist(),
-            "Q_axis": cfg.motion.Q_axis.tolist(),
-            "Q_theta": cfg.motion.Q_theta,
-        },
-        "trajectory": {
-            "segments": [list(seg) for seg in cfg.trajectory.segments],
-            "nominal_speed": cfg.trajectory.nominal_speed,
-            "start_position": cfg.trajectory.start_position.tolist(),
-            "start_heading": cfg.trajectory.start_heading,
-            "true_axes": cfg.trajectory.true_axes.tolist(),
-            "position_jitter": cfg.trajectory.position_jitter,
-            "velocity_jitter": cfg.trajectory.velocity_jitter,
-        },
-        "runs": cfg.runs,
-        "seed": cfg.seed,
-        "source_dist": cfg.source_dist.value,
-        "psi": cfg.psi,
-        "fixed_count": cfg.fixed_count,
-    }
+    """The JSON object of ``cfg``: arrays and tuples become lists."""
+    return _encode(cfg)
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
+    """The config of a JSON object; any defect raises :class:`ConfigError`."""
     try:
-        prior = DecoupledEstimate(
-            kin=KinematicState(data["prior"]["kinematics"]["mean"],
-                               data["prior"]["kinematics"]["cov"]),
-            axis=AxisState(data["prior"]["axis"]["mean"],
-                           data["prior"]["axis"]["cov"]),
-            orient=OrientationState(data["prior"]["orientation"]["mean"],
-                                    data["prior"]["orientation"]["var"]),
-        )
-        motion = MotionModel(F_kin=data["motion"]["F_kin"],
-                             Q_kin=data["motion"]["Q_kin"],
-                             Q_axis=data["motion"]["Q_axis"],
-                             Q_theta=data["motion"]["Q_theta"])
-        traj = data["trajectory"]
-        trajectory = TrajectorySpec(
-            segments=tuple((seg[0], seg[1]) for seg in traj["segments"]),
-            nominal_speed=traj["nominal_speed"],
-            start_position=traj["start_position"],
-            start_heading=traj["start_heading"],
-            true_axes=traj["true_axes"],
-            position_jitter=traj.get("position_jitter", 0.0),
-            velocity_jitter=traj.get("velocity_jitter", 0.0),
-        )
-        return ScenarioConfig(
-            name=data["name"],
-            lam=data["lambda"],
-            R=data["R"],
-            prior=prior,
-            motion=motion,
-            trajectory=trajectory,
-            runs=data["runs"],
-            seed=data["seed"],
-            source_dist=SourceDistribution(data["source_dist"]),
-            psi=data.get("psi"),
-            fixed_count=data.get("fixed_count"),
-        )
+        return _decode(ScenarioConfig, data, "scenario config")
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError, IndexError) as exc:

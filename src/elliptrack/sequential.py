@@ -359,16 +359,15 @@ def step_sequential(est: DecoupledEstimate, measurements: MeasurementSet,
     the centering and W are fixed once from the prediction, and each
     measurement updates all three components against the previous
     snapshot; a centered point s enters the shape updates as its scatter
-    s s^T, with entries b = (s1^2, s2^2, s1*s2). ``order`` only permutes
-    the execution order of the three updates; each reads the snapshot
-    alone, so the result is identical for every permutation.
-    Ill-conditioned single updates are skipped and counted.
+    s s^T, with entries b = (s1^2, s2^2, s1*s2). ``order`` must permute
+    UPDATE_ORDER (ValueError otherwise); each update reads the snapshot
+    alone, so the result is identical for every order. Ill-conditioned
+    single updates are skipped and counted.
     """
     sequence = _DEFAULT_SEQUENCE
     if order is not UPDATE_ORDER:
-        for component in order:
-            if component not in UPDATE_ORDER:
-                raise ValueError(f"unknown component {component!r}")
+        if sorted(order) != sorted(UPDATE_ORDER):
+            raise ValueError(f"not a permutation of {UPDATE_ORDER}: {order!r}")
         sequence = [UPDATE_ORDER.index(component) for component in order]
     parts = list(_predict(est, motion))
     points = measurements.points.tolist()

@@ -32,8 +32,9 @@ from .state import (AxisState, DecoupledEstimate, FilterConfig, KinematicState,
 # Gaussian mass on negative lengths.
 TRUTH_AXIS_FLOOR = 0.1
 
-# The largest rate Generator.poisson accepts, computed as numpy computes it.
-POISSON_RATE_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
+# A run expects at most this many points, (fixed_count or lam) x steps:
+# about 1.2 GB at the sampler's 120 B a point, far inside numpy's limits.
+MAX_POINTS_PER_RUN = 10**7
 
 FILTER_KINDS = ("sequential", "batch")
 
@@ -145,11 +146,12 @@ def generate_truth(traj: TrajectorySpec, rng: np.random.Generator,
 class ScenarioConfig:
     """Everything that determines a Monte-Carlo campaign.
 
-    The constructor checks the counts, the Poisson rate and the prior, and
-    builds the campaign's one :class:`FilterConfig` (which checks ``R`` and
-    ``psi``); the motion and trajectory checked themselves when they were
-    built. ``R`` is that filter config's read-only copy, so no write can
-    bypass the checks; a pickle or copy goes through the constructor again.
+    The constructor checks the counts, the Poisson rate, a run's expected
+    points (at most ``MAX_POINTS_PER_RUN``) and the prior, and builds the
+    campaign's one :class:`FilterConfig` (which checks ``R`` and ``psi``);
+    the motion and trajectory checked themselves when they were built.
+    ``R`` is that filter config's read-only copy, so no write can bypass
+    the checks; a pickle or copy goes through the constructor again.
     """
     name: str
     lam: float
@@ -171,12 +173,15 @@ class ScenarioConfig:
         if not (_is_count(self.runs) and self.runs >= 1):
             raise ConfigError(f"need an integer number of runs >= 1, "
                               f"got {self.runs!r}")
-        if not 0.0 < self.lam <= POISSON_RATE_MAX:
-            raise ConfigError(f"Poisson rate must be positive and at most "
-                              f"{POISSON_RATE_MAX}, got {self.lam}")
+        if not self.lam > 0.0:
+            raise ConfigError(f"Poisson rate must be positive, got {self.lam}")
         count = self.fixed_count
         if count is not None and not (_is_count(count) and count >= 0):
             raise ConfigError(f"fixed_count must be an integer >= 0, got {count!r}")
+        points = (self.lam if count is None else count) * self.trajectory.steps
+        if not points <= MAX_POINTS_PER_RUN:
+            raise ConfigError(f"a run expects {points} points, (fixed_count or "
+                              f"lambda) x steps; at most {MAX_POINTS_PER_RUN}")
         prior = self.prior
         _check_numbers({"prior orientation var": prior.orient.var},
                        {"prior kinematics cov": prior.kin.cov,

@@ -1,5 +1,6 @@
 import concurrent.futures
 import contextlib
+import dataclasses
 import io
 import json
 
@@ -12,7 +13,8 @@ from elliptrack.cli import estimate_from_dict, estimate_to_dict, main, \
     resolve_scenario, scenario_from_dict, scenario_to_dict
 from elliptrack.errors import ConfigError, EllipTrackError, MalformedRecord, \
     NonFiniteState, SingularPseudoCov, StepMisalignment
-from elliptrack.simulation import builtin_scenarios
+from elliptrack.simulation import MAX_POINTS_PER_RUN, ScenarioConfig, \
+    TrajectorySpec, builtin_scenarios
 
 from conftest import make_estimate
 
@@ -54,6 +56,31 @@ class TestScenarioConfigRoundTrip:
         assert restored.trajectory.segments == cfg.trajectory.segments
         assert restored.psi == cfg.psi
         assert restored.source_dist == cfg.source_dist
+
+    @pytest.mark.parametrize("name", sorted(builtin_scenarios()))
+    def test_round_trip_keeps_every_key_in_order(self, name):
+        data = scenario_to_dict(builtin_scenarios()[name])
+        restored = scenario_to_dict(scenario_from_dict(data))
+        assert json.dumps(restored) == json.dumps(data)
+
+    @pytest.mark.parametrize("section, key", [
+        (ScenarioConfig, "psi"), (ScenarioConfig, "fixed_count"),
+        (TrajectorySpec, "position_jitter"),
+        (TrajectorySpec, "velocity_jitter")])
+    def test_missing_optional_key_takes_the_dataclass_default(self, section,
+                                                              key):
+        # stationary, with every optional key away from its default
+        data = scenario_to_dict(builtin_scenarios()["stationary"])
+        data["psi"] = 0.4
+        data["trajectory"].update(position_jitter=1.0, velocity_jitter=0.5)
+        default = next(f.default for f in dataclasses.fields(section)
+                       if f.name == key)
+        node = data["trajectory"] if section is TrajectorySpec else data
+        assert node[key] != default
+        del node[key]
+        restored = scenario_to_dict(scenario_from_dict(data))
+        node = restored["trajectory"] if section is TrajectorySpec else restored
+        assert node[key] == default
 
     def test_resolve_overrides(self):
         cfg = resolve_scenario("moderate", seed=77, runs=3)
@@ -500,9 +527,15 @@ class TestExitCodes:
         (("trajectory", "start_heading"), float("inf")),
         (("trajectory", "start_position"), [float("nan"), 0.0]),
         (("trajectory", "true_axes"), [float("nan"), 2.0]),
-        # above numpy's largest Poisson rate: rng.poisson used to raise
-        # "lam value too large", a traceback and exit 1
+        # expected points per run above MAX_POINTS_PER_RUN: 1e19 used to
+        # end in "lam value too large" from rng.poisson, the others in
+        # "negative dimensions are not allowed" or "array is too big" from
+        # the sampler, each a traceback and exit 1
         (("lambda",), 1e19),
+        (("lambda",), 9.223372006484771e18),
+        (("lambda",), 1e17),
+        (("fixed_count",), 10**18),
+        (("lambda",), MAX_POINTS_PER_RUN / 80 + 0.1),
     ])
     def test_non_finite_or_negative_variance_config_exits_2(self, tmp_path,
                                                            capsys, path,
@@ -520,12 +553,20 @@ class TestExitCodes:
         (("trajectory", "segments"), [[40, 0.0], [2.0, 0.1]],
          "segment step counts"),
         (("trajectory", "segments"), [[True, 0.0]], "segment step counts"),
+        (("trajectory", "segments"), [[80, 0.0, 1.0]],
+         "invalid scenario config: too many values"),
     ])
     def test_asymmetric_covariance_or_fractional_count_config_exits_2(
             self, tmp_path, capsys, path, value, message):
         # Each used to run: the sampler took the symmetric part of R while
         # the update used R as given, and counts were truncated by int().
         self._assert_mc_config_exits_2(tmp_path, capsys, path, value, message)
+
+    @pytest.mark.parametrize("key", ["prior", "motion", "trajectory"])
+    def test_section_that_is_not_an_object_exits_2_naming_it(
+            self, tmp_path, capsys, key):
+        self._assert_mc_config_exits_2(tmp_path, capsys, (key,), 5,
+                                       f"{key} must be a JSON object, got 5")
 
     @staticmethod
     def _assert_mc_config_exits_2(tmp_path, capsys, path, value, message=""):

@@ -4,15 +4,17 @@ Short campaigns of every builtin scenario under both filters are compared
 with the per-step GWD^2 and orientation errors recorded in
 ``output_stream.json``, as ``float.hex`` strings. The ``track`` output of
 a short ``stationary`` and ``moderate`` measurement file under both
-filters is compared with the lines recorded there, byte for byte. A
-change that moves any last bit or byte fails here. Such a change must
-bump ``__version__`` and re-record the file on purpose:
+filters is compared with the lines recorded there, byte for byte, and so
+is the JSON config of every builtin scenario. A change that moves any
+last bit or byte fails here. Such a change must bump ``__version__`` and
+re-record the file on purpose:
 
     PYTHONPATH=src python tests/test_output_stream.py
 
 The script refuses to overwrite a record made at the current version
-with one that differs from it, so a changed stream cannot be re-recorded
-without the version bump.
+with one that differs from it in any key both hold, so a changed stream
+cannot be re-recorded without the version bump; a key the old record
+lacks is added.
 """
 
 import dataclasses
@@ -24,7 +26,7 @@ import tempfile
 import pytest
 
 from elliptrack import __version__, builtin_scenarios, run_scenario
-from elliptrack.cli import main
+from elliptrack.cli import main, scenario_to_dict
 from elliptrack.simulation import FILTER_KINDS
 
 RECORD = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -66,6 +68,11 @@ def track_lines(scenario, filter_kind, workdir):
         return fh.read().decode("utf-8").splitlines()
 
 
+def config_text(scenario):
+    """The JSON config of builtin ``scenario``, indented."""
+    return json.dumps(scenario_to_dict(builtin_scenarios()[scenario]), indent=2)
+
+
 CASES = [f"{scenario}/{kind}" for scenario in builtin_scenarios()
          for kind in FILTER_KINDS]
 TRACK_CASES = [f"{scenario}/{kind}" for scenario in ("stationary", "moderate")
@@ -79,11 +86,14 @@ def record():
     new = {"version": __version__, "runs": RUNS, "steps": STEPS, "seed": SEED,
            "errors": {case: campaign_errors(*case.split("/"))
                       for case in CASES},
-           "track": track}
+           "track": track,
+           "config": {scenario: config_text(scenario)
+                      for scenario in builtin_scenarios()}}
     if os.path.exists(RECORD):
         with open(RECORD, encoding="utf-8") as fh:
             old = json.load(fh)
-        if old.get("version") == __version__ and old != new:
+        if old.get("version") == __version__ and any(
+                old[key] != new[key] for key in old.keys() & new.keys()):
             sys.exit(f"refusing to re-record {RECORD}: it was recorded at "
                      f"version {__version__} and the output stream differs "
                      f"from it; bump __version__ first")
@@ -103,6 +113,7 @@ def test_record_matches_the_campaign_shape(recorded):
         RUNS, STEPS, SEED)
     assert sorted(recorded["errors"]) == sorted(CASES)
     assert sorted(recorded["track"]) == sorted(TRACK_CASES)
+    assert sorted(recorded["config"]) == sorted(builtin_scenarios())
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -119,6 +130,12 @@ def test_track_output_is_byte_identical_to_the_record(recorded, case,
     expected = recorded["track"][case]
     assert recorded["version"] == __version__
     assert track_lines(*case.split("/"), str(tmp_path)) == expected
+
+
+@pytest.mark.parametrize("scenario", sorted(builtin_scenarios()))
+def test_config_format_is_identical_to_the_record(recorded, scenario):
+    assert recorded["version"] == __version__
+    assert config_text(scenario) == recorded["config"][scenario]
 
 
 if __name__ == "__main__":

@@ -7,7 +7,8 @@ import pytest
 
 from elliptrack import ConfigError, SourceDistribution, builtin_scenarios, \
     generate_truth, rot, run_scenario
-from elliptrack.simulation import TrajectorySpec, sample_run_data
+from elliptrack.simulation import MAX_POINTS_PER_RUN, TrajectorySpec, \
+    sample_run_data
 from elliptrack.state import wrap_angle
 
 
@@ -197,10 +198,30 @@ class TestBuiltinScenarios:
             dataclasses.replace(scen, lam=0.0)
         for field, value in [("seed", -1), ("seed", 1.5), ("seed", "7"),
                              ("runs", 2.5), ("psi", 2.0), ("psi", 0.0),
-                             # numpy's Generator.poisson raises above
-                             # 9.223372006484771e18
+                             # far above MAX_POINTS_PER_RUN over 80 steps,
+                             # and above numpy's largest Poisson rate
                              ("lam", 1e19)]:
             with pytest.raises(ConfigError):
+                dataclasses.replace(scen, **{field: value})
+
+    @pytest.mark.parametrize("field, value, accepted", [
+        ("lam", MAX_POINTS_PER_RUN / 80, True),
+        ("fixed_count", MAX_POINTS_PER_RUN // 80, True),
+        ("lam", MAX_POINTS_PER_RUN / 80 + 0.1, False),
+        ("fixed_count", MAX_POINTS_PER_RUN // 80 + 1, False),
+        # the sampler could not hold these: a traceback used to follow
+        ("lam", 1e17, False),
+        ("fixed_count", 10**18, False),
+    ])
+    def test_expected_points_per_run_are_capped(self, field, value, accepted):
+        # built only, never sampled: at the cap a run holds about 1.2 GB
+        scen = builtin_scenarios()["moderate"]
+        assert scen.trajectory.steps == 80
+        if accepted:
+            assert getattr(dataclasses.replace(scen, **{field: value}),
+                           field) == value
+        else:
+            with pytest.raises(ConfigError, match="points"):
                 dataclasses.replace(scen, **{field: value})
 
 
