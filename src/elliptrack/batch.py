@@ -8,11 +8,11 @@ nothing is interleaved. Of the points themselves the updates need only
 three statistics: the count M, the sample mean, and the scatter S of the
 centered points. The step splits the scan into its two coordinate
 columns once and takes the mean (:func:`_centering`) and S
-(:func:`_column_scatter`) from them. The step shares the float prediction,
-kinematic update and axis update of the sequential filter; the
-orientation update is written out on floats too. A single measurement is
-delegated wholesale to the sequential step, which needs none of the
-batch approximations.
+(:func:`_column_scatter`, one pass over the paired columns) from them.
+The step shares the float prediction, kinematic update and axis update
+of the sequential filter; the orientation update is written out on
+floats too. A single measurement is delegated wholesale to the
+sequential step, which needs none of the batch approximations.
 """
 
 # String annotations: typing's caches would keep re-imported classes alive.

@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from operator import mul
 from typing import List, Optional
 
 import numpy as np
@@ -65,10 +64,15 @@ def _column_scatter(col1: list, col2: list, c1: float, c2: float) -> tuple:
     """(S11, S22, S12) of S = sum_i (z_i - c)(z_i - c)^T over the columns
     z1 = ``col1``, z2 = ``col2``: the column sums of the pseudo-measurements
     (:func:`build_pseudo`), formed from the centered points, so no
-    cancellation enters. Each sum adds its products from left to right."""
-    d1 = [z - c1 for z in col1]
-    d2 = [z - c2 for z in col2]
-    return sum(map(mul, d1, d1)), sum(map(mul, d2, d2)), sum(map(mul, d1, d2))
+    cancellation enters. One pass over the paired columns forms all three;
+    each sum starts from 0 and adds its products from left to right."""
+    s11 = s22 = s12 = 0.0
+    for z1, z2 in zip(col1, col2):
+        d1, d2 = z1 - c1, z2 - c2
+        s11 += d1 * d1
+        s22 += d2 * d2
+        s12 += d1 * d2
+    return s11, s22, s12
 
 
 def _noise_factor(noise_cov) -> np.ndarray:

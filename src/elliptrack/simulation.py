@@ -43,6 +43,10 @@ def _is_count(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TrajectorySpec:
     """Nominal path of the true object plus per-step truth jitter.
@@ -52,10 +56,11 @@ class TrajectorySpec:
     jitter values are variances of fresh zero-mean noise added to the
     nominal position and velocity each step, so the truth stays close to
     the pre-defined path instead of drifting off it. The speed, turn
-    rates, start position and heading and true axes must be finite and
-    the jitters finite variances >= 0, or the constructor raises
-    :class:`ConfigError`. ``start_position`` and ``true_axes`` are
-    read-only copies, also after a pickle, copy or ``dataclasses.replace``.
+    rates, start position and heading and true axes must be finite, the
+    jitters finite variances >= 0, and the scalars among them real
+    numbers, not booleans, or the constructor raises :class:`ConfigError`.
+    ``start_position`` and ``true_axes`` are read-only copies, also after a
+    pickle, copy or ``dataclasses.replace``.
     """
     segments: Tuple[Tuple[int, float], ...]
     nominal_speed: float
@@ -71,6 +76,14 @@ class TrajectorySpec:
         counts = [n for n, _ in self.segments]
         if not counts or not all(_is_count(n) and n >= 1 for n in counts):
             raise ConfigError(f"segment step counts must be integers >= 1, got {counts}")
+        for name, value in (("nominal_speed", self.nominal_speed),
+                            ("start_heading", self.start_heading),
+                            ("position_jitter", self.position_jitter),
+                            ("velocity_jitter", self.velocity_jitter),
+                            *(("segment turn rate", rate)
+                              for _, rate in self.segments)):
+            if not _is_real(value):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
         object.__setattr__(self, "segments", tuple((int(n), float(rate))
                                                    for n, rate in self.segments))
         object.__setattr__(self, "start_position",
@@ -146,7 +159,8 @@ def generate_truth(traj: TrajectorySpec, rng: np.random.Generator,
 class ScenarioConfig:
     """Everything that determines a Monte-Carlo campaign.
 
-    The constructor checks the counts, the Poisson rate, a run's expected
+    The constructor checks the name (a string), the counts, the Poisson
+    rate and ``psi`` (real numbers, not booleans), a run's expected
     points (at most ``MAX_POINTS_PER_RUN``) and the prior, and builds the
     campaign's one :class:`FilterConfig` (which checks ``R`` and ``psi``);
     the motion and trajectory checked themselves when they were built.
@@ -168,13 +182,18 @@ class ScenarioConfig:
     __reduce__ = _reduce_through_constructor
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ConfigError(f"name must be a string, got {self.name!r}")
         if not (_is_count(self.seed) and self.seed >= 0):
             raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not (_is_count(self.runs) and self.runs >= 1):
             raise ConfigError(f"need an integer number of runs >= 1, "
                               f"got {self.runs!r}")
-        if not self.lam > 0.0:
-            raise ConfigError(f"Poisson rate must be positive, got {self.lam}")
+        if not (_is_real(self.lam) and self.lam > 0.0):
+            raise ConfigError(f"Poisson rate must be a positive real number, "
+                              f"got {self.lam!r}")
+        if not (self.psi is None or _is_real(self.psi)):
+            raise ConfigError(f"psi must be a real number, got {self.psi!r}")
         count = self.fixed_count
         if count is not None and not (_is_count(count) and count >= 0):
             raise ConfigError(f"fixed_count must be an integer >= 0, got {count!r}")

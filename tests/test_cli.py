@@ -562,6 +562,39 @@ class TestExitCodes:
         # the update used R as given, and counts were truncated by int().
         self._assert_mc_config_exits_2(tmp_path, capsys, path, value, message)
 
+    @pytest.mark.parametrize("path, value, message", [
+        (("trajectory", "nominal_speed"), [], "nominal_speed must be a real"),
+        (("trajectory", "nominal_speed"), [1.0], "nominal_speed must be a real"),
+        (("trajectory", "start_heading"), [[1.0, 2.0]],
+         "start_heading must be a real"),
+        (("trajectory", "position_jitter"), True,
+         "position_jitter must be a real"),
+        (("name",), 5, "name must be a string, got 5"),
+        (("name",), None, "name must be a string, got None"),
+        (("psi",), True, "psi must be a real number, got True"),
+        (("lambda",), True, "Poisson rate must be a positive real number"),
+    ])
+    def test_scalar_that_is_not_a_number_or_name_not_a_string_exits_2(
+            self, tmp_path, capsys, path, value, message):
+        # Each used to run: np.isfinite passes an empty or finite list,
+        # a boolean compares and converts as a number, and the name was
+        # never checked; the manifest echoed the value.
+        self._assert_mc_config_exits_2(tmp_path, capsys, path, value, message)
+
+    def test_accepted_scalars_echo_as_given(self, tmp_path):
+        # the checks convert nothing: an integer stays an integer
+        data = scenario_to_dict(builtin_scenarios()["moderate"])
+        data.update({"name": "mine", "lambda": 12, "psi": 1, "runs": 1})
+        data["trajectory"].update({"nominal_speed": 3, "start_heading": 0,
+                                   "position_jitter": 1})
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data))
+        out_dir = tmp_path / "mc"
+        assert main(["mc", str(config), "--filter", "batch", "--runs", "1",
+                     "--out", str(out_dir)]) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert json.dumps(manifest["config"]) == json.dumps(data)
+
     @pytest.mark.parametrize("key", ["prior", "motion", "trajectory"])
     def test_section_that_is_not_an_object_exits_2_naming_it(
             self, tmp_path, capsys, key):
