@@ -6,8 +6,8 @@ reduces to a single 2x2 inverse, and the orientation with an
 information-form update. All three updates read only the prediction, so
 nothing is interleaved. Of the points themselves the updates need only
 three statistics: the count M, the sample mean, and the scatter S of the
-centered points. The step splits the scan into its two coordinate
-columns once and takes the mean (:func:`_centering`) and S
+centered points. The step reads the scan's two coordinate columns, the
+form a scan is stored in, and takes the mean (:func:`_centering`) and S
 (:func:`_column_scatter`, one pass over the paired columns) from them.
 The step shares the float prediction, kinematic update and axis update
 of the sequential filter; the orientation update is written out on
@@ -108,11 +108,11 @@ def step_batch(est: DecoupledEstimate, measurements: MeasurementSet,
     prediction, with the scan mean taken once. Ill-conditioned updates
     are skipped and counted as in the sequential filter.
     """
-    if len(measurements) <= 1:
+    col1, col2 = measurements._cols
+    if len(col1) <= 1:
         return step_sequential(est, measurements, motion, cfg,
                                diagnostics=diagnostics)
     kin, axis, orient = _predict(est, motion)
-    col1, col2 = measurements.points.T.tolist()
     noise = cfg._noise
     (z1, z2), w = _centering(col1, col2, kin, noise)
     scatter = _column_scatter(col1, col2, z1, z2)

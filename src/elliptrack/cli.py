@@ -20,12 +20,12 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, EllipTrackError, MalformedRecord, \
     NonFiniteState, StepMisalignment
-from .measurements import MeasurementSet, SourceDistribution
+from .measurements import MeasurementSet, SourceDistribution, _scan
 from .metrics import EllipseParams, ellipse_from_estimate, gwd_squared, \
     orientation_error
 from .sequential import StepDiagnostics
 from .simulation import FILTER_KINDS, ScenarioConfig, TrajectorySpec, \
-    builtin_scenarios, run_scenario, sample_run_data, step_function
+    _is_real, builtin_scenarios, run_scenario, sample_run_data, step_function
 from .state import (AxisState, DecoupledEstimate, KinematicState, MotionModel,
                     OrientationState)
 
@@ -149,17 +149,55 @@ def estimate_to_dict(t: int, est: DecoupledEstimate) -> dict:
             "orientation": {"mean": theta, "var": var}}
 
 
+def _real(value, key: str):
+    """``value`` if it is a real JSON number or a flat JSON array of them;
+    otherwise, a boolean or a string say, raise ``TypeError`` naming
+    ``key``. Numbers follow the rule of :func:`simulation._is_real`."""
+    if not (_is_real(value)
+            or isinstance(value, list) and all(map(_is_real, value))):
+        raise TypeError(f"{key} must be a real number or an array of them, "
+                        f"got {json.dumps(value)}")
+    return value
+
+
 def estimate_from_dict(data: dict) -> DecoupledEstimate:
-    kin_dim = data["kinematics"]["dim"]
-    axis_dim = data["axis"]["dim"]
+    """The estimate of a record that :func:`estimate_to_dict` writes; a
+    value that is not a real JSON number raises ``TypeError``."""
+    kin, axis, orient = data["kinematics"], data["axis"], data["orientation"]
+    kin_dim, axis_dim = kin["dim"], axis["dim"]
     return DecoupledEstimate(
-        kin=KinematicState(data["kinematics"]["mean"],
-                           np.array(data["kinematics"]["cov"]).reshape(kin_dim, kin_dim)),
-        axis=AxisState(data["axis"]["mean"],
-                       np.array(data["axis"]["cov"]).reshape(axis_dim, axis_dim)),
-        orient=OrientationState(data["orientation"]["mean"],
-                                data["orientation"]["var"]),
+        kin=KinematicState(_real(kin["mean"], "kinematics mean"),
+                           np.array(_real(kin["cov"], "kinematics cov"))
+                           .reshape(kin_dim, kin_dim)),
+        axis=AxisState(_real(axis["mean"], "axis mean"),
+                       np.array(_real(axis["cov"], "axis cov"))
+                       .reshape(axis_dim, axis_dim)),
+        orient=OrientationState(_real(orient["mean"], "orientation mean"),
+                                _real(orient["var"], "orientation var")),
     )
+
+
+def _is_point(pair) -> bool:
+    return (isinstance(pair, list) and len(pair) == 2
+            and _is_real(pair[0]) and _is_real(pair[1]))
+
+
+def _scan_of(row: dict, line_number: int) -> MeasurementSet:
+    """The scan of a record: its ``measurements``, a JSON array of [x, y]
+    pairs of finite real numbers (:func:`simulation._is_real`), read
+    straight into the two float columns of a :class:`MeasurementSet`.
+    Anything else is malformed."""
+    pairs = row.get("measurements")
+    if not (isinstance(pairs, list) and all(map(_is_point, pairs))):
+        raise MalformedRecord(line_number, "'measurements' must be a JSON "
+                              "array of [x, y] pairs of real numbers")
+    try:
+        col1, col2 = [float(x) for x, _ in pairs], [float(y) for _, y in pairs]
+    except OverflowError as exc:  # an integer too large for a float
+        raise MalformedRecord(line_number, str(exc)) from exc
+    if not (all(map(math.isfinite, col1)) and all(map(math.isfinite, col2))):
+        raise MalformedRecord(line_number, "non-finite measurement value")
+    return _scan(col1, col2)
 
 
 def _read_jsonl(path: str) -> list:
@@ -218,7 +256,7 @@ def cmd_simulate(args) -> int:
     lines = []
     for idx, (truth, meas) in enumerate(zip(truths, measurement_sets)):
         row = truth_to_dict(idx + 1, truth)
-        row["measurements"] = meas.points.tolist()
+        row["measurements"] = list(zip(*meas._cols))
         lines.append(json.dumps(row))
     _write_atomic(args.out, "\n".join(lines) + "\n")
     return 0
@@ -233,12 +271,7 @@ def cmd_track(args) -> int:
     lines = []
     for line_number, row in _read_jsonl(args.measurements):
         t = _step_index(row, line_number)
-        try:
-            meas = MeasurementSet(row["measurements"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise MalformedRecord(line_number, str(exc)) from exc
-        if not all(map(math.isfinite, meas.points.ravel().tolist())):
-            raise MalformedRecord(line_number, "non-finite measurement value")
+        meas = _scan_of(row, line_number)
         try:
             est = step(est, meas, cfg.motion, fcfg, diagnostics=diagnostics)
             lines.append(json.dumps(estimate_to_dict(t, est), allow_nan=False))
@@ -255,7 +288,9 @@ def _ellipse_from_row(row: dict, line_number: int, kind: str) -> EllipseParams:
     try:
         if kind == "truth":
             body = row["truth"]
-            ellipse = EllipseParams(body["center"], body["theta"], body["axes"])
+            ellipse = EllipseParams(_real(body["center"], "truth center"),
+                                    _real(body["theta"], "truth theta"),
+                                    _real(body["axes"], "truth axes"))
         else:
             ellipse = ellipse_from_estimate(estimate_from_dict(row))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

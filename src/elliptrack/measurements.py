@@ -13,12 +13,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import List, Optional
 
 import numpy as np
 
 from .errors import EmptyMeasurementSet
-from .state import KinematicState, rot
+from .state import KinematicState, _compared_by, \
+    _reduce_through_constructor, rot
 
 
 class SourceDistribution(enum.Enum):
@@ -33,17 +35,46 @@ class SourceDistribution(enum.Enum):
         return 0.25 if self is SourceDistribution.UNIFORM_ELLIPSE else 1.0 / 3.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementSet:
-    """The 2-d point cloud observed at one time step (possibly empty)."""
+    """The 2-d point cloud observed at one time step (possibly empty).
+
+    Its one stored form is the two coordinate columns ``_cols`` = (z1, z2),
+    lists of floats, which the steps read and ``==`` compares. The
+    constructor derives them once from anything that converts to an
+    (M, 2) float array. ``points``, that array, is built from the columns
+    on its first read, read-only, and cached; it never shares memory with
+    the caller's input.
+    """
     points: np.ndarray
 
+    __reduce__ = _reduce_through_constructor
+    __eq__ = _compared_by(attrgetter("_cols"))
+
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float).reshape(-1, 2)
-        object.__setattr__(self, "points", pts)
+        cols = np.asarray(self.points, dtype=float).reshape(-1, 2).T.tolist()
+        del self.__dict__["points"]
+        self.__dict__["_cols"] = tuple(cols)
+
+    def __getattr__(self, name):
+        # Runs only for a name the instance does not hold yet.
+        if name != "points":
+            raise AttributeError(name)
+        points = np.column_stack(self._cols)
+        points.setflags(write=False)
+        self.__dict__["points"] = points
+        return points
 
     def __len__(self) -> int:
-        return self.points.shape[0]
+        return len(self._cols[0])
+
+
+def _scan(col1: list, col2: list) -> MeasurementSet:
+    """The scan of the float columns ``col1`` and ``col2``, stored as they
+    are: what the constructor stores for the points (z1, z2)."""
+    scan = object.__new__(MeasurementSet)
+    scan.__dict__["_cols"] = (col1, col2)
+    return scan
 
 
 @dataclass(frozen=True)
@@ -105,8 +136,8 @@ def sample_scans(centers, thetas, axes, lam, noise_cov, source,
     standard normals z for their sensor noise L z, with L a factor of
     ``noise_cov`` (:func:`_noise_factor`). Each source is stretched by
     the axes, rotated and shifted by its own step's pose, and the points
-    are split back into steps by the counts. Fully deterministic given
-    the generator state.
+    are split back into steps by the counts, each scan a slice of the
+    two coordinate columns. Fully deterministic given the generator state.
     """
     if not isinstance(source, SourceDistribution):
         raise ValueError(f"source must be a SourceDistribution member, "
@@ -132,8 +163,10 @@ def sample_scans(centers, thetas, axes, lam, noise_cov, source,
     points = centers[step_of] + noise
     points[:, 0] += cos * local[:, 0] - sin * local[:, 1]
     points[:, 1] += sin * local[:, 0] + cos * local[:, 1]
-    return [MeasurementSet(block)
-            for block in np.split(points, np.cumsum(counts)[:-1])]
+    col1, col2 = points.T.tolist()
+    stops = np.cumsum(counts).tolist()
+    return [_scan(col1[start:stop], col2[start:stop])
+            for start, stop in zip([0, *stops], stops)]
 
 
 def sample_measurements(center, theta, axes, lam, noise_cov, source,
@@ -175,7 +208,7 @@ def center_measurements(measurements: MeasurementSet,
     """Zero-center a measurement set for the shape updates (:func:`_centering`)."""
     kin = predicted_kin and (predicted_kin.mean.tolist(),
                              predicted_kin.cov.tolist())
-    center, w = _centering(*measurements.points.T.tolist(), kin,
+    center, w = _centering(*measurements._cols, kin,
                            np.asarray(noise_cov, dtype=float).ravel().tolist())
     return CenteredMeasurements(measurements.points - center, w)
 

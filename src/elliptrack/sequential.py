@@ -33,8 +33,6 @@ from .state import (AXIS_FLOOR, AxisState, DecoupledEstimate, FilterConfig,
 COND_LIMIT = 1e12
 
 UPDATE_ORDER = ("kinematics", "axis", "orientation")
-# The indices into UPDATE_ORDER that the default order runs.
-_DEFAULT_SEQUENCE = (0, 1, 2)
 
 
 @dataclass
@@ -361,38 +359,43 @@ def step_sequential(est: DecoupledEstimate, measurements: MeasurementSet,
     snapshot; a centered point s enters the shape updates as its scatter
     s s^T, with entries b = (s1^2, s2^2, s1*s2). ``order`` must permute
     UPDATE_ORDER (ValueError otherwise); each update reads the snapshot
-    alone, so the result is identical for every order. Ill-conditioned
-    single updates are skipped and counted.
+    alone, so the result is identical for every order, and the updates
+    run in UPDATE_ORDER. Ill-conditioned single updates are skipped and
+    counted.
     """
-    sequence = _DEFAULT_SEQUENCE
     if order is not UPDATE_ORDER:
-        if sorted(order) != sorted(UPDATE_ORDER):
+        try:
+            valid = sorted(order) == sorted(UPDATE_ORDER)
+        except TypeError:  # not iterable, or items that are not strings
+            valid = False
+        if not valid:
             raise ValueError(f"not a permutation of {UPDATE_ORDER}: {order!r}")
-        sequence = [UPDATE_ORDER.index(component) for component in order]
-    parts = list(_predict(est, motion))
-    points = measurements.points.tolist()
-    if not points:
-        return _estimate(*parts)
+    kin, axis, orient = _predict(est, motion)
+    col1, col2 = measurements._cols
+    if not col1:
+        return _estimate(kin, axis, orient)
     noise = cfg._noise
-    (c1, c2), w = _centering(*zip(*points), parts[0], noise)
+    (c1, c2), w = _centering(col1, col2, kin, noise)
     c = cfg.c
-    for z1, z2 in points:
-        kin, axis, orient = parts
+    for z1, z2 in zip(col1, col2):
+        # The snapshot's angle, variance and shape are taken first, so each
+        # update below reads the snapshot alone; a skipped update leaves
+        # its component there.
         theta, var = orient
         s1, s2 = z1 - c1, z2 - c2
         b = (s1 * s1, s2 * s2, s1 * s2)
         shape = _shape_entries(theta, axis[0], axis[1])
-        for k in sequence:
-            # A skipped update leaves its part at the snapshot.
-            try:
-                if k == 0:
-                    parts[0] = kalman_center_update(kin, z1, z2, noise, c,
-                                                    shape)
-                elif k == 1:
-                    parts[1] = update_axis(axis, theta, b, 1, w, c)
-                else:
-                    parts[2] = update_orientation(
-                        orient, b, orientation_moments(shape, var, w, c))
-            except (SingularInnovation, SingularPseudoCov):
-                _count_skip(diagnostics, UPDATE_ORDER[k])
-    return _estimate(*parts)
+        try:
+            kin = kalman_center_update(kin, z1, z2, noise, c, shape)
+        except SingularInnovation:
+            _count_skip(diagnostics, "kinematics")
+        try:
+            axis = update_axis(axis, theta, b, 1, w, c)
+        except SingularPseudoCov:
+            _count_skip(diagnostics, "axis")
+        try:
+            orient = update_orientation(orient, b,
+                                        orientation_moments(shape, var, w, c))
+        except SingularPseudoCov:
+            _count_skip(diagnostics, "orientation")
+    return _estimate(kin, axis, orient)

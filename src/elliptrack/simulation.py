@@ -25,7 +25,7 @@ from .metrics import EllipseParams, _gwd_squared, orientation_error
 from .sequential import StepDiagnostics, step_sequential
 from .state import (AxisState, DecoupledEstimate, FilterConfig, KinematicState,
                     MotionModel, OrientationState, _check_numbers,
-                    _frozen_copy, _reduce_through_constructor,
+                    _compared_by, _frozen_copy, _reduce_through_constructor,
                     constant_velocity_transition, rot, wrap_angle)
 
 # Sampled true semi-axes are floored here; the shape priors put a little
@@ -44,10 +44,13 @@ def _is_count(value) -> bool:
 
 
 def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    # An exact float or int is answered first: the ABC check costs about
+    # a microsecond, and a JSON record holds dozens of numbers.
+    return type(value) in (float, int) or (isinstance(value, numbers.Real)
+                                           and not isinstance(value, bool))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrajectorySpec:
     """Nominal path of the true object plus per-step truth jitter.
 
@@ -60,7 +63,7 @@ class TrajectorySpec:
     jitters finite variances >= 0, and the scalars among them real
     numbers, not booleans, or the constructor raises :class:`ConfigError`.
     ``start_position`` and ``true_axes`` are read-only copies, also after a
-    pickle, copy or ``dataclasses.replace``.
+    pickle, copy or ``dataclasses.replace``; ``==`` compares their floats.
     """
     segments: Tuple[Tuple[int, float], ...]
     nominal_speed: float
@@ -71,6 +74,10 @@ class TrajectorySpec:
     velocity_jitter: float = 0.0
 
     __reduce__ = _reduce_through_constructor
+    __eq__ = _compared_by(lambda spec: (
+        spec.segments, spec.nominal_speed, spec.start_position.tolist(),
+        spec.start_heading, spec.true_axes.tolist(), spec.position_jitter,
+        spec.velocity_jitter))
 
     def __post_init__(self):
         counts = [n for n, _ in self.segments]
@@ -155,7 +162,7 @@ def generate_truth(traj: TrajectorySpec, rng: np.random.Generator,
             for center, velocity, theta in zip(centers, velocities, thetas)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioConfig:
     """Everything that determines a Monte-Carlo campaign.
 
@@ -166,6 +173,7 @@ class ScenarioConfig:
     the motion and trajectory checked themselves when they were built.
     ``R`` is that filter config's read-only copy, so no write can bypass
     the checks; a pickle or copy goes through the constructor again.
+    ``==`` compares the filter config in place of ``R``.
     """
     name: str
     lam: float
@@ -180,6 +188,9 @@ class ScenarioConfig:
     fixed_count: Optional[int] = None  # exact per-step count instead of Poisson
 
     __reduce__ = _reduce_through_constructor
+    __eq__ = _compared_by(lambda cfg: (
+        cfg.name, cfg.lam, cfg._filter_config, cfg.prior, cfg.motion,
+        cfg.trajectory, cfg.runs, cfg.seed, cfg.source_dist, cfg.fixed_count))
 
     def __post_init__(self):
         if not isinstance(self.name, str):

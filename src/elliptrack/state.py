@@ -9,6 +9,7 @@ the decoupling is structural.
 import math
 import sys
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -185,12 +186,33 @@ def _reduce_through_constructor(self):
     return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
+def _flat(floats) -> list:
+    """The numbers of the nested lists and tuples ``floats``, in order."""
+    if isinstance(floats, (list, tuple)):
+        return [x for item in floats for x in _flat(item)]
+    return [floats]
+
+
+def _compared_by(form):
+    """An ``__eq__`` that compares two objects of one type by ``form(obj)``,
+    their floats, never by their arrays, whose ``==`` has no truth value.
+    Another type is left to ``==``'s fallback, so the answer is a bool.
+    A class that takes it is declared ``eq=False`` and stays unhashable.
+    """
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return form(self) == form(other)
+    return __eq__
+
+
 class _FloatBacked:
     """A Gaussian component: read-only ``mean`` and ``cov`` arrays, copied
     from the constructor's input, and the floats (mean, covariance rows)
-    derived from them once, which the steps read.
+    derived from them once, which the steps read, and ``==`` compares.
     """
     __reduce__ = _reduce_through_constructor
+    __eq__ = _compared_by(attrgetter("_floats"))
 
     def __post_init__(self):
         n = self._DIM
@@ -200,7 +222,7 @@ class _FloatBacked:
         object.__setattr__(self, "_floats", (mean.tolist(), cov.tolist()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KinematicState(_FloatBacked):
     """Center position and velocity (m, m/s) with 4x4 covariance."""
     mean: np.ndarray
@@ -208,7 +230,7 @@ class KinematicState(_FloatBacked):
     _DIM = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AxisState(_FloatBacked):
     """Semi-axis lengths (m) with 2x2 covariance.
 
@@ -231,7 +253,7 @@ class OrientationState:
         object.__setattr__(self, "var", float(self.var))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecoupledEstimate:
     """The three independent Gaussian components of the object state.
 
@@ -240,11 +262,14 @@ class DecoupledEstimate:
     public constructor takes them from the component states. An estimate
     built by a step (:func:`_estimate`) holds the floats alone, and each
     component state is built from them through its public constructor on
-    its first read and cached.
+    its first read and cached. ``==`` compares the floats, in order: a
+    step nests them in tuples where the constructor has lists.
     """
     kin: KinematicState
     axis: AxisState
     orient: OrientationState
+
+    __eq__ = _compared_by(lambda est: _flat(est._floats))
 
     def __post_init__(self):
         object.__setattr__(self, "_floats", (
@@ -265,7 +290,7 @@ class DecoupledEstimate:
         return state
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MotionModel:
     """Linear transition and process noise for the three components.
 
@@ -274,7 +299,8 @@ class MotionModel:
     must pass :func:`_is_covariance` and Q_theta must be a finite variance
     >= 0; anything else raises :class:`ConfigError`. The arrays are
     read-only copies, and the steps read ``_floats``, (F_kin, Q_kin,
-    Q_axis) as row tuples and Q_theta, derived from them once.
+    Q_axis) as row tuples and Q_theta, derived from them once; ``==``
+    compares them.
     """
     F_kin: np.ndarray
     Q_kin: np.ndarray
@@ -282,6 +308,7 @@ class MotionModel:
     Q_theta: float
 
     __reduce__ = _reduce_through_constructor
+    __eq__ = _compared_by(attrgetter("_floats"))
 
     def __post_init__(self):
         arrays = (_frozen_copy(self.F_kin, (4, 4)),
@@ -342,7 +369,7 @@ def constant_velocity_transition(dt: float = 1.0) -> np.ndarray:
     return f
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilterConfig:
     """Measurement noise, source scaling factor, and optional axis clamp.
 
@@ -353,12 +380,14 @@ class FilterConfig:
     ``R`` must be finite and pass :func:`_is_covariance`; a bad ``R``, ``c``
     or ``psi`` raises :class:`ConfigError`. ``R`` is a read-only copy, and
     the steps read its entries, (R11, R12, R21, R22), from ``_noise``.
+    ``==`` compares ``_noise``, ``c`` and ``psi``.
     """
     R: np.ndarray
     c: float = 0.25
     psi: Optional[float] = None
 
     __reduce__ = _reduce_through_constructor
+    __eq__ = _compared_by(attrgetter("_noise", "c", "psi"))
 
     def __post_init__(self):
         object.__setattr__(self, "R", _frozen_copy(self.R, (2, 2)))

@@ -200,20 +200,50 @@ class TestTrack:
         assert "line 2" in err and "non-finite" in err
         assert not (tmp_path / "est.jsonl").exists()
 
-    @pytest.mark.parametrize("points, code", [
-        ('[["nan", 2.0]]', 4), ('["1e999", 2.0]', 4), ('[[[1.0, -Infinity]]]', 4),
-        ('["1.5", "2.0", 3, 1]', 0), ('[[true, 2.0]]', 0)])
-    def test_points_are_checked_as_numpy_reads_them(self, tmp_path, capsys,
-                                                    points, code):
-        # flat, nested and string-valued lists are read as numpy converts
-        # them, and the converted floats are what the finiteness check sees
+    @pytest.mark.parametrize("points", [
+        '[["nan", 2.0]]', '["1e999", 2.0]', '[[[1.0, -Infinity]]]',
+        '["1.5", "2.0", 3, 1]', '[[true, 2.0]]', '[["1.5", "2"]]',
+        '[[true, false]]', '[[1.0, 2.0, 3.0]]', '[[1.0]]', '{"x": 1.0}',
+        'null', '"1.0, 2.0"'])
+    def test_points_must_be_pairs_of_real_numbers(self, tmp_path, capsys,
+                                                  points):
+        # strings, booleans, and flat or nested lists are malformed, not
+        # numbers for numpy to convert
         meas = tmp_path / "m.jsonl"
-        meas.write_text('{"t": 1, "measurements": %s}\n' % points)
+        meas.write_text('{"t": 1, "measurements": [[0.5, 1.0]]}\n'
+                        '{"t": 2, "measurements": %s}\n' % points)
+        out = tmp_path / "est.jsonl"
         assert main(["track", str(meas), "--scenario", "moderate",
-                     "--out", str(tmp_path / "est.jsonl")]) == code
-        if code:
-            err = capsys.readouterr().err
-            assert "line 1" in err and "non-finite" in err
+                     "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "line 2:" in err and "[x, y] pairs of real numbers" in err
+        assert not out.exists()
+
+    def test_missing_points_exit_4(self, tmp_path, capsys):
+        meas = tmp_path / "m.jsonl"
+        meas.write_text('{"t": 1}\n')
+        assert main(["track", str(meas), "--scenario", "moderate",
+                     "--out", str(tmp_path / "est.jsonl")]) == 4
+        assert "line 1:" in capsys.readouterr().err
+
+    def test_integer_too_large_for_a_float_exits_4(self, tmp_path, capsys):
+        meas = tmp_path / "m.jsonl"
+        meas.write_text('{"t": 1, "measurements": [[1%s, 2]]}\n' % ("0" * 400))
+        assert main(["track", str(meas), "--scenario", "moderate",
+                     "--out", str(tmp_path / "est.jsonl")]) == 4
+        assert "line 1:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["sequential", "batch"])
+    def test_integer_points_read_as_floats(self, tmp_path, kind):
+        # a JSON integer is a real number: [3, 1] tracks as [3.0, 1.0]
+        files = []
+        for text in ("[[1, 2], [3, 1]]", "[[1.0, 2.0], [3.0, 1.0]]"):
+            meas, out = tmp_path / "m.jsonl", tmp_path / f"{len(files)}.jsonl"
+            meas.write_text('{"t": 1, "measurements": %s}\n' % text)
+            assert main(["track", str(meas), "--scenario", "moderate",
+                         "--filter", kind, "--out", str(out)]) == 0
+            files.append(out.read_bytes())
+        assert files[0] == files[1]
 
     def test_blank_lines_count_in_reported_line(self, tmp_path, capsys):
         # file line 4 holds the NaN; the blank line 1 is skipped, not dropped
@@ -352,6 +382,64 @@ class TestEval:
         assert code == 4
         assert "line 5" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("center", ["1", "2"]), ("center", [True, 2.0]), ("theta", True),
+        ("theta", "0.5"), ("axes", ["4", 2]), ("axes", [[4.0], [2.0]])])
+    def test_truth_value_that_is_not_a_number_exits_4(self, tmp_path, capsys,
+                                                      field, value):
+        sim = self._simulate(tmp_path)
+        est = tmp_path / "est.jsonl"
+        self._estimates_from_truth(sim, est)
+        rows = read_jsonl(sim)
+        rows[4]["truth"][field] = value
+        sim.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        out = tmp_path / "errors.csv"
+        assert main(["eval", str(est), str(sim), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "line 5:" in err and f"truth {field} must be a real number" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("part, key, value", [
+        ("kinematics", "mean", ["0", 0.0, 0.0, 0.0]),
+        ("kinematics", "cov", [True] + [0.0] * 15),
+        ("axis", "mean", [4.0, "2"]), ("axis", "cov", ["4", 0.0, 0.0, 2.0]),
+        ("orientation", "mean", "0.3"), ("orientation", "var", False)])
+    def test_estimate_value_that_is_not_a_number_exits_4(self, tmp_path,
+                                                         capsys, part, key,
+                                                         value):
+        sim = self._simulate(tmp_path)
+        est = tmp_path / "est.jsonl"
+        self._estimates_from_truth(sim, est)
+        rows = read_jsonl(est)
+        rows[2][part][key] = value
+        est.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        out = tmp_path / "errors.csv"
+        assert main(["eval", str(est), str(sim), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "line 3:" in err and f"{part} {key} must be a real number" in err
+        assert not out.exists()
+
+    def test_integer_values_read_as_floats(self, tmp_path):
+        # JSON integers are real numbers: a record of integers scores as
+        # the same record of floats
+        scores = []
+        for number in (int, float):
+            est, truth = tmp_path / "est.jsonl", tmp_path / "truth.jsonl"
+            truth.write_text(json.dumps({"t": 1, "truth": {
+                "center": [number(1), number(2)], "theta": number(0),
+                "axes": [number(4), number(2)], "velocity": [0, 0]}}) + "\n")
+            est.write_text(json.dumps({
+                "t": 1, "kinematics": {"dim": 4, "mean": [number(2), number(2),
+                                                          number(0), number(0)],
+                                       "cov": [number(0)] * 16},
+                "axis": {"dim": 2, "mean": [number(4), number(2)],
+                         "cov": [number(0)] * 4},
+                "orientation": {"mean": number(0), "var": number(0)}}) + "\n")
+            out = tmp_path / "errors.csv"
+            assert main(["eval", str(est), str(truth), "--out", str(out)]) == 0
+            scores.append(out.read_text())
+        assert scores[0] == scores[1] == "t,gwd_sq,orient_err\n1,1.0,0.0\n"
 
     @pytest.mark.parametrize("value", STEP_INDEX_VALUES)
     @pytest.mark.parametrize("row", [0, 3])

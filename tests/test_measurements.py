@@ -1,18 +1,131 @@
 import copy
+import dataclasses
 import enum
+import pickle
+import struct
 
 import numpy as np
 import pytest
 
-from elliptrack import (EmptyMeasurementSet, KinematicState, MeasurementSet,
-                        SourceDistribution, build_pseudo, rot,
-                        sample_measurements)
+from elliptrack import (EmptyMeasurementSet, FilterConfig, KinematicState,
+                        MeasurementSet, SourceDistribution, build_pseudo, rot,
+                        sample_measurements, step_batch, step_sequential)
+from elliptrack.cli import main
 from elliptrack.measurements import (CenteredMeasurements, _noise_factor,
                                      aligned_squares, center_measurements,
                                      sample_scans)
-from elliptrack.simulation import builtin_scenarios
+from elliptrack.simulation import builtin_scenarios, run_scenario
 
-from conftest import QUAD_SELECT
+from conftest import QUAD_SELECT, make_estimate, make_motion
+
+
+def bits(cols):
+    """The IEEE bit patterns of a scan's columns, and their types: bit
+    equality tells -0.0 from 0.0 and keeps NaN equal to itself."""
+    return [[(type(x), struct.pack("<d", x)) for x in col] for col in cols]
+
+
+RAW = np.array([[1.5, -0.0], [np.nan, 2.0], [1e-310, -3.25]])
+POINT_INPUTS = {
+    "list": RAW.tolist(),
+    "array": RAW,
+    "flat": RAW.ravel(),
+    "fortran": np.asfortranarray(RAW),
+    "ints": np.array([[1, 2], [3, 4]]),
+    "empty": np.empty((0, 2)),
+    "empty-list": [],
+}
+
+
+class TestMeasurementSetColumns:
+    """A scan is stored as its two float columns; its array is lazy."""
+
+    @pytest.mark.parametrize("points", POINT_INPUTS.values(),
+                             ids=POINT_INPUTS.keys())
+    def test_columns_are_the_transposed_float_rows(self, points):
+        scan = MeasurementSet(points)
+        expected = np.asarray(points, float).reshape(-1, 2).T.tolist()
+        assert bits(scan._cols) == bits(expected)
+        assert len(scan) == len(expected[0])
+        assert "points" not in vars(scan)
+
+    @pytest.mark.parametrize("points", POINT_INPUTS.values(),
+                             ids=POINT_INPUTS.keys())
+    def test_points_is_a_read_only_copy_built_on_first_read(self, points):
+        writeable = np.array(points, dtype=float)
+        scan = MeasurementSet(writeable)
+        array = scan.points
+        assert scan.points is array and vars(scan)["points"] is array
+        assert array.dtype == np.float64 and array.shape == (len(scan), 2)
+        assert array.tobytes() == writeable.reshape(-1, 2).tobytes()
+        assert not array.flags.writeable
+        assert not np.shares_memory(array, writeable)
+        assert writeable.flags.writeable
+        if len(scan):
+            with pytest.raises(ValueError):
+                array[0, 0] = 7.0
+            writeable.reshape(-1)[0] = 99.0  # the caller's array is theirs
+            assert scan.points.ravel()[0] != 99.0 != scan._cols[0][0]
+
+    @pytest.mark.parametrize("round_trip", [
+        lambda obj: pickle.loads(pickle.dumps(obj)), copy.copy, copy.deepcopy,
+        dataclasses.replace,
+    ], ids=["pickle", "copy", "deepcopy", "replace"])
+    @pytest.mark.parametrize("lazy", [False, True], ids=["unread", "read"])
+    def test_round_trips_go_through_the_constructor(self, round_trip, lazy):
+        scan = MeasurementSet(RAW)
+        if lazy:
+            scan.points
+        twin = round_trip(scan)
+        assert type(twin) is MeasurementSet
+        assert bits(twin._cols) == bits(scan._cols)
+        assert not twin.points.flags.writeable
+        assert twin.points.tobytes() == RAW.tobytes()
+
+    @pytest.mark.parametrize("count", [None, 0, 1, 3])
+    def test_sampled_scans_equal_constructor_scans_of_their_block(self, count):
+        rng = np.random.default_rng(16)
+        steps = 40
+        scans = sample_scans(rng.normal(size=(steps, 2)), rng.normal(size=steps),
+                             [4, 2], 2.0, np.eye(2),
+                             SourceDistribution.UNIFORM_RECTANGLE, rng,
+                             count=count)
+        assert len(scans) == steps
+        counts = [len(scan) for scan in scans]
+        points = np.concatenate([scan.points for scan in scans])
+        blocks = np.split(points, np.cumsum(counts)[:-1])
+        for scan, block in zip(scans, blocks):
+            assert type(scan) is MeasurementSet
+            assert bits(scan._cols) == bits(MeasurementSet(block)._cols)
+            assert scan == MeasurementSet(block)
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 7])
+    @pytest.mark.parametrize("step", [step_sequential, step_batch])
+    def test_steps_read_the_columns_alone(self, step, count):
+        rng = np.random.default_rng(count)
+        scan = sample_scans([[3.0, 0.0]], [0.2], [5, 2], 1.0, np.eye(2),
+                            SourceDistribution.UNIFORM_ELLIPSE, rng,
+                            count=count)[0]
+        built = MeasurementSet(np.array(scan._cols).T.reshape(-1, 2))
+        for z in (scan, built):
+            step(make_estimate(), z, make_motion(), FilterConfig(R=np.eye(2)))
+            assert "points" not in vars(z)
+
+    def test_commands_and_campaigns_never_build_a_scan_array(self, monkeypatch,
+                                                              tmp_path):
+        reads, lazy = [], MeasurementSet.__getattr__
+        monkeypatch.setattr(MeasurementSet, "__getattr__",
+                            lambda scan, name: reads.append(name)
+                            or lazy(scan, name))
+        sim, out = tmp_path / "sim.jsonl", tmp_path / "est.jsonl"
+        for name in ("moderate", "stationary"):
+            assert main(["simulate", "--scenario", name, "--seed", "5",
+                         "--out", str(sim)]) == 0
+            for kind in ("sequential", "batch"):
+                assert main(["track", str(sim), "--scenario", name,
+                             "--filter", kind, "--out", str(out)]) == 0
+                run_scenario(builtin_scenarios(runs=2, seed=5)[name], kind)
+        assert reads == []
 
 
 class TestSampleMeasurements:

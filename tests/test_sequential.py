@@ -303,6 +303,18 @@ class TestStepSequential:
         with pytest.raises(ValueError, match="permutation"):
             step_sequential(est, z, motion, default_config, order=order)
 
+    @pytest.mark.parametrize("order", [
+        None, ("kinematics", 1, "axis"), 3, ("kinematics", None, "axis"),
+        "kinematics", (("kinematics",), "axis", "orientation"),
+    ], ids=["none", "mixed", "number", "none-item", "string", "nested"])
+    def test_rejects_an_order_that_is_not_a_permutation_of_names(
+            self, default_config, order):
+        # sorting these raises TypeError; the step raises ValueError
+        est, motion = make_estimate(), make_motion()
+        z = _random_measurements(np.random.default_rng(5), count=2)
+        with pytest.raises(ValueError, match="permutation"):
+            step_sequential(est, z, motion, default_config, order=order)
+
     def test_covariances_stay_symmetric_psd(self, default_config):
         rng = np.random.default_rng(6)
         est, motion = make_estimate(), make_motion()

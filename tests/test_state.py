@@ -482,3 +482,68 @@ class TestReadOnlyCopies:
             for (mine, _), (theirs, _) in zip(_frozen_pairs(twin),
                                               _frozen_pairs(obj)):
                 assert mine.tobytes() == theirs.tobytes()
+
+
+def _equal_pairs():
+    """(name, a, an equal twin built apart, an unequal one) per type that
+    holds arrays."""
+    est, other = make_estimate(), make_estimate(theta=0.2)
+    stepped = step_batch(est, MeasurementSet([[1.0, 0.5], [-2.0, 1.0]]),
+                         make_motion(), FilterConfig(R=np.eye(2)))
+    scenarios, twins = builtin_scenarios(runs=2), builtin_scenarios(runs=2)
+    moderate = scenarios["moderate"]
+    return [
+        ("scan", MeasurementSet([[1.0, 2.0], [3.0, 4.0]]),
+         MeasurementSet(np.array([1, 2, 3, 4])), MeasurementSet([[1.0, 2.0]])),
+        ("empty scan", MeasurementSet([]), MeasurementSet(np.empty((0, 2))),
+         MeasurementSet([[0.0, 0.0]])),
+        ("kin", est.kin, KinematicState([0, 0, 3, 0], np.diag([2, 2, .5, .5])),
+         KinematicState(np.zeros(4), np.eye(4))),
+        ("axis", est.axis, AxisState([5.0, 2.0], np.eye(2)),
+         AxisState([5.0, 2.0], 2 * np.eye(2))),
+        ("estimate", est, make_estimate(), other),
+        ("step result", stepped,
+         DecoupledEstimate(stepped.kin, stepped.axis, stepped.orient), est),
+        ("motion", make_motion(), make_motion(), make_motion(q_axis=0.1)),
+        ("filter", FilterConfig(R=np.eye(2), psi=0.4),
+         FilterConfig(R=[[1, 0], [0, 1]], c=0.25, psi=0.4),
+         FilterConfig(R=np.eye(2))),
+        ("trajectory", moderate.trajectory, twins["moderate"].trajectory,
+         scenarios["stationary"].trajectory),
+        ("scenario", moderate, twins["moderate"],
+         dataclasses.replace(moderate, R=2 * moderate.R)),
+    ]
+
+
+class TestEquality:
+    """``==`` compares floats, never arrays: a bool, not a ValueError."""
+
+    @pytest.mark.parametrize("name, obj, twin, other", _equal_pairs(),
+                             ids=[case[0] for case in _equal_pairs()])
+    def test_equal_unequal_and_unhashable(self, name, obj, twin, other):
+        assert type(twin) is type(obj) is type(other)
+        assert (obj == twin) is True and (twin == obj) is True
+        assert (obj != twin) is False
+        assert (obj == other) is False and (other == obj) is False
+        assert (obj != other) is True
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(obj)
+
+    def test_other_types_compare_unequal(self):
+        cases = _equal_pairs()
+        objects = [obj for _, obj, _, _ in cases]
+        for i, obj in enumerate(objects):
+            for other in (*objects[:i], *objects[i + 1:], None, 1.0,
+                          obj.__dict__):
+                if type(other) is type(obj):
+                    continue
+                assert (obj == other) is False and (other == obj) is False
+                assert (obj != other) is True
+        # the same floats in another component type are not equal
+        axis = AxisState([1.0, 2.0], np.eye(2))
+        assert (MeasurementSet([[1.0, 2.0]]) == axis) is False
+
+    def test_scan_columns_compare_as_floats(self):
+        # NaN is unequal to itself; -0.0 equals 0.0
+        assert MeasurementSet([[0.0, 1.0]]) == MeasurementSet([[-0.0, 1.0]])
+        assert MeasurementSet([[np.nan, 1.0]]) != MeasurementSet([[np.nan, 1.0]])
