@@ -19,4 +19,4 @@ from .state import (AxisState, DecoupledEstimate, FilterConfig, KinematicState,
                     MotionModel, OrientationState, clamp_axis_variance,
                     constant_velocity_transition, rot, wrap_angle)
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

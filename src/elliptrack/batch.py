@@ -10,9 +10,12 @@ centered points. The step reads the scan's two coordinate columns, the
 form a scan is stored in, and takes the mean (:func:`_centering`) and S
 (:func:`_column_scatter`, one pass over the paired columns) from them.
 The step shares the float prediction, kinematic update and axis update
-of the sequential filter; the orientation update is written out on
-floats too. A single measurement is delegated wholesale to the
-sequential step, which needs none of the batch approximations.
+of the sequential filter, and the orientation update shares its
+closed-form solve: the noise covariance is Cov(b) less a rank-one term,
+whose inverse Sherman-Morrison gives from Cov(b)^-1
+(:func:`batch_update_orientation`). A single measurement is delegated
+wholesale to the sequential step, which needs none of the batch
+approximations.
 """
 
 # String annotations: typing's caches would keep re-imported classes alive.
@@ -66,30 +69,25 @@ def batch_update_orientation(orient: tuple, shape: tuple, scatter: tuple,
     """Information-form update of (theta, var) over ``count`` points.
 
     Linearizing b at the predicted angle gives a scalar model with
-    sensitivity M and noise Gamma = C_bb - M var M^T
-    (:func:`orientation_moments` at ``shape`` and ``w``). Information adds
-    per point, so the variance can only shrink; the points enter through
-    the ``scatter`` alone. A zero prior variance is returned as it is.
-    Each sum over the three components starts from zero and adds from
-    left to right, so a sum of signed zeros is +0.0.
+    sensitivity M and noise G = Cov(b) - var M M^T (:func:`orientation_moments`
+    at ``shape`` and ``w``). With y = Cov(b)^-1 M and q = M^T y,
+    Sherman-Morrison gives G^-1 = Cov(b)^-1 + var y y^T / (1 - var q):
+    weights k = G^-1 M = y / (1 - var q) and information M^T k = q / (1 -
+    var q) per point (:func:`_guarded_solve`). Information adds per point,
+    so the variance can only shrink; the points enter through the
+    ``scatter`` alone. A zero prior variance is returned as it is. Each
+    sum over the three components starts from zero and adds from left to
+    right, so a sum of signed zeros is +0.0.
     """
     theta, var = orient
     if var == 0.0:
         return orient
-    ((e1, e2, e3), ((b11, b12, b13), (_, b22, b23), (*_, b33)),
-     (m1, m2, m3)) = orientation_moments(shape, var, w, c)
-    g12, g13, g23 = (b12 - var * (m1 * m2), b13 - var * (m1 * m3),
-                     b23 - var * (m2 * m3))
-    k1, k2, k3 = _guarded_solve(
-        ((b11 - var * (m1 * m1), g12, g13), (g12, b22 - var * (m2 * m2), g23),
-         (g13, g23, b33 - var * (m3 * m3))), (m1, m2, m3), SingularPseudoCov,
-        "batch orientation noise covariance is ill-conditioned")
-    info_gain = 0.0 + m1 * k1 + m2 * k2 + m3 * k3
-    if info_gain < 0.0:
-        raise SingularPseudoCov("batch orientation noise covariance "
-                                "is not positive definite")
+    expected, _, m = orientation_moments(shape, var, w, c)
+    k1, k2, k3, info_gain = _guarded_solve(
+        expected, m, SingularPseudoCov, "batch orientation noise covariance",
+        var)
     # The predicted-angle term enters every summand of the innovation.
-    s11, s22, s12 = scatter
+    (e1, e2, e3), (m1, m2, m3), (s11, s22, s12) = expected, m, scatter
     var_post = 1.0 / (1.0 / var + count * info_gain)
     return (wrap_angle(var_post * (theta / var + (
         0.0 + k1 * (s11 - count * (e1 - m1 * theta))

@@ -187,15 +187,16 @@ def _centering(col1: list, col2: list, kin, noise: list) -> tuple:
     """The center (c1, c2) of a scan given as its columns z1 = ``col1``,
     z2 = ``col2``, and the entries of W, the covariance of one centered
     point. Several points are centered on their mean, with W the
-    ``noise``; ``kin``, the predicted (mean, cov) lists, is not read. A
-    single point is centered on the predicted center, which adds the
-    predicted center covariance to W.
+    ``noise``; ``kin``, the predicted (mean, cov) lists, is not read. The
+    correctly rounded ``math.fsum`` keeps that mean the same on every
+    Python version. A single point is centered on the predicted center,
+    which adds the predicted center covariance to W.
     """
     m = len(col1)
     if m == 0:
         raise EmptyMeasurementSet("cannot center an empty measurement set")
     if m > 1:
-        return (sum(col1) / m, sum(col2) / m), noise
+        return (math.fsum(col1) / m, math.fsum(col2) / m), noise
     mean, cov = kin
     r11, r12, r21, r22 = noise
     return (mean[0], mean[1]), (r11 + cov[0][0], r12 + cov[0][1],

@@ -11,6 +11,16 @@ uncertainty. Inside a step the estimate is carried as Python floats:
 (mean, cov) lists, (p1, p2, P11, P12, P22) and (theta, var). A step reads
 the floats its prior, motion and noise store, and its result stores the
 floats alone (:func:`_estimate`); arrays are built only when read.
+
+The orientation updates solve with Cov(b), b = (s1^2, s2^2, s1 s2) for
+s ~ N(0, C). Isserlis' theorem fixes Cov(b) by C's entries, which are
+E(b): its rows are (2 C11^2, 2 C12^2, 2 C11 C12), (2 C12^2, 2 C22^2,
+2 C22 C12) and (2 C11 C12, 2 C22 C12, C11 C22 + C12^2). Its inverse is
+R / d^2, d = det C, with R symmetric, rows (C22^2/2, C12^2/2, -C12 C22),
+(C12^2/2, C11^2/2, -C11 C12) and (-C12 C22, -C11 C12, C11 C22 + C12^2):
+row 1 of Cov(b) times column 1 of R is C11^2 C22^2 + C12^4 - 2 C11 C22
+C12^2 = d^2, times column 3 it is 2 C11 C12 (C11 C22 + C12^2 - C11 C22 -
+C12^2) = 0, and the other entries follow alike (:func:`_guarded_solve`).
 """
 
 # String annotations: typing's caches would keep re-imported classes alive.
@@ -58,27 +68,6 @@ class AxisMoments:
     cross_ap: np.ndarray    # Cov(a, axes), diagonal 2x2
 
 
-def _det3(r0: list, r1: list, r2: list) -> float:
-    """Determinant of the 3x3 matrix with rows r0, r1, r2.
-
-    One elimination step with partial pivoting, then a 2x2 determinant:
-    backward stable, where cofactors lose up to eps * kappa^2.
-    """
-    m0, m1, m2 = abs(r0[0]), abs(r1[0]), abs(r2[0])
-    if m0 >= m1 and m0 >= m2:
-        top, u, v, sign = r0, r1, r2, 1.0
-    elif m1 >= m2:
-        top, u, v, sign = r1, r0, r2, -1.0
-    else:
-        top, u, v, sign = r2, r0, r1, 1.0
-    pivot = top[0]
-    if pivot == 0.0:
-        return 0.0
-    fu, fv = u[0] / pivot, v[0] / pivot
-    return sign * pivot * ((u[1] - fu * top[1]) * (v[2] - fv * top[2])
-                           - (u[2] - fu * top[2]) * (v[1] - fv * top[1]))
-
-
 def _guarded_det(a: float, b: float, c: float, d: float, error,
                  message: str) -> float:
     """det(A) of A = [[a, b], [c, d]], or raise ``error(message)``.
@@ -100,26 +89,47 @@ def _guarded_det(a: float, b: float, c: float, d: float, error,
     return det
 
 
-def _guarded_solve(rows, rhs, error, message: str) -> list:
-    """x = adj(A) rhs / det(A) as a list, for the 3x3 nested-list ``rows``
-    and one right-hand side ``rhs``.
+def _guarded_solve(moments: tuple, rhs: tuple, error, name: str,
+                   var: float = 0.0) -> tuple:
+    """(x1, x2, x3, rhs . x) for x = G^-1 rhs, G = Cov(b) - var rhs rhs^T.
 
-    Raises ``error(message)`` where :func:`_guarded_det` does, with the
-    norm of the 3x3 adjugate.
+    ``moments`` is E(b) = (C11, C22, C12), which fixes B = Cov(b) (module
+    docstring); at ``var`` = 0, G = B. On symmetric matrices B acts as C (x)
+    C, with eigenvalues 2 l1^2, 2 l2^2 and 2 l1 l2 for C's l1, l2: B is
+    positive definite iff det C > 0, and kappa(B) is kappa(C)^2 <=
+    kappa_F(C)^2 = (||C||_F^2 / det C)^2, within a factor 2 for the scale
+    of s1 s2. With q = rhs^T B^-1 rhs, G = B^1/2 (I - var u u^T) B^1/2, u =
+    B^-1/2 rhs, whose middle factor has eigenvalues 1, 1 and 1 - var q: G
+    is positive definite iff var q < 1, and kappa(G) <= kappa(B) / (1 - var
+    q). So ``error`` names ``name`` and "is not positive definite" unless 0
+    <= var q < 1, or "is ill-conditioned" where kappa_F(C)^2 >= (1 - var q)
+    ``COND_LIMIT`` or det C is not a positive normal float. x is formed as
+    (R (rhs / det C)) / det C, R = det C^2 B^-1, so C and rhs scaled by
+    1e-150 .. 1e150 (as C and M scale together) solve as unscaled.
     """
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    m11, m12, m13 = e * i - f * h, c * h - b * i, b * f - c * e
-    m21, m22, m23 = f * g - d * i, a * i - c * g, c * d - a * f
-    m31, m32, m33 = d * h - e * g, b * g - a * h, a * e - b * d
-    det = _det3(*rows)
-    norm = math.hypot(a, b, c, d, e, f, g, h, i)
-    norm_adj = math.hypot(m11, m12, m13, m21, m22, m23, m31, m32, m33)
-    if not (math.isfinite(norm) and norm * norm_adj < COND_LIMIT * abs(det)):
-        raise error(message)
-    x, y, z = rhs
-    return [(m11 * x + m12 * y + m13 * z) / det,
-            (m21 * x + m22 * y + m23 * z) / det,
-            (m31 * x + m32 * y + m33 * z) / det]
+    c11, c22, c12 = moments
+    det = c11 * c22 - c12 * c12
+    norm = math.hypot(c11, c12, c12, c22)
+    # NaN fails the test of det, inf makes kappa inf or NaN, and a det below
+    # the smallest normal float carries too few digits to divide by.
+    kappa = norm * norm / det if det >= 2.0 ** -1022 else math.inf
+    if not kappa * kappa < COND_LIMIT:
+        raise error(name + " is ill-conditioned")
+    # det C^2 Cov(b)^-1, the Isserlis inverse of the module docstring.
+    r11, r12, r13 = 0.5 * (c22 * c22), 0.5 * (c12 * c12), -(c12 * c22)
+    r22, r23, r33 = 0.5 * (c11 * c11), -(c11 * c12), c11 * c22 + c12 * c12
+    m1, m2, m3 = rhs
+    n1, n2, n3 = m1 / det, m2 / det, m3 / det
+    y1 = (r11 * n1 + r12 * n2 + r13 * n3) / det
+    y2 = (r12 * n1 + r22 * n2 + r23 * n3) / det
+    y3 = (r13 * n1 + r23 * n2 + r33 * n3) / det
+    q = m1 * y1 + m2 * y2 + m3 * y3
+    if not 0.0 <= var * q < 1.0:
+        raise error(name + " is not positive definite")
+    shrink = 1.0 - var * q
+    if not kappa * kappa < shrink * COND_LIMIT:
+        raise error(name + " is ill-conditioned")
+    return y1 / shrink, y2 / shrink, y3 / shrink, q / shrink
 
 
 def _predict(est: DecoupledEstimate, motion: MotionModel) -> tuple:
@@ -127,10 +137,12 @@ def _predict(est: DecoupledEstimate, motion: MotionModel) -> tuple:
 
     Reads the floats of the estimate and of the motion, never their
     arrays. The kinematic covariance is F P F^T + Q, formed as G = F P
-    and then G F^T + Q, entry by entry; each entry sums its four products
-    from left to right. F is any 4x4. The axis transition is the
-    identity, so only process noise is added there; the orientation mean
-    is re-wrapped.
+    from all 16 entries of P, so a prior asymmetric within rounding
+    predicts as its arrays do, and then the upper triangle of G F^T + Q,
+    entry by entry, with Q's upper triangle; each entry sums its four
+    products from left to right. F is any 4x4. The axis transition is
+    the identity, so only process noise is added there; the orientation
+    mean is re-wrapped.
     """
     (mean, cov), ((a1, a2), ((c11, c12), (c21, c22))), (theta, var) = \
         est._floats
@@ -139,8 +151,7 @@ def _predict(est: DecoupledEstimate, motion: MotionModel) -> tuple:
      (f30, f31, f32, f33)) = f
     ((p00, p01, p02, p03), (p10, p11, p12, p13), (p20, p21, p22, p23),
      (p30, p31, p32, p33)) = cov
-    ((q00, q01, q02, q03), (q10, q11, q12, q13), (q20, q21, q22, q23),
-     (q30, q31, q32, q33)) = q
+    (q00, q01, q02, q03), (_, q11, q12, q13), (*_, q22, q23), (*_, q33) = q
     m0, m1, m2, m3 = mean
     g00 = f00 * p00 + f01 * p10 + f02 * p20 + f03 * p30
     g01 = f00 * p01 + f01 * p11 + f02 * p21 + f03 * p31
@@ -162,23 +173,17 @@ def _predict(est: DecoupledEstimate, motion: MotionModel) -> tuple:
             f10 * m0 + f11 * m1 + f12 * m2 + f13 * m3,
             f20 * m0 + f21 * m1 + f22 * m2 + f23 * m3,
             f30 * m0 + f31 * m1 + f32 * m2 + f33 * m3],
-           _psd_rows([
-               [g00 * f00 + g01 * f01 + g02 * f02 + g03 * f03 + q00,
-                g00 * f10 + g01 * f11 + g02 * f12 + g03 * f13 + q01,
-                g00 * f20 + g01 * f21 + g02 * f22 + g03 * f23 + q02,
-                g00 * f30 + g01 * f31 + g02 * f32 + g03 * f33 + q03],
-               [g10 * f00 + g11 * f01 + g12 * f02 + g13 * f03 + q10,
-                g10 * f10 + g11 * f11 + g12 * f12 + g13 * f13 + q11,
-                g10 * f20 + g11 * f21 + g12 * f22 + g13 * f23 + q12,
-                g10 * f30 + g11 * f31 + g12 * f32 + g13 * f33 + q13],
-               [g20 * f00 + g21 * f01 + g22 * f02 + g23 * f03 + q20,
-                g20 * f10 + g21 * f11 + g22 * f12 + g23 * f13 + q21,
-                g20 * f20 + g21 * f21 + g22 * f22 + g23 * f23 + q22,
-                g20 * f30 + g21 * f31 + g22 * f32 + g23 * f33 + q23],
-               [g30 * f00 + g31 * f01 + g32 * f02 + g33 * f03 + q30,
-                g30 * f10 + g31 * f11 + g32 * f12 + g33 * f13 + q31,
-                g30 * f20 + g31 * f21 + g32 * f22 + g33 * f23 + q32,
-                g30 * f30 + g31 * f31 + g32 * f32 + g33 * f33 + q33]]))
+           _psd_rows(
+               g00 * f00 + g01 * f01 + g02 * f02 + g03 * f03 + q00,
+               g00 * f10 + g01 * f11 + g02 * f12 + g03 * f13 + q01,
+               g00 * f20 + g01 * f21 + g02 * f22 + g03 * f23 + q02,
+               g00 * f30 + g01 * f31 + g02 * f32 + g03 * f33 + q03,
+               g10 * f10 + g11 * f11 + g12 * f12 + g13 * f13 + q11,
+               g10 * f20 + g11 * f21 + g12 * f22 + g13 * f23 + q12,
+               g10 * f30 + g11 * f31 + g12 * f32 + g13 * f33 + q13,
+               g20 * f20 + g21 * f21 + g22 * f22 + g23 * f23 + q22,
+               g20 * f30 + g21 * f31 + g22 * f32 + g23 * f33 + q23,
+               g30 * f30 + g31 * f31 + g32 * f32 + g33 * f33 + q33))
     axis = (a1, a2, *_psd_2x2(c11 + qa11,
                               0.5 * ((c12 + qa12) + (c21 + qa21)), c22 + qa22))
     return kin, axis, (wrap_angle(theta), var + q_theta)
@@ -197,10 +202,11 @@ def kalman_center_update(kin: tuple, z1: float, z2: float, noise, c: float,
     (entries ``noise``) the spread of sources over the extent, X the
     shape matrix (:func:`_shape_entries`). H P is the first two rows of
     P, so row j of the gain P H^T S^-1 is (u_j, v_j) = S^-1 (P_0j, P_1j),
-    and the covariance is P_jk - (u_j P_0k + v_j P_1k).
+    and the covariance is P_jk - (u_j P_0k + v_j P_1k), formed for
+    j <= k only: it is symmetric by construction.
     """
     (m0, m1, m2, m3), ((p00, p01, p02, p03), (p10, p11, p12, p13),
-                       (p20, p21, p22, p23), (p30, p31, p32, p33)) = kin
+                       (*_, p22, p23), (*_, p33)) = kin
     r11, r12, r21, r22 = noise
     x11, x22, x12 = shape
     s11, s12 = p00 + (r11 + c * x11) / count, p01 + (r12 + c * x12) / count
@@ -215,15 +221,12 @@ def kalman_center_update(kin: tuple, z1: float, z2: float, noise, c: float,
     u3, v3 = (s22 * p03 - s12 * p13) / det, (s11 * p13 - s21 * p03) / det
     return ([m0 + (u0 * r1 + v0 * r2), m1 + (u1 * r1 + v1 * r2),
              m2 + (u2 * r1 + v2 * r2), m3 + (u3 * r1 + v3 * r2)],
-            _psd_rows([
-                [p00 - (u0 * p00 + v0 * p10), p01 - (u0 * p01 + v0 * p11),
-                 p02 - (u0 * p02 + v0 * p12), p03 - (u0 * p03 + v0 * p13)],
-                [p10 - (u1 * p00 + v1 * p10), p11 - (u1 * p01 + v1 * p11),
-                 p12 - (u1 * p02 + v1 * p12), p13 - (u1 * p03 + v1 * p13)],
-                [p20 - (u2 * p00 + v2 * p10), p21 - (u2 * p01 + v2 * p11),
-                 p22 - (u2 * p02 + v2 * p12), p23 - (u2 * p03 + v2 * p13)],
-                [p30 - (u3 * p00 + v3 * p10), p31 - (u3 * p01 + v3 * p11),
-                 p32 - (u3 * p02 + v3 * p12), p33 - (u3 * p03 + v3 * p13)]]))
+            _psd_rows(p00 - (u0 * p00 + v0 * p10), p01 - (u0 * p01 + v0 * p11),
+                      p02 - (u0 * p02 + v0 * p12), p03 - (u0 * p03 + v0 * p13),
+                      p11 - (u1 * p01 + v1 * p11), p12 - (u1 * p02 + v1 * p12),
+                      p13 - (u1 * p03 + v1 * p13), p22 - (u2 * p02 + v2 * p12),
+                      p23 - (u2 * p03 + v2 * p13),
+                      p33 - (u3 * p03 + v3 * p13)))
 
 
 def _axis_moments(axis: tuple, aligned_w: tuple, c: float) -> tuple:
@@ -322,16 +325,17 @@ def orientation_moments(shape: tuple, var_theta: float, w,
 
 
 def update_orientation(orient: tuple, b: tuple, mom: tuple) -> tuple:
-    """Linear update of (theta, var) from one pseudo-measurement b."""
+    """Linear update of (theta, var) from one pseudo-measurement b: the
+    gain is var Cov(b)^-1 M (:func:`_guarded_solve`), as Cov(b, theta) =
+    var M."""
     theta, var = orient
-    (e1, e2, e3), cov_bb, (m1, m2, m3) = mom
-    cross = (var * m1, var * m2, var * m3)
-    g1, g2, g3 = _guarded_solve(cov_bb, cross, SingularPseudoCov,
-                                "orientation pseudo-measurement covariance "
-                                "is ill-conditioned")
-    b1, b2, b3 = b
-    return (wrap_angle(theta + (g1 * (b1 - e1) + g2 * (b2 - e2) + g3 * (b3 - e3))),
-            max(var - (g1 * cross[0] + g2 * cross[1] + g3 * cross[2]), 0.0))
+    expected, _, m = mom
+    y1, y2, y3, q = _guarded_solve(expected, m, SingularPseudoCov,
+                                   "orientation pseudo-measurement covariance")
+    (e1, e2, e3), (b1, b2, b3) = expected, b
+    return (wrap_angle(theta + var * (y1 * (b1 - e1) + y2 * (b2 - e2)
+                                      + y3 * (b3 - e3))),
+            max(var - var * var * q, 0.0))
 
 
 def _count_skip(diagnostics: Optional[StepDiagnostics],

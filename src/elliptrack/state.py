@@ -69,15 +69,13 @@ def _psd_2x2(p11: float, p12: float, p22: float) -> tuple:
     return first, off, (off / first) * off
 
 
-def _has_psd_pivots_4x4(rows: list) -> bool:
-    """True if LDL^T elimination of the 4x4 ``rows`` meets no bad pivot.
-
-    Reads the upper triangle and leaves ``rows`` as it is. A zero pivot
+def _has_psd_pivots_4x4(a00, a01, a02, a03, a11, a12, a13, a22, a23, a33):
+    """True if LDL^T elimination of the symmetric 4x4 matrix with upper
+    triangle a00 .. a33 (row by row) meets no bad pivot. A zero pivot
     passes only when the rest of its row is exactly zero, so an exactly
-    singular block (a noise-free velocity, say) passes while a matrix
-    that is merely close to singular must have positive pivots. NaN fails.
+    singular block (a noise-free velocity, say) passes while a matrix that
+    is merely close to singular must have positive pivots. NaN fails.
     """
-    (a00, a01, a02, a03), (_, a11, a12, a13), (_, _, a22, a23), (*_, a33) = rows
     if a00 > 0.0:
         f = a01 / a00
         a11 -= f * a01
@@ -103,22 +101,16 @@ def _has_psd_pivots_4x4(rows: list) -> bool:
     return a33 >= 0.0
 
 
-def _psd_rows(rows: list) -> list:
-    """Symmetrize the 4x4 nested list ``rows`` in place, then floor
-    negative eigenvalues at zero. The eigendecomposition runs only when
-    the scalar LDL^T pass (:func:`_has_psd_pivots_4x4`) finds it is
-    needed. A NaN entry always fails that pass; a matrix with a
-    non-finite entry that reaches the eigendecomposition raises
-    :class:`NonFiniteState` instead.
+def _psd_rows(a00, a01, a02, a03, a11, a12, a13, a22, a23, a33) -> list:
+    """The rows of the symmetric 4x4 matrix with upper triangle a00 .. a33,
+    negative eigenvalues floored at zero. The eigendecomposition runs only
+    when the scalar LDL^T pass (:func:`_has_psd_pivots_4x4`) fails, as a
+    NaN entry always does; a matrix with a non-finite entry that reaches
+    it raises :class:`NonFiniteState` instead.
     """
-    r0, r1, r2, r3 = rows
-    r0[1] = r1[0] = 0.5 * (r0[1] + r1[0])
-    r0[2] = r2[0] = 0.5 * (r0[2] + r2[0])
-    r0[3] = r3[0] = 0.5 * (r0[3] + r3[0])
-    r1[2] = r2[1] = 0.5 * (r1[2] + r2[1])
-    r1[3] = r3[1] = 0.5 * (r1[3] + r3[1])
-    r2[3] = r3[2] = 0.5 * (r2[3] + r3[2])
-    if _has_psd_pivots_4x4(rows):
+    rows = [[a00, a01, a02, a03], [a01, a11, a12, a13],
+            [a02, a12, a22, a23], [a03, a13, a23, a33]]
+    if _has_psd_pivots_4x4(a00, a01, a02, a03, a11, a12, a13, a22, a23, a33):
         return rows
     array = np.array(rows)
     if not np.isfinite(array).all():
@@ -130,9 +122,9 @@ def _psd_rows(rows: list) -> list:
 def symmetrize_psd(mat: np.ndarray) -> np.ndarray:
     """The symmetric PSD matrix nearest to ``mat`` in the eigen sense.
 
-    Idempotent on symmetric PSD input. A 2x2 input is handled by
-    :func:`_psd_2x2`, a 4x4 one by :func:`_psd_rows`; any other shape
-    raises ``ValueError``.
+    Averages ``mat`` with its transpose, then floors negative eigenvalues:
+    a 2x2 through :func:`_psd_2x2`, a 4x4 through :func:`_psd_rows`; any
+    other shape raises ``ValueError``. Idempotent on symmetric PSD input.
     """
     if mat.shape == (2, 2):
         (p11, p12), (p21, p22) = mat.tolist()
@@ -140,7 +132,8 @@ def symmetrize_psd(mat: np.ndarray) -> np.ndarray:
         return np.array([[p11, p12], [p12, p22]])
     if mat.shape != (4, 4):
         raise ValueError(f"expected a 2x2 or 4x4 matrix, got shape {mat.shape}")
-    return np.array(_psd_rows(mat.tolist()))
+    sym = 0.5 * (mat + mat.T)
+    return np.array(_psd_rows(*sym[np.triu_indices(4)].tolist()))
 
 
 def _shape_entries(theta: float, l1: float, l2: float) -> tuple:
@@ -340,8 +333,9 @@ def _is_covariance(cov: np.ndarray) -> bool:
     sym = np.zeros((4, 4))
     sym[:n, :n] = cov + cov.T
     sym[range(n), range(n)] += tol
+    r0, r1, r2, r3 = sym.tolist()
     return (bool(np.abs(cov - cov.T).max() <= tol)
-            and _has_psd_pivots_4x4(sym.tolist()))
+            and _has_psd_pivots_4x4(*r0, *r1[1:], *r2[2:], r3[3]))
 
 
 def _check_numbers(variances: dict, covariances: dict, others: dict):

@@ -14,6 +14,20 @@ QUAD_SELECT = np.array([[1.0, 0.0, 0.0, 0.0],
                         [0.0, 0.0, 0.0, 1.0],
                         [0.0, 1.0, 0.0, 0.0]])
 
+# Like QUAD_SELECT but picks m12 for the cross term; QUAD_SELECT +
+# QUAD_SELECT_ALT symmetrizes the cross-term rows of the Kronecker square.
+QUAD_SELECT_ALT = np.array([[1.0, 0.0, 0.0, 0.0],
+                            [0.0, 0.0, 0.0, 1.0],
+                            [0.0, 0.0, 1.0, 0.0]])
+
+
+def cov_b_oracle(c_mat):
+    """Cov(b) of b = (s1^2, s2^2, s1 s2), s ~ N(0, C), as the Kronecker
+    square of C under the selection matrices."""
+    c_mat = np.asarray(c_mat, dtype=float)
+    return QUAD_SELECT @ np.kron(c_mat, c_mat) @ (QUAD_SELECT
+                                                 + QUAD_SELECT_ALT).T
+
 
 # Property tests run a fixed set of examples, so tier-1 stays reproducible
 # and bounded in time.

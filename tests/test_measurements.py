@@ -11,9 +11,9 @@ from elliptrack import (EmptyMeasurementSet, FilterConfig, KinematicState,
                         MeasurementSet, SourceDistribution, build_pseudo, rot,
                         sample_measurements, step_batch, step_sequential)
 from elliptrack.cli import main
-from elliptrack.measurements import (CenteredMeasurements, _noise_factor,
-                                     aligned_squares, center_measurements,
-                                     sample_scans)
+from elliptrack.measurements import (CenteredMeasurements, _centering,
+                                     _noise_factor, aligned_squares,
+                                     center_measurements, sample_scans)
 from elliptrack.simulation import builtin_scenarios, run_scenario
 
 from conftest import QUAD_SELECT, make_estimate, make_motion
@@ -285,6 +285,16 @@ class TestCenterMeasurements:
             pts = rng.normal(size=(rng.integers(2, 20), 2)) * 5
             out = center_measurements(MeasurementSet(pts), None, np.eye(2))
             np.testing.assert_allclose(out.s.sum(axis=0), [0, 0], atol=1e-10)
+
+    def test_scan_mean_is_correctly_rounded(self):
+        # builtin sum() rounds [0.1] * 10 to 0.9999999999999999 before
+        # Python 3.12 and to 1.0 from 3.12 on; the correctly rounded sum
+        # makes the center exactly 0.1 on every version
+        col = [0.1] * 10
+        (c1, c2), w = _centering(col, [-x for x in col], None,
+                                 [1.0, 0.0, 0.0, 1.0])
+        assert (c1, c2) == (0.1, -0.1)
+        assert w == [1.0, 0.0, 0.0, 1.0]
 
     def test_batch_branch_never_reads_prediction(self):
         # A poisoned prediction must not leak into the multi-measurement path.

@@ -1,7 +1,9 @@
 """Matrix-form oracles for the closed-form moments, solves and steps.
 
 The filters compute Cov(b) entry by entry from Isserlis' theorem, solve
-their 2x2 and 3x3 systems by adjugate and determinant, run one axis
+their 2x2 systems by adjugate and determinant and the orientation's 3x3
+system through the closed-form inverse of Cov(b) in the entries of the
+2x2 C (plus Sherman-Morrison for the batch noise), run one axis
 update for a single pseudo-measurement and for the scatter of a stack of
 them, and run both steps on Python floats. The oracles below are the
 general linear-algebra forms they replace: the Kronecker square of C_s
@@ -14,11 +16,13 @@ The written-out prediction, kinematic update and solve are also held to
 their numpy-product and row-loop forms, bit for bit where the summation
 order cannot matter. The flat guards, the direct update calls of the
 steps and their lazily built exceptions are held bit for bit to the
-nested-adjugate guards and the skip wrapper they replaced.
+nested-adjugate guards and the skip wrapper they replaced, and the
+orientation solve to row sums over the nested closed-form inverse.
 """
 
 import dataclasses
 import math
+import sys
 import warnings
 from operator import mul
 
@@ -41,7 +45,7 @@ from elliptrack.sequential import (AXIS_FLOOR, COND_LIMIT, AxisMoments,
                                    _guarded_solve, _predict,
                                    kalman_center_update,
                                    orientation_moments, update_axis)
-from elliptrack.sequential import (UPDATE_ORDER, _axis_moments, _det3,
+from elliptrack.sequential import (UPDATE_ORDER, _axis_moments,
                                    _guarded_det, update_orientation)
 from elliptrack.simulation import sample_run_data
 from elliptrack.state import (_axis_floats, _axis_state, _estimate,
@@ -50,19 +54,20 @@ from elliptrack.state import (_axis_floats, _axis_state, _estimate,
                               clamp_axis_variance, wrap_angle)
 
 from conftest import (QUAD_SELECT, _has_psd_pivots, assert_symmetric_psd,
-                      symmetrize_psd_oracle)
+                      cov_b_oracle, symmetrize_psd_oracle)
 
 # Selects the object center from the 4-d kinematic state.
 H_CENTER = np.array([[1.0, 0.0, 0.0, 0.0],
                      [0.0, 1.0, 0.0, 0.0]])
 
-# Like QUAD_SELECT but picks m12 for the cross term; QUAD_SELECT +
-# QUAD_SELECT_ALT symmetrizes the cross-term rows of the Kronecker square.
-QUAD_SELECT_ALT = np.array([[1.0, 0.0, 0.0, 0.0],
-                            [0.0, 0.0, 0.0, 1.0],
-                            [0.0, 0.0, 1.0, 0.0]])
-
 TOL = 1e-12
+
+
+def _upper(mat):
+    """The upper triangle of a square ``mat``, row by row, as floats: the
+    arguments of :func:`_psd_rows` and :func:`_has_psd_pivots_4x4`."""
+    mat = np.asarray(mat, dtype=float)
+    return mat[np.triu_indices(len(mat))].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -72,20 +77,11 @@ TOL = 1e-12
 # oracles below call them; the flat guards and direct calls must equal them.
 
 def _guarded_adjugate(rows, exc):
-    """(adj(A), det(A)) of a 2x2 or 3x3 nested-list ``rows``, or raise ``exc``."""
-    if len(rows) == 2:
-        (a, b), (c, d) = rows
-        adj = ((d, -b), (-c, a))
-        det = a * d - b * c
-        norm = norm_adj = math.hypot(a, b, c, d)
-    else:
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        adj = ((e * i - f * h, c * h - b * i, b * f - c * e),
-               (f * g - d * i, a * i - c * g, c * d - a * f),
-               (d * h - e * g, b * g - a * h, a * e - b * d))
-        det = _det3(*rows)
-        norm = math.hypot(a, b, c, d, e, f, g, h, i)
-        norm_adj = math.hypot(*adj[0], *adj[1], *adj[2])
+    """(adj(A), det(A)) of a 2x2 nested-list ``rows``, or raise ``exc``."""
+    (a, b), (c, d) = rows
+    adj = ((d, -b), (-c, a))
+    det = a * d - b * c
+    norm = norm_adj = math.hypot(a, b, c, d)
     if not (math.isfinite(norm) and norm * norm_adj < COND_LIMIT * abs(det)):
         raise exc
     return adj, det
@@ -93,15 +89,43 @@ def _guarded_adjugate(rows, exc):
 
 def _guarded_solve_nested(mat, rhs, exc):
     """x = adj(A) rhs / det(A) as a list, by :func:`_guarded_adjugate`."""
-    adj, det = _guarded_adjugate(mat, exc)
-    if len(adj) == 2:
-        (a, b), (c, d) = adj
-        x, y = rhs
-        return [(a * x + b * y) / det, (c * x + d * y) / det]
-    (a, b, c), (d, e, f), (g, h, i) = adj
-    x, y, z = rhs
-    return [(a * x + b * y + c * z) / det, (d * x + e * y + f * z) / det,
-            (g * x + h * y + i * z) / det]
+    ((a, b), (c, d)), det = _guarded_adjugate(mat, exc)
+    x, y = rhs
+    return [(a * x + b * y) / det, (c * x + d * y) / det]
+
+
+def isserlis_inverse(c11, c22, c12):
+    """det(C)^2 Cov(b)^-1 as nested rows, from the entries of the 2x2 C:
+    [[C22^2/2, C12^2/2, -C12 C22], [C12^2/2, C11^2/2, -C11 C12],
+    [-C12 C22, -C11 C12, C11 C22 + C12^2]]."""
+    return ((0.5 * (c22 * c22), 0.5 * (c12 * c12), -(c12 * c22)),
+            (0.5 * (c12 * c12), 0.5 * (c11 * c11), -(c11 * c12)),
+            (-(c12 * c22), -(c11 * c12), c11 * c22 + c12 * c12))
+
+
+def orientation_solve_rows(moments, rhs, var, error, name):
+    """[x1, x2, x3, rhs . x] for x = (Cov(b) - var rhs rhs^T)^-1 rhs, as
+    row sums over :func:`isserlis_inverse` times rhs / det C, divided by
+    det C, then scaled by Sherman-Morrison; raises ``error`` where det C
+    is below the smallest normal float, where kappa_F(C)^2 is not below
+    (1 - var q) COND_LIMIT, or where var q lies outside [0, 1)."""
+    c11, c22, c12 = moments
+    det = c11 * c22 - c12 * c12
+    norm, kappa = math.hypot(c11, c12, c12, c22), math.inf
+    if det >= sys.float_info.min:
+        kappa = norm * norm / det
+    if not kappa * kappa < COND_LIMIT:
+        raise error(name + " is ill-conditioned")
+    scaled = [x / det for x in rhs]
+    y = [sum(map(mul, row, scaled)) / det
+         for row in isserlis_inverse(c11, c22, c12)]
+    q = sum(map(mul, rhs, y))
+    if not 0.0 <= var * q < 1.0:
+        raise error(name + " is not positive definite")
+    shrink = 1.0 - var * q
+    if not kappa * kappa < shrink * COND_LIMIT:
+        raise error(name + " is ill-conditioned")
+    return [x / shrink for x in (*y, q)]
 
 
 def _update_or_skip(diagnostics, component, update, prior, *args):
@@ -127,8 +151,7 @@ def orientation_moments_oracle(axis, orient, w, cfg):
     cov_angle = var_theta * cfg.c * jj
     cov_s = np.asarray(w, dtype=float) + cov_source + cov_angle
     expected_b = QUAD_SELECT @ cov_s.flatten(order="F")
-    cov_bb = QUAD_SELECT @ np.kron(cov_s, cov_s) @ (QUAD_SELECT
-                                                   + QUAD_SELECT_ALT).T
+    cov_bb = cov_b_oracle(cov_s)
     s1, s2 = s_mat
     m_vec = cfg.c * np.array([2.0 * s1 @ j1, 2.0 * s2 @ j2,
                               s1 @ j2 + s2 @ j1])
@@ -525,7 +548,7 @@ def test_4x4_repair_falls_back_to_the_eigenvalue_floor(seed, negative):
     mat = (q * eig) @ q.T
     mat = mat + 1e-3 * rng.normal(size=(4, 4)) * negative
     assert not _has_psd_pivots((0.5 * (mat + mat.T)).tolist())
-    out = np.array(_psd_rows(mat.tolist()))
+    out = np.array(_psd_rows(*_upper(0.5 * (mat + mat.T))))
     ref = symmetrize_psd_oracle(mat)
     assert np.abs(out - ref).max() <= TOL * np.abs(ref).max()
     assert_symmetric_psd(out)
@@ -569,12 +592,13 @@ def symmetric_4x4(draw):
 
 
 def _psd_rows_loop(rows):
-    """The loop form of :func:`_psd_rows`: nested-loop symmetrization, a
-    copy for :func:`_has_psd_pivots`, and the eigenvalue floor, which
-    rejects a non-finite matrix."""
+    """The loop form of :func:`_psd_rows`: the upper triangle mirrored
+    into the lower one by a nested loop, a copy for
+    :func:`_has_psd_pivots`, and the eigenvalue floor, which rejects a
+    non-finite matrix."""
     for i, row in enumerate(rows):
         for j in range(i + 1, len(rows)):
-            row[j] = rows[j][i] = 0.5 * (row[j] + rows[j][i])
+            rows[j][i] = row[j]
     if _has_psd_pivots([row[:] for row in rows]):
         return rows
     if not all(math.isfinite(x) for row in rows for x in row):
@@ -608,11 +632,9 @@ def _bits_or_error(repair, rows):
 def test_written_out_4x4_pivot_test_gives_the_loop_verdict(rows):
     # the same float operations in the same order as the loop, on every
     # input: exact zero pivots with zero or non-zero rest of row, NaN,
-    # +-inf, subnormal pivots, indefinite matrices; the rows are only read
-    before = repr(rows)
-    assert _has_psd_pivots_4x4(rows) is _has_psd_pivots(
+    # +-inf, subnormal pivots, indefinite matrices
+    assert _has_psd_pivots_4x4(*_upper(rows)) is _has_psd_pivots(
         [row[:] for row in rows])
-    assert repr(rows) == before
 
 
 def covariance_verdict_loop(cov):
@@ -684,47 +706,71 @@ def test_config_covariance_check_gives_the_loop_verdict(cov):
 @given(rows=symmetric_4x4(), seed=st.integers(0, 2 ** 32 - 1),
        skew=st.sampled_from([0.0, 1e-12, 1e-3]))
 def test_psd_rows_is_bit_equal_to_the_loop_form(rows, seed, skew):
-    # lower triangle perturbed, so the symmetrization matters; both the
+    # lower triangle perturbed, which neither form reads; both the
     # returned rows and the eigh fallback (or its error) agree bit for bit
     rng = np.random.default_rng(seed)
     for i in range(4):
         for j in range(i):
             rows[i][j] += skew * rng.normal()
     expected = _bits_or_error(_psd_rows_loop, [row[:] for row in rows])
-    assert _bits_or_error(_psd_rows, rows) == expected
+    assert _bits_or_error(lambda rows: _psd_rows(*_upper(rows)),
+                          rows) == expected
 
 
-def guarded_solve_by_size(mat, rhs, error, message):
-    """adj(A) rhs / det(A): a 3x3 A by :func:`_guarded_solve`, a 2x2 one
-    through :func:`_guarded_det`, naming the adjugate entries (d, -b, -c,
-    a) as the filters' 2x2 solves do."""
-    if len(mat) == 3:
-        return _guarded_solve(mat, rhs, error, message)
+def guarded_solve_2x2(mat, rhs, error, message):
+    """adj(A) rhs / det(A) for a 2x2 A through :func:`_guarded_det`, naming
+    the adjugate entries (d, -b, -c, a) as the filters' 2x2 solves do."""
     (a, b), (c, d) = mat
     det = _guarded_det(a, b, c, d, error, message)
     x, y = rhs
     return [(d * x - b * y) / det, (a * y - c * x) / det]
 
 
+def orientation_solve(c_mat, rhs, error, message, var=0.0):
+    """:func:`_guarded_solve` on the upper triangle of the 2x2 ``c_mat``:
+    [x1, x2, x3, rhs . x]."""
+    (c11, c12), (_, c22) = np.asarray(c_mat, dtype=float).tolist()
+    return list(_guarded_solve((c11, c22, c12), rhs, error, message, var))
+
+
+def _symmetric_2x2(rng, cond, signs):
+    """Q diag(signs * (1, cond)) Q^T at a random scale in 1e-3..1e3."""
+    q, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+    mat = 10.0 ** rng.uniform(-3.0, 3.0) * (q * (signs * [1.0, cond])) @ q.T
+    return 0.5 * (mat + mat.T)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_guarded_solve_matches_eigenvalue_oracle(n):
-    # symmetric matrices Q diag(+-lambda) Q^T, PD or indefinite, with the
-    # condition number log-uniform in [1, 1e20]
+    # n = 2: symmetric matrices Q diag(+-lambda) Q^T, PD or indefinite,
+    # with the condition number log-uniform in [1, 1e20]. n = 3: Cov(b)
+    # of a PD C with kappa(C) log-uniform in [1, 1e10], so that kappa of
+    # Cov(b), about kappa(C)^2 (within a factor 2), spans [1, 1e20] too
     rng = np.random.default_rng(23 + n)
     worst, solved, disagree = 0.0, 0, []
     for trial in range(4000):
-        cond = 10.0 ** rng.uniform(0.0, 20.0)
-        magnitudes = np.exp(rng.uniform(0.0, np.log(cond), size=n))
-        magnitudes[0], magnitudes[-1] = 1.0, cond
-        signs = np.ones(n) if trial % 2 else rng.choice([-1.0, 1.0], size=n)
-        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        scale = 10.0 ** rng.uniform(-3.0, 3.0)
-        mat = scale * (q * (signs * magnitudes)) @ q.T
-        mat = 0.5 * (mat + mat.T)
-        rhs = rng.normal(size=(n, 2) if trial % 3 else n)
-        expected = guarded_solve_oracle(mat, rhs)
+        if n == 2:
+            cond = 10.0 ** rng.uniform(0.0, 20.0)
+            signs = np.ones(2) if trial % 2 else rng.choice([-1.0, 1.0], size=2)
+            mat = _symmetric_2x2(rng, cond, signs)
+            rhs = rng.normal(size=(2, 2) if trial % 3 else 2)
+            expected = guarded_solve_oracle(mat, rhs)
+            solve = guarded_solve_2x2
+        else:
+            c_mat = _symmetric_2x2(rng, 10.0 ** rng.uniform(0.0, 10.0),
+                                   np.ones(2))
+            mat = cov_b_oracle(c_mat)
+            eig = np.linalg.eigvalsh(mat)
+            cond = eig.max() / eig.min() if eig.min() > 0.0 else np.inf
+            rhs = rng.normal(size=3)
+            expected = guarded_solve_oracle(mat, rhs)
+            mat = c_mat
+
+            def solve(c_mat, rhs, error, message):
+                return np.array(orientation_solve(c_mat, rhs, error,
+                                                  message)[:3])
         try:
-            out = guarded_solve_by_size(mat, rhs, SingularPseudoCov, "skip")
+            out = solve(mat.tolist(), rhs, SingularPseudoCov, "skip")
         except SingularPseudoCov:
             out = None
         if not COND_LIMIT / 10.0 <= cond <= COND_LIMIT * 10.0:
@@ -743,10 +789,17 @@ def test_guarded_solve_matches_eigenvalue_oracle(n):
 
 def test_guarded_solve_rejects_non_finite_and_zero():
     for mat in ([[np.nan, 0.0], [0.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]],
-                np.zeros((2, 2)), np.zeros((3, 3)), np.ones((3, 3))):
+                np.zeros((2, 2)), np.ones((2, 2))):
         with pytest.raises(SingularPseudoCov, match="skip"):
-            guarded_solve_by_size(np.asarray(mat), np.ones(len(mat)),
-                                  SingularPseudoCov, "skip")
+            guarded_solve_2x2(np.asarray(mat).tolist(), [1.0, 1.0],
+                              SingularPseudoCov, "skip")
+        with pytest.raises(SingularPseudoCov, match="skip"):
+            orientation_solve(mat, [1.0] * 3, SingularPseudoCov, "skip")
+    # the orientation solve also rejects an indefinite C, whose Cov(b) is
+    # indefinite too
+    with pytest.raises(SingularPseudoCov, match="skip is ill-conditioned"):
+        orientation_solve(np.diag([1.0, -1.0]), [1.0] * 3,
+                          SingularPseudoCov, "skip")
 
 
 def kappa_f_oracle(mat):
@@ -761,27 +814,37 @@ def kappa_f_oracle(mat):
 
 
 @st.composite
-def guard_matrices(draw, sizes=(2, 3)):
-    """2x2 and 3x3 matrices: U diag(sigma) V^T with the condition number
-    log-uniform in [1, 1e20] or, as often, in [10^11.5, 10^12.5] around the
-    limit, at scales 1e-20..1e20; small integer matrices (often exactly
-    singular); and either with a non-finite entry."""
-    n = draw(st.sampled_from(sizes))
+def guard_matrices(draw, symmetric=False, edge=12.0):
+    """2x2 matrices: U diag(sigma) V^T with the condition number
+    log-uniform in [1, 1e20] or, as often, in [10^(edge - 0.5),
+    10^(edge + 0.5)] around a guard's limit, at scales 1e-20..1e20; small
+    integer matrices (often exactly singular); and either with a
+    non-finite entry. With ``symmetric``, V = U with a negative sigma in
+    some draws, the integer matrices are mirrored, and so is the
+    non-finite entry."""
     if draw(st.booleans()):
-        entries = draw(st.lists(st.integers(-4, 4), min_size=n * n,
-                                max_size=n * n))
-        mat = np.array(entries, dtype=float).reshape(n, n)
+        entries = draw(st.lists(st.integers(-4, 4), min_size=4, max_size=4))
+        mat = np.array(entries, dtype=float).reshape(2, 2)
+        if symmetric:
+            mat[1, 0] = mat[0, 1]
     else:
         rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-        log_cond = rng.uniform(*draw(st.sampled_from([(0.0, 20.0), (11.5, 12.5)])))
-        sigma = 10.0 ** np.concatenate(([log_cond],
-                                        rng.uniform(0.0, log_cond, n - 2), [0.0]))
-        u, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        v, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        log_cond = rng.uniform(*draw(st.sampled_from([(0.0, 20.0),
+                                                      (edge - 0.5, edge + 0.5)])))
+        sigma = 10.0 ** np.array([log_cond, 0.0])
+        u, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+        v, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+        if symmetric:
+            v = u
+            sigma[1] *= draw(st.sampled_from([1.0, 1.0, -1.0]))
         mat = 10.0 ** rng.uniform(-20.0, 20.0) * (u * sigma) @ v.T
+        if symmetric:
+            mat[1, 0] = mat[0, 1]
     if draw(st.integers(0, 4)) == 0:
-        mat[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = \
-            draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        i, j = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+        mat[i, j] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        if symmetric:
+            mat[j, i] = mat[i, j]
     return mat
 
 
@@ -793,26 +856,62 @@ KAPPA_BAND = 1e-3
 @settings(max_examples=500)
 @given(mat=guard_matrices())
 @example(mat=np.array([[1.0, 2.0], [2.0, 4.0]]))
-@example(mat=np.eye(3))
+@example(mat=np.eye(2))
 @example(mat=np.diag([1.0, 1e-12 * (1.0 + 2 * KAPPA_BAND)]))
 def test_guards_raise_exactly_when_kappa_f_reaches_the_limit(mat):
     kappa = kappa_f_oracle(mat)
     assume(not abs(kappa / COND_LIMIT - 1.0) < KAPPA_BAND)
     try:
-        guarded_solve_by_size(mat.tolist(), [1.0] * len(mat),
-                              SingularPseudoCov, "skip")
+        guarded_solve_2x2(mat.tolist(), [1.0] * len(mat),
+                          SingularPseudoCov, "skip")
         raised = False
     except SingularPseudoCov:
         raised = True
     assert raised == (not kappa < COND_LIMIT), kappa
 
 
+@settings(max_examples=500)
+@given(mat=guard_matrices(symmetric=True, edge=6.0),
+       var=st.sampled_from([0.0, 1e-3, 0.5]))
+@example(mat=np.array([[1.0, 2.0], [2.0, 4.0]]), var=0.0)
+@example(mat=np.diag([1.0, -1.0]), var=0.0)
+@example(mat=-np.eye(2), var=0.5)
+@example(mat=np.diag([1.0, 1e-6 * (1.0 + 2 * KAPPA_BAND)]), var=0.0)
+@example(mat=np.diag([1.0, 1e-6 * (1.0 - 2 * KAPPA_BAND)]), var=0.0)
+def test_orientation_guard_raises_exactly_when_kappa_f_squared_reaches_the_limit(
+        mat, var):
+    # the bound of _guarded_solve with numpy's kappa_F(C), det C > 0 (Cov(b)
+    # positive definite) from the eigenvalues of C, and var q from a
+    # LAPACK solve on Cov(b): it raises exactly when det C <= 0, when
+    # var q leaves [0, 1), or when kappa_F(C)^2 reaches (1 - var q)
+    # COND_LIMIT, away from the edges of the last two
+    kappa = kappa_f_oracle(mat)
+    definite = (bool(np.isfinite(mat).all())
+                and np.prod(np.linalg.eigvalsh(mat)) > 0.0)
+    rhs = np.array([0.3, -0.7, 1.1])
+    shrink = 1.0
+    if definite and kappa * kappa < COND_LIMIT:
+        shrink = 1.0 - var * rhs @ np.linalg.solve(cov_b_oracle(mat), rhs)
+        assume(abs(shrink) > KAPPA_BAND)
+    if shrink > 0.0:
+        assume(not abs(kappa * kappa / (shrink * COND_LIMIT) - 1.0)
+               < KAPPA_BAND)
+    try:
+        orientation_solve(mat, rhs.tolist(), SingularPseudoCov, "skip", var)
+        raised = False
+    except SingularPseudoCov:
+        raised = True
+    assert raised == (not (definite and 0.0 < shrink
+                           and kappa * kappa < shrink * COND_LIMIT)), kappa
+
+
 def predict_numpy(est, motion):
     """The prediction's floats with numpy products: F m, F P F^T + Q and
-    the axis sum as arrays, then the repairs of the written-out form."""
+    the axis sum as arrays, then the repairs of the written-out form on
+    the upper triangle of F P F^T + Q."""
     f = motion.F_kin
     kin = ((f @ est.kin.mean).tolist(),
-           _psd_rows((f @ est.kin.cov @ f.T + motion.Q_kin).tolist()))
+           _psd_rows(*_upper(f @ est.kin.cov @ f.T + motion.Q_kin)))
     (c11, c12), (c21, c22) = (est.axis.cov + motion.Q_axis).tolist()
     axis = (*est.axis.mean.tolist(), *_psd_2x2(c11, 0.5 * (c12 + c21), c22))
     return kin, axis, (wrap_angle(est.orient.mean),
@@ -821,7 +920,7 @@ def predict_numpy(est, motion):
 
 def kalman_center_update_rows(kin, z1, z2, noise, c, shape, count=1):
     """The kinematic update as a loop over the rows of the gain and a
-    comprehension over the covariance entries."""
+    comprehension over the covariance entries on and above the diagonal."""
     mean, cov = kin
     top, bottom = cov[0], cov[1]
     r11, r12, r21, r22 = noise
@@ -833,19 +932,13 @@ def kalman_center_update_rows(kin, z1, z2, noise, c, shape, count=1):
         SingularInnovation("kinematic innovation covariance "
                            "is ill-conditioned"))
     r1, r2 = z1 - mean[0], z2 - mean[1]
-    new_mean, new_cov = [], []
-    for m, row, t, b in zip(mean, cov, top, bottom):
+    new_mean, upper = [], []
+    for j, (m, row, t, b) in enumerate(zip(mean, cov, top, bottom)):
         g1, g2 = (a11 * t + a12 * b) / det, (a21 * t + a22 * b) / det
         new_mean.append(m + (g1 * r1 + g2 * r2))
-        new_cov.append([p - (g1 * tk + g2 * bk)
-                        for p, tk, bk in zip(row, top, bottom)])
-    return new_mean, _psd_rows(new_cov)
-
-
-def guarded_solve_rows(mat, rhs, exc):
-    """adj(A) rhs / det(A) as one ``sum`` per row."""
-    adj, det = _guarded_adjugate(mat, exc)
-    return [sum(map(mul, row, rhs)) / det for row in adj]
+        upper += [p - (g1 * tk + g2 * bk)
+                  for p, tk, bk in zip(row[j:], top[j:], bottom[j:])]
+    return new_mean, _psd_rows(*upper)
 
 
 def _bits(value):
@@ -980,19 +1073,29 @@ def test_written_out_prediction_and_update_match_the_numpy_forms(problem):
     assert np.abs(np.subtract(updated[1], updated_ref[1])).max() <= TOL * cov_scale
 
 
-@settings(max_examples=300)
-@given(mat=guard_matrices(sizes=(3,)), seed=st.integers(0, 2 ** 32 - 1))
-def test_written_out_solve_equals_the_row_sums(mat, seed):
-    rhs = np.random.default_rng(seed).normal(size=len(mat)).tolist()
+def _value_or_error(solve, *args):
     try:
-        expected = guarded_solve_rows(mat.tolist(), rhs,
-                                      SingularPseudoCov("skip"))
-    except SingularPseudoCov:
-        with pytest.raises(SingularPseudoCov):
-            _guarded_solve(mat.tolist(), rhs, SingularPseudoCov, "skip")
-        return
-    assert _guarded_solve(mat.tolist(), rhs, SingularPseudoCov,
-                          "skip") == expected
+        return list(solve(*args))
+    except SingularPseudoCov as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300)
+@given(mat=guard_matrices(symmetric=True, edge=6.0),
+       seed=st.integers(0, 2 ** 32 - 1),
+       var=st.sampled_from([0.0, 1e-3, 0.5, 20.0]))
+@example(mat=np.array([[1.0, -0.0], [-0.0, 1e-6]]), seed=0, var=0.0)
+@example(mat=np.array([[2.0, 0.5], [0.5, 1.0]]), seed=0, var=20.0)
+def test_written_out_solve_equals_the_row_sums(mat, seed, var):
+    # the written-out orientation solve against one ``sum`` per row of
+    # the nested Isserlis inverse: the same floats (signed zeros aside),
+    # and the same exception and message where the guard trips
+    (c11, c12), (_, c22) = mat.tolist()
+    rhs = np.random.default_rng(seed).normal(size=3).tolist()
+    assert (_value_or_error(_guarded_solve, (c11, c22, c12), rhs,
+                            SingularPseudoCov, "skip", var)
+            == _value_or_error(orientation_solve_rows, (c11, c22, c12), rhs,
+                               var, SingularPseudoCov, "skip"))
 
 
 # ---------------------------------------------------------------------------
@@ -1011,7 +1114,7 @@ def centering_rows(points, kin, noise):
         raise EmptyMeasurementSet("cannot center an empty measurement set")
     if m > 1:
         col1, col2 = zip(*points)
-        return (sum(col1) / m, sum(col2) / m), noise
+        return (math.fsum(col1) / m, math.fsum(col2) / m), noise
     mean, cov = kin
     r11, r12, r21, r22 = noise
     return (mean[0], mean[1]), (r11 + cov[0][0], r12 + cov[0][1],
@@ -1059,21 +1162,16 @@ def update_axis_trig_per_call(axis, theta, scatter, count, w, c, psi=None):
 
 def batch_update_orientation_comprehension(orient, shape, scatter, count, w,
                                            c):
-    """The batch orientation update with Gamma as a nested comprehension."""
+    """The batch orientation update with the weights and the information
+    from :func:`orientation_solve_rows` and the innovation as a
+    comprehension."""
     theta, var = orient
     if var == 0.0:
         return orient
-    expected, cov_bb, m_vec = orientation_moments(shape, var, w, c)
-    gamma = [[cb - var * (mi * mj) for cb, mj in zip(row, m_vec)]
-             for row, mi in zip(cov_bb, m_vec)]
-    weighted = _guarded_solve_nested(gamma, m_vec,
-                                     SingularPseudoCov("batch orientation noise "
-                                                       "covariance is "
-                                                       "ill-conditioned"))
-    info_gain = sum(map(mul, m_vec, weighted))
-    if info_gain < 0.0:
-        raise SingularPseudoCov("batch orientation noise covariance "
-                                "is not positive definite")
+    expected, _, m_vec = orientation_moments(shape, var, w, c)
+    *weighted, info_gain = orientation_solve_rows(
+        expected, m_vec, var, SingularPseudoCov,
+        "batch orientation noise covariance")
     xi_sum = [b - count * (e - m * theta)
               for b, e, m in zip(scatter, expected, m_vec)]
     var_post = 1.0 / (1.0 / var + count * info_gain)
@@ -1268,16 +1366,16 @@ def test_batch_updates_equal_the_replaced_forms_on_a_seeded_sweep():
 # exception type with the same message.
 
 def update_orientation_nested(orient, b, mom):
-    """The sequential orientation update through :func:`_guarded_solve_nested`."""
+    """The sequential orientation update through
+    :func:`orientation_solve_rows`: the gain var y, and the variance less
+    var^2 q."""
     theta, var = orient
-    (e1, e2, e3), cov_bb, (m1, m2, m3) = mom
-    cross = (var * m1, var * m2, var * m3)
-    g1, g2, g3 = _guarded_solve_nested(
-        cov_bb, cross, SingularPseudoCov("orientation pseudo-measurement "
-                                         "covariance is ill-conditioned"))
-    b1, b2, b3 = b
-    return (wrap_angle(theta + (g1 * (b1 - e1) + g2 * (b2 - e2) + g3 * (b3 - e3))),
-            max(var - (g1 * cross[0] + g2 * cross[1] + g3 * cross[2]), 0.0))
+    expected, _, m_vec = mom
+    *y, q = orientation_solve_rows(expected, m_vec, 0.0, SingularPseudoCov,
+                                   "orientation pseudo-measurement covariance")
+    innovation = [bi - ei for bi, ei in zip(b, expected)]
+    return (wrap_angle(theta + var * sum(map(mul, y, innovation))),
+            max(var - var * var * q, 0.0))
 
 
 def step_sequential_wrapped(est, measurements, motion, cfg, order,
@@ -1365,27 +1463,25 @@ def guard_inputs(draw):
          error=SingularInnovation)
 @example(problem=([[-0.0, 1.0], [1.0, -0.0]], [-0.0, 0.0]),
          error=SingularPseudoCov)
-@example(problem=([[1.0, 0.0, 0.0], [0.0, float("nan"), 0.0],
-                   [0.0, 0.0, 1.0]], [1.0, 2.0, 3.0]),
+@example(problem=([[1.0, 0.0], [0.0, float("nan")]], [1.0, 2.0]),
          error=SingularPseudoCov)
-@example(problem=([[1.0, -0.0, 0.0], [-0.0, 1.0, 0.0], [0.0, 0.0, 1e-13]],
-                  [-0.0, 1.0, 0.0]), error=SingularPseudoCov)
+@example(problem=([[1.0, -0.0], [-0.0, 1e-13]], [-0.0, 1.0]),
+         error=SingularPseudoCov)
 def test_flat_guards_equal_the_nested_adjugate_forms_bit_for_bit(problem,
                                                                 error):
     # a 2x2 solve through _guarded_det and the adjugate entries named as
-    # the filters name them, and the 3x3 _guarded_solve, against the
-    # nested-tuple guard: kappa_F trips, non-finite entries, signed zeros,
-    # and the type and message of a tripped guard's exception
+    # the filters name them, against the nested-tuple guard: kappa_F
+    # trips, non-finite entries, signed zeros, and the type and message
+    # of a tripped guard's exception
     rows, rhs = problem
-    message = f"{len(rows)}x{len(rows)} guard tripped"
-    assert (_exact_or_error(guarded_solve_by_size, rows, rhs, error, message)
+    message = "2x2 guard tripped"
+    assert (_exact_or_error(guarded_solve_2x2, rows, rhs, error, message)
             == _exact_or_error(_guarded_solve_nested, rows, rhs,
                                error(message)))
-    if len(rows) == 2:
-        (a, b), (c, d) = rows
-        assert (_exact_or_error(_guarded_det, a, b, c, d, error, message)
-                == _exact_or_error(lambda: _guarded_adjugate(
-                    rows, error(message))[1]))
+    (a, b), (c, d) = rows
+    assert (_exact_or_error(_guarded_det, a, b, c, d, error, message)
+            == _exact_or_error(lambda: _guarded_adjugate(
+                rows, error(message))[1]))
 
 
 @st.composite
