@@ -56,14 +56,14 @@ class TrajectorySpec:
 
     ``segments`` is a sequence of (step_count, turn_rate) pairs; the
     heading advances by the turn rate on every step of the segment. The
-    jitter values are variances of fresh zero-mean noise added to the
-    nominal position and velocity each step, so the truth stays close to
-    the pre-defined path instead of drifting off it. The speed, turn
-    rates, start position and heading and true axes must be finite, the
-    jitters finite variances >= 0, and the scalars among them real
-    numbers, not booleans, or the constructor raises :class:`ConfigError`.
-    ``start_position`` and ``true_axes`` are read-only copies, also after a
-    pickle, copy or ``dataclasses.replace``; ``==`` compares their floats.
+    jitters are variances of fresh zero-mean noise added to the nominal
+    position and velocity each step. The four other fields change no
+    output: each run draws its start state and axes from the prior. The
+    speed, turn rates, start pose and axes must be finite, the jitters
+    finite variances >= 0, the scalars real numbers, not booleans, or the
+    constructor raises :class:`ConfigError`. ``start_position`` and
+    ``true_axes`` are read-only copies, also after a pickle, copy or
+    ``dataclasses.replace``; ``==`` compares their floats.
     """
     segments: Tuple[Tuple[int, float], ...]
     nominal_speed: float
@@ -129,14 +129,14 @@ def generate_truth(traj: TrajectorySpec, rng: np.random.Generator,
     """Generate the per-step ground truth for one run.
 
     The heading integrates the segment turn rates from the heading of
-    ``start_velocity``, whose norm is the speed (``traj.start_heading``
-    at speed 0); the nominal position integrates the nominal velocity
-    from ``start_position``. Fresh jitter is added to position and
-    velocity each step. The true orientation is the heading of the
-    (jittered) velocity; a stationary object keeps ``theta0``. All T
-    steps are computed at once, over every segment; the jitter is one
-    (T, 4) block of standard normals, each row holding step t's velocity
-    jitter and then its position jitter.
+    ``start_velocity``, whose norm is the speed; at speed 0 it starts at
+    ``traj.start_heading`` and moves nothing, the nominal velocity being
+    zero. The nominal position integrates the nominal velocity from
+    ``start_position``, plus fresh jitter on position and velocity each
+    step. The true orientation is the heading of the (jittered) velocity;
+    a stationary object keeps ``theta0``. All T steps are computed at
+    once; the jitter is one (T, 4) block of standard normals, row t
+    holding step t's velocity jitter and then its position jitter.
     """
     position = np.array(start_position, dtype=float)
     start_velocity = np.asarray(start_velocity, dtype=float)

@@ -1,23 +1,27 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from elliptrack import (AxisState, DecoupledEstimate, FilterConfig, KinematicState, MeasurementSet,
-                        OrientationState, StepDiagnostics, predict, rot,
-                        step_batch, step_sequential)
+from elliptrack import (AxisState, FilterConfig, KinematicState,
+                        MeasurementSet, OrientationState, StepDiagnostics,
+                        predict, rot, step_batch, step_sequential)
+from elliptrack import batch
 from elliptrack.batch import (batch_update_axis, batch_update_kinematics,
                               batch_update_orientation)
 from elliptrack.errors import SingularInnovation, SingularPseudoCov
 from elliptrack.measurements import (CenteredMeasurements, aligned_squares,
-                                     center_measurements)
+                                     build_pseudo, center_measurements)
 from elliptrack.sequential import (axis_moments, kalman_center_update,
                                    orientation_moments, update_orientation)
 from elliptrack.measurements import _column_scatter
 from elliptrack.state import _shape_entries, shape_matrix
 from elliptrack.simulation import builtin_scenarios, sample_run_data
 
-from conftest import assert_symmetric_psd, make_estimate, make_motion
+from conftest import (assert_symmetric_psd, axis_moments_oracle,
+                      batch_orientation_oracle, make_estimate, make_motion,
+                      orientation_moments_oracle, stacked_axis_oracle)
 
 
 def orientation_update(orient, centered, axis, cfg):
@@ -102,14 +106,9 @@ class TestBatchAxis:
         centered = CenteredMeasurements(s, cfg.R)
         reduced = batch_update_axis(axis, centered, orient, cfg)
 
-        mom = axis_moments(axis, orient, cfg.R, cfg)
-        a_stacked = aligned_squares(s, orient.mean).flatten()
-        expected_stacked = np.tile(mom.expected_a, count)
-        cov_stacked = np.kron(np.eye(count), mom.cov_aa)
-        cross_stacked = np.hstack([mom.cross_ap] * count)
-        gain = cross_stacked @ np.linalg.inv(cov_stacked)
-        naive_mean = axis.mean + gain @ (a_stacked - expected_stacked)
-        naive_cov = axis.cov - gain @ cross_stacked.T
+        naive_mean, naive_cov = stacked_axis_oracle(
+            axis, aligned_squares(s, orient.mean),
+            axis_moments_oracle(axis, orient.mean, cfg.R, cfg.c))
         np.testing.assert_allclose(reduced.mean, naive_mean, atol=1e-10)
         np.testing.assert_allclose(reduced.cov,
                                    0.5 * (naive_cov + naive_cov.T), atol=1e-10)
@@ -141,16 +140,16 @@ class TestBatchOrientation:
         axis = AxisState([4.0, 1.5], np.zeros((2, 2)))
         orient = OrientationState(0.0, 0.3)
         cfg = FilterConfig(R=np.diag([1.2, 0.8]), c=0.25)
-        (c11, c22, _), cov_bb, m_vec = moments_b(axis, orient, cfg)
+        (c11, c22, _), _, _ = moments_b(axis, orient, cfg)
         s = np.array([[np.sqrt(2 * c11), 0.0], [0.0, np.sqrt(2 * c22)]])
         centered = CenteredMeasurements(s, cfg.R)
         out = orientation_update(orient, centered, axis, cfg)
         assert out.mean == pytest.approx(0.0, abs=1e-12)
-        m_vec = np.array(m_vec)
-        gamma = np.array(cov_bb) - orient.var * np.outer(m_vec, m_vec)
-        info = m_vec @ np.linalg.solve(gamma, m_vec)
-        assert out.var == pytest.approx(1.0 / (1.0 / orient.var + 2 * info),
-                                        rel=1e-10)
+        ref = batch_orientation_oracle(
+            orient, build_pseudo(centered),
+            orientation_moments_oracle(axis, orient, cfg.R, cfg.c))
+        assert ref.mean == pytest.approx(0.0, abs=1e-12)
+        assert out.var == pytest.approx(ref.var, rel=1e-10)
         assert 0.0 < out.var <= orient.var
 
     def test_circular_object_gives_no_information(self):
@@ -176,6 +175,40 @@ class TestBatchOrientation:
             prior, _shape_entries(0.3, *axis.mean),
             _column_scatter([1.0] * 3, [1.0] * 3, 0.0, 0.0),
             3, cfg.R.ravel().tolist(), cfg.c) is prior
+
+    def test_examples_reach_both_rejections(self):
+        # a kappa_F skip (zero noise and a degenerate extent make the
+        # noise covariance singular) and rejected negative information
+        # (an indefinite W)
+        for orient, axes, w, reason in (
+                ((0.3298148443794737, 20.0), (5.76994316198272, 0.0),
+                 [0.0, 0.0, 0.0, 0.0], "ill-conditioned"),
+                ((2.410195721651175, 0.4929722163862067),
+                 (0.971070419289934, 1.4971819889169884),
+                 [-0.45264929211044586, -0.2155971630897659,
+                  -0.2155971630897659, -0.23193237764418947],
+                 "not positive definite")):
+            with pytest.raises(SingularPseudoCov,
+                               match="^batch orientation noise covariance is "
+                                     + reason):
+                batch_update_orientation(
+                    orient, _shape_entries(orient[0], *axes), (1.0, 2.0, 0.5),
+                    3, w, 0.25)
+
+    def test_a_sum_of_signed_zeros_is_positive_zero(self, monkeypatch):
+        # a round object at theta = -0.0 has M = (0, -0, 0), so the weights
+        # are zeros and, with every innovation negative, each summand is
+        # -0.0. Without the final wrap, which maps -0.0 to 0.0, the update
+        # returns var_post (theta / var + sum) = var_post (-0.0 + sum):
+        # +0.0 only if the sum is +0.0
+        monkeypatch.setattr(batch, "wrap_angle", lambda theta: theta)
+        points = [[1.0, -1.0], [-1.0, 1.0], [0.0, 0.0]]
+        scatter = _column_scatter(*np.transpose(points).tolist(), 0.0, 0.0)
+        theta, var = batch_update_orientation(
+            (-0.0, 0.5), _shape_entries(-0.0, 2.0, 2.0), scatter, 3,
+            [1.0, 0.0, 0.0, 1.0], 0.25)
+        assert math.copysign(1.0, theta) == 1.0 and theta == 0.0
+        assert var == 0.5  # and the round object gives no information
 
     def test_variance_always_shrinks(self):
         rng = np.random.default_rng(12)
@@ -283,11 +316,9 @@ class TestStepBatch:
         # the condition guard: each update is counted once and falls back
         # to the prediction. A zero orientation variance leaves nothing to
         # update there, which is not counted as a skip.
-        est = DecoupledEstimate(
-            kin=KinematicState(np.zeros(4), np.diag([1.0, 1.0, 0.0, 0.0])),
-            axis=AxisState([1e9, 1e-3], np.diag([1.0, 1.0])),
-            orient=OrientationState(0.0, theta_var),
-        )
+        est = make_estimate(velocity=(0.0, 0.0), axes=(1e9, 1e-3),
+                            kin_cov=np.diag([1.0, 1.0, 0.0, 0.0]),
+                            theta_var=theta_var)
         motion = make_motion(q_pos=0.0, q_vel=0.0, q_theta=0.0)
         z = MeasurementSet([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         diag = StepDiagnostics()
@@ -305,11 +336,9 @@ class TestStepBatch:
         # step_batch takes no update order; a one-point scan goes to the
         # sequential step, which counts each skip, and the batch step adds
         # none of its own
-        est = DecoupledEstimate(
-            kin=KinematicState(np.zeros(4), np.diag([1.0, 1.0, 0.0, 0.0])),
-            axis=AxisState([1e9, 1e-3], np.diag([1.0, 1.0])),
-            orient=OrientationState(0.0, 0.1),
-        )
+        est = make_estimate(velocity=(0.0, 0.0), axes=(1e9, 1e-3),
+                            kin_cov=np.diag([1.0, 1.0, 0.0, 0.0]),
+                            theta_var=0.1)
         motion = make_motion(q_pos=0.0, q_vel=0.0, q_theta=0.0)
         z = MeasurementSet([[1.0, 0.0]])
         diag, seq_diag = StepDiagnostics(), StepDiagnostics()

@@ -4,6 +4,7 @@ Both orientation updates solve with B = Cov(b), b = (s1^2, s2^2, s1 s2),
 through its closed-form inverse in the three entries of the 2x2 C =
 E(s s^T) (``sequential._guarded_solve``); the batch update also inverts
 G = B - var M M^T by Sherman-Morrison. Here both updates are held to
+their references in ``conftest.py``, called unguarded, which use
 ``numpy.linalg.solve`` on the 3x3 B and G, over seeded draws of C from
 well-conditioned to past the guard's edge; their skip verdicts to the
 guard's stated bounds, with numpy's kappa_F(C); and both updates at C
@@ -27,13 +28,16 @@ import math
 import numpy as np
 import pytest
 
+from elliptrack import OrientationState
 from elliptrack.batch import batch_update_orientation
 from elliptrack.errors import SingularPseudoCov
 from elliptrack.sequential import (COND_LIMIT, _guarded_solve,
                                    orientation_moments, update_orientation)
 from elliptrack.state import _shape_entries, wrap_angle
 
-from conftest import cov_b_oracle
+from conftest import (batch_orientation_oracle, batch_weights_oracle,
+                      cov_b_oracle, orientation_gain_oracle,
+                      orientation_oracle)
 
 EPS = np.finfo(float).eps
 # Relative band around a guard's bound left out of the verdict check:
@@ -103,16 +107,18 @@ def test_sequential_update_matches_the_lapack_gain_on_b():
         if theta_out is None:
             skipped += 1
             continue
-        cross = var * np.array(mom[2])
-        gain = np.linalg.solve(cov_b_oracle(c_mat), cross)
+        moments = (np.array(mom[0]), cov_b_oracle(c_mat), np.array(mom[2]))
+        ref = orientation_oracle(OrientationState(theta, var), np.array(b),
+                                 moments)
+        # the gain and innovation again, for the size of the summed terms
+        gain = orientation_gain_oracle(var, moments)
         nu = np.subtract(b, mom[0])
         tol = solve_tol(c_mat)
-        gap = abs(wrap_angle(theta_out - (theta + gain @ nu)))
+        gap = abs(wrap_angle(theta_out - ref.mean))
         assert gap <= tol * np.abs(gain) @ np.abs(nu) + 8.0 * EPS * math.pi
-        expected_var = var - gain @ cross
-        if expected_var > tol * np.abs(gain) @ np.abs(cross):
-            assert (abs(var_out - expected_var)
-                    <= tol * np.abs(gain) @ np.abs(cross) + 4.0 * EPS * var)
+        var_scale = tol * np.abs(gain) @ np.abs(var * moments[2])
+        if ref.var > var_scale:
+            assert abs(var_out - ref.var) <= var_scale + 4.0 * EPS * var
         compared += 1
     assert compared > 1500 and skipped > 200
 
@@ -162,15 +168,18 @@ def test_batch_update_matches_the_lapack_solve_on_g(count):
             assert (verdict is not None) == (kappa_sq >= shrink * COND_LIMIT)
         if verdict is not None:
             continue
-        weights = np.linalg.solve(b_mat - var * np.outer(m_vec, m_vec), m_vec)
-        info = m_vec @ weights
-        var_ref = 1.0 / (1.0 / var + count * info)
+        moments = (np.array(expected_b), b_mat, m_vec)
+        ref = batch_orientation_oracle(
+            OrientationState(theta, var),
+            np.column_stack((points ** 2, points[:, 0] * points[:, 1])),
+            moments)
+        # the weights and innovation again, for the size of the summed terms
+        weights = batch_weights_oracle(var, moments)
         xi = np.array(scatter) - count * (np.array(expected_b) - m_vec * theta)
-        theta_ref = var_ref * (theta / var + weights @ xi)
         tol = solve_tol(c_mat, shrink)
-        assert abs(var_out - var_ref) <= 4.0 * tol * var_ref
-        scale = var_ref * (abs(theta) / var + np.abs(weights) @ np.abs(xi))
-        assert (abs(wrap_angle(theta_out - theta_ref))
+        assert abs(var_out - ref.var) <= 4.0 * tol * ref.var
+        scale = ref.var * (abs(theta) / var + np.abs(weights) @ np.abs(xi))
+        assert (abs(wrap_angle(theta_out - ref.mean))
                 <= 4.0 * tol * scale + 8.0 * EPS * math.pi)
         compared += 1
     assert compared > 1000 and rejected > 200 and skipped > 200

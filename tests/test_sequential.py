@@ -1,16 +1,17 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from elliptrack import (AxisState, DecoupledEstimate,
-                        KinematicState, MeasurementSet, OrientationState,
-                        SourceDistribution, predict, rot,
+from elliptrack import (AxisState, KinematicState, MeasurementSet,
+                        OrientationState, SourceDistribution, predict, rot,
                         sample_measurements, step_sequential)
 from elliptrack.batch import batch_update_kinematics
+from elliptrack.errors import NonFiniteState, SingularInnovation
 from elliptrack.sequential import (StepDiagnostics, axis_moments,
-                                   orientation_moments, update_axis,
-                                   update_orientation)
+                                   kalman_center_update, orientation_moments,
+                                   update_axis, update_orientation)
 from elliptrack.state import _axis_floats, _axis_state, _shape_entries
 
 from conftest import assert_symmetric_psd, make_estimate, make_motion
@@ -92,6 +93,29 @@ class TestUpdateKinematics:
             gap = np.linalg.eigvalsh(kin.cov - out.cov).min()
             assert gap >= -1e-9
             assert_symmetric_psd(out.cov)
+
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_prior(self, value):
+        # a non-finite entry of the innovation block of P trips the guard;
+        # one elsewhere reaches the covariance update and its PSD repair,
+        # which raises NonFiniteState, except a +inf velocity variance,
+        # which passes the pivot test and stays in the result
+        mean = [1.0, 2.0, 0.5, 0.1]
+        args = (3.0, 1.0, [1.0, 0.0, 0.0, 1.0], 0.25, (4.0, 1.0, 0.0))
+        for i, j in itertools.combinations_with_replacement(range(4), 2):
+            cov = (np.eye(4) * 2.0 + 0.5).tolist()
+            cov[i][j] = cov[j][i] = value
+            if j < 2:
+                with pytest.raises(SingularInnovation,
+                                   match="ill-conditioned"):
+                    kalman_center_update((mean, cov), *args)
+            elif value == math.inf and i == j:
+                _, out = kalman_center_update((mean, cov), *args)
+                assert out[i][i] == math.inf
+            else:
+                with pytest.raises(NonFiniteState, match="non-finite"):
+                    kalman_center_update((mean, cov), *args)
 
 
 class TestAxisMoments:
@@ -354,37 +378,18 @@ class TestStepSequential:
         assert np.diag(seq.axis.cov)[0] > seq_caps[0]
         assert np.all(np.diag(bat.axis.cov) <= bat_caps + 1e-12)
 
-    def test_ill_conditioned_updates_are_skipped_and_counted(self,
-                                                             default_config):
+    @pytest.mark.parametrize("order", [
+        ("kinematics", "axis", "orientation"),
+        ("orientation", "kinematics", "axis")], ids=["default", "permuted"])
+    def test_ill_conditioned_updates_are_skipped_and_counted(
+            self, default_config, order):
         # a grotesquely elongated axis estimate drives every pseudo-
-        # covariance past the condition guard; the step must survive and
-        # report the skips
-        est = DecoupledEstimate(
-            kin=KinematicState(np.zeros(4), np.diag([1.0, 1.0, 0.0, 0.0])),
-            axis=AxisState([1e9, 1e-3], np.diag([1.0, 1.0])),
-            orient=OrientationState(0.0, 0.0),
-        )
-        motion = make_motion(q_pos=0.0, q_vel=0.0, q_theta=0.0)
-        z = MeasurementSet([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        diag = StepDiagnostics()
-        out = step_sequential(est, z, motion, default_config, diagnostics=diag)
-        assert diag.skipped_axis == 3
-        assert diag.skipped_orientation == 3
-        assert diag.skipped_kinematics == 3
-        np.testing.assert_array_equal(out.axis.mean, est.axis.mean)
-        assert out.orient.mean == est.orient.mean
-
-    @pytest.mark.parametrize("order", [("orientation", "kinematics", "axis")],
-                             ids=["permuted"])
-    def test_skips_are_counted_once_in_any_order(self, default_config, order):
-        # the elongated estimate above under a permuted order: each tripped
-        # update is counted once per point, and every component comes back
-        # as the prediction
-        est = DecoupledEstimate(
-            kin=KinematicState(np.zeros(4), np.diag([1.0, 1.0, 0.0, 0.0])),
-            axis=AxisState([1e9, 1e-3], np.diag([1.0, 1.0])),
-            orient=OrientationState(0.0, 0.0),
-        )
+        # covariance past the condition guard; in any order the step
+        # counts each tripped update once per point, and every component
+        # comes back as the prediction
+        est = make_estimate(velocity=(0.0, 0.0), axes=(1e9, 1e-3),
+                            kin_cov=np.diag([1.0, 1.0, 0.0, 0.0]),
+                            theta_var=0.0)
         motion = make_motion(q_pos=0.0, q_vel=0.0, q_theta=0.0)
         z = MeasurementSet([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         diag = StepDiagnostics()

@@ -96,6 +96,25 @@ class TestGenerateTruth:
         np.testing.assert_allclose([s.center for s in states],
                                    np.zeros((10, 2)), atol=1e-12)
 
+    @pytest.mark.parametrize("name", ["moderate", "stationary"])
+    def test_four_trajectory_fields_change_no_run(self, name):
+        # a run's start pose, velocity, orientation and semi-axes come from
+        # the prior, and at zero speed the heading moves nothing, so
+        # nominal_speed, start_position, start_heading and true_axes leave
+        # every truth and scan as they are
+        cfg = builtin_scenarios(runs=3, seed=7)[name]
+        changed = dataclasses.replace(cfg, trajectory=dataclasses.replace(
+            cfg.trajectory, nominal_speed=11.0, start_position=[40.0, -7.0],
+            start_heading=1.1, true_axes=[9.0, 0.5]))
+        for run in range(3):
+            (truths, scans), (twins, twin_scans) = (
+                sample_run_data(cfg, run), sample_run_data(changed, run))
+            assert scans == twin_scans
+            for truth, twin in zip(truths, twins, strict=True):
+                for field in ("center", "velocity", "theta", "axes"):
+                    assert np.array_equal(getattr(truth, field),
+                                          getattr(twin, field))
+
     def test_jitter_is_fresh_not_integrated(self):
         # the truth stays near the nominal path instead of random-walking
         spec = straight_spec(steps=400, position_jitter=1.0)

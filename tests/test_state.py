@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import math
 import pickle
 import warnings
 from dataclasses import FrozenInstanceError
@@ -17,7 +18,8 @@ from elliptrack.batch import batch_update_kinematics
 from elliptrack.cli import main
 from elliptrack.measurements import center_measurements
 from elliptrack.simulation import builtin_scenarios, run_scenario
-from elliptrack.state import (_axis_floats, _axis_state, _estimate,
+from elliptrack.errors import NonFiniteState
+from elliptrack.state import (_axis_floats, _axis_state, _estimate, _psd_rows,
                               shape_matrix, symmetrize_psd)
 
 from conftest import (_has_psd_pivots, assert_symmetric_psd, make_estimate,
@@ -191,6 +193,25 @@ class TestSymmetrizePsdFastPath:
                 assert np.array_equal(out, expected)
             repaired += not np.array_equal(out, 0.5 * (mat + mat.T))
         assert repaired >= 200
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_raises_where_the_pivot_test_fails(self, value):
+        # a non-finite entry reaching the eigenvalue floor raises
+        # NonFiniteState: every NaN, every -inf and an off-diagonal +inf
+        # fail the pivot test; a +inf variance passes it and the rows come
+        # back as given
+        upper = [2.5, 0.5, 0.5, 0.5, 2.5, 0.5, 0.5, 2.5, 0.5, 2.5]
+        diagonal = (0, 4, 7, 9)
+        for k in range(10):
+            entries = list(upper)
+            entries[k] = value
+            if value == math.inf and k in diagonal:
+                rows = np.array(_psd_rows(*entries))
+                assert rows[np.triu_indices(4)].tolist() == entries
+                assert np.array_equal(rows, rows.T)
+            else:
+                with pytest.raises(NonFiniteState, match="non-finite"):
+                    _psd_rows(*entries)
 
     @pytest.mark.parametrize("larger_first", [True, False])
     def test_2x2_repair_is_final_without_eigh(self, monkeypatch,
