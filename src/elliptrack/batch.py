@@ -29,11 +29,11 @@ from .errors import SingularInnovation, SingularPseudoCov
 from .measurements import CenteredMeasurements, MeasurementSet, _centering, \
     _column_scatter
 from .sequential import StepDiagnostics, _count_skip, _guarded_solve, \
-    _predict, kalman_center_update, orientation_moments, step_sequential, \
+    _predict, _sequential, kalman_center_update, orientation_moments, \
     update_axis
 from .state import (AxisState, DecoupledEstimate, FilterConfig, KinematicState,
                     MotionModel, OrientationState, _axis_floats, _axis_state,
-                    _estimate, _shape_entries, wrap_angle)
+                    _estimate, _mirrored, _shape_entries, wrap_angle)
 
 
 def batch_update_kinematics(kin: KinematicState, measurements: MeasurementSet,
@@ -45,9 +45,11 @@ def batch_update_kinematics(kin: KinematicState, measurements: MeasurementSet,
     this is exactly the sequential update, :func:`kalman_center_update`.
     """
     (x11, x12), (_, x22) = np.asarray(shape_est, dtype=float).tolist()
-    return KinematicState(*kalman_center_update(
-        kin._floats, *measurements.points.mean(axis=0).tolist(), cfg._noise,
-        cfg.c, (x11, x22, x12), len(measurements)))
+    mean, upper = kalman_center_update(
+        (kin.mean.tolist(), kin.cov[np.triu_indices(4)].tolist()),
+        *measurements.points.mean(axis=0).tolist(), cfg._noise, cfg.c,
+        (x11, x22, x12), len(measurements))
+    return KinematicState(mean, _mirrored(upper))
 
 
 def batch_update_axis(axis: AxisState, centered: CenteredMeasurements,
@@ -75,9 +77,7 @@ def batch_update_orientation(orient: tuple, shape: tuple, scatter: tuple,
     weights k = G^-1 M = y / (1 - var q) and information M^T k = q / (1 -
     var q) per point (:func:`_guarded_solve`). Information adds per point,
     so the variance can only shrink; the points enter through the
-    ``scatter`` alone. A zero prior variance is returned as it is. Each
-    sum over the three components starts from zero and adds from left to
-    right, so a sum of signed zeros is +0.0.
+    ``scatter`` alone. A zero prior variance is returned as it is.
     """
     theta, var = orient
     if var == 0.0:
@@ -90,7 +90,7 @@ def batch_update_orientation(orient: tuple, shape: tuple, scatter: tuple,
     (e1, e2, e3), (m1, m2, m3), (s11, s22, s12) = expected, m, scatter
     var_post = 1.0 / (1.0 / var + count * info_gain)
     return (wrap_angle(var_post * (theta / var + (
-        0.0 + k1 * (s11 - count * (e1 - m1 * theta))
+        k1 * (s11 - count * (e1 - m1 * theta))
         + k2 * (s22 - count * (e2 - m2 * theta))
         + k3 * (s12 - count * (e3 - m3 * theta))))), var_post)
 
@@ -101,15 +101,14 @@ def step_batch(est: DecoupledEstimate, measurements: MeasurementSet,
                ) -> DecoupledEstimate:
     """One predict/update cycle of the batch filter.
 
-    Zero or one measurement go to the sequential step, which handles them
-    bit-for-bit; two or more run the three batch updates against the
-    prediction, with the scan mean taken once. Ill-conditioned updates
-    are skipped and counted as in the sequential filter.
+    Zero or one measurement go to the body of the sequential step, which
+    handles them bit-for-bit; two or more run the three batch updates
+    against the prediction, with the scan mean taken once. Ill-conditioned
+    updates are skipped and counted as in the sequential filter.
     """
     col1, col2 = measurements._cols
     if len(col1) <= 1:
-        return step_sequential(est, measurements, motion, cfg,
-                               diagnostics=diagnostics)
+        return _sequential(est, col1, col2, motion, cfg, diagnostics)
     kin, axis, orient = _predict(est, motion)
     noise = cfg._noise
     (z1, z2), w = _centering(col1, col2, kin, noise)

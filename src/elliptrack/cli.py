@@ -137,16 +137,16 @@ def truth_to_dict(t: int, truth) -> dict:
 
 
 def estimate_to_dict(t: int, est: DecoupledEstimate) -> dict:
-    # Covariances are flattened row-major with explicit dimensions.
-    (kin_mean, kin_cov), (axis_mean, axis_cov), (theta, var) = est._floats
+    # Covariances are flattened row-major (state.DecoupledEstimate).
+    floats = est._floats
     return {"t": t,
             "kinematics": {"dim": 4,
-                           "mean": list(kin_mean),
-                           "cov": [x for row in kin_cov for x in row]},
+                           "mean": list(floats[0:4]),
+                           "cov": list(floats[4:20])},
             "axis": {"dim": 2,
-                     "mean": list(axis_mean),
-                     "cov": [x for row in axis_cov for x in row]},
-            "orientation": {"mean": theta, "var": var}}
+                     "mean": list(floats[20:22]),
+                     "cov": list(floats[22:26])},
+            "orientation": {"mean": floats[26], "var": floats[27]}}
 
 
 def _real(value, key: str):

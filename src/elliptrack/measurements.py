@@ -187,20 +187,20 @@ def _centering(col1: list, col2: list, kin, noise: list) -> tuple:
     """The center (c1, c2) of a scan given as its columns z1 = ``col1``,
     z2 = ``col2``, and the entries of W, the covariance of one centered
     point. Several points are centered on their mean, with W the
-    ``noise``; ``kin``, the predicted (mean, cov) lists, is not read. The
-    correctly rounded ``math.fsum`` keeps that mean the same on every
-    Python version. A single point is centered on the predicted center,
-    which adds the predicted center covariance to W.
+    ``noise``; ``kin``, the predicted (mean, upper triangle of P), is not
+    read. The correctly rounded ``math.fsum`` keeps that mean the same on
+    every Python version. A single point is centered on the predicted
+    center, which adds the predicted center covariance to W.
     """
     m = len(col1)
     if m == 0:
         raise EmptyMeasurementSet("cannot center an empty measurement set")
     if m > 1:
         return (math.fsum(col1) / m, math.fsum(col2) / m), noise
-    mean, cov = kin
+    mean, upper = kin
     r11, r12, r21, r22 = noise
-    return (mean[0], mean[1]), (r11 + cov[0][0], r12 + cov[0][1],
-                                r21 + cov[1][0], r22 + cov[1][1])
+    return (mean[0], mean[1]), (r11 + upper[0], r12 + upper[1],
+                                r21 + upper[1], r22 + upper[4])
 
 
 def center_measurements(measurements: MeasurementSet,
@@ -208,7 +208,7 @@ def center_measurements(measurements: MeasurementSet,
                         noise_cov: np.ndarray) -> CenteredMeasurements:
     """Zero-center a measurement set for the shape updates (:func:`_centering`)."""
     kin = predicted_kin and (predicted_kin.mean.tolist(),
-                             predicted_kin.cov.tolist())
+                             predicted_kin.cov[np.triu_indices(4)].tolist())
     center, w = _centering(*measurements._cols, kin,
                            np.asarray(noise_cov, dtype=float).ravel().tolist())
     return CenteredMeasurements(measurements.points - center, w)

@@ -34,8 +34,8 @@ class EllipseParams:
 
 def ellipse_from_estimate(est: DecoupledEstimate) -> EllipseParams:
     """Extract the ellipse described by a decoupled estimate's means."""
-    (kin_mean, _), (axis_mean, _), (theta, _) = est._floats
-    return EllipseParams(kin_mean[:2], theta, axis_mean)
+    floats = est._floats  # layout: state.DecoupledEstimate
+    return EllipseParams(floats[0:2], floats[26], floats[20:22])
 
 
 def matrix_sqrt_2x2(mat: np.ndarray) -> np.ndarray:

@@ -8,9 +8,9 @@ irrelevant. The axis and orientation updates are linear estimators on the
 quadratic pseudo-measurements; their moments follow from the Gaussian
 source moment match plus a first-order treatment of the orientation
 uncertainty. Inside a step the estimate is carried as Python floats:
-(mean, cov) lists, (p1, p2, P11, P12, P22) and (theta, var). A step reads
-the floats its prior, motion and noise store, and its result stores the
-floats alone (:func:`_estimate`); arrays are built only when read.
+(mean, upper), the upper triangle of P row by row, (p1, p2, P11, P12,
+P22) and (theta, var). A step reads the floats its prior, motion and
+noise store, and its result stores the floats alone (:func:`_estimate`).
 
 The orientation updates solve with Cov(b), b = (s1^2, s2^2, s1 s2) for
 s ~ N(0, C). Isserlis' theorem fixes Cov(b) by C's entries, which are
@@ -135,24 +135,20 @@ def _guarded_solve(moments: tuple, rhs: tuple, error, name: str,
 def _predict(est: DecoupledEstimate, motion: MotionModel) -> tuple:
     """Kalman prediction of each component, as the floats of a step.
 
-    Reads the floats of the estimate and of the motion, never their
-    arrays. The kinematic covariance is F P F^T + Q, formed as G = F P
-    from all 16 entries of P, so a prior asymmetric within rounding
-    predicts as its arrays do, and then the upper triangle of G F^T + Q,
-    entry by entry, with Q's upper triangle; each entry sums its four
-    products from left to right. F is any 4x4. The axis transition is
-    the identity, so only process noise is added there; the orientation
-    mean is re-wrapped.
+    Reads the floats of the estimate and of the motion. The kinematic
+    covariance is F P F^T + Q, formed as G = F P from all 16 entries of P,
+    so a prior asymmetric within rounding predicts as its arrays do, and
+    then the upper triangle of G F^T + Q, entry by entry, with Q's upper
+    triangle; each entry sums its four products from left to right. F is
+    any 4x4. The axis transition is the identity, so only process noise
+    is added there; the orientation mean is re-wrapped.
     """
-    (mean, cov), ((a1, a2), ((c11, c12), (c21, c22))), (theta, var) = \
-        est._floats
-    f, q, ((qa11, qa12), (qa21, qa22)), q_theta = motion._floats
-    ((f00, f01, f02, f03), (f10, f11, f12, f13), (f20, f21, f22, f23),
-     (f30, f31, f32, f33)) = f
-    ((p00, p01, p02, p03), (p10, p11, p12, p13), (p20, p21, p22, p23),
-     (p30, p31, p32, p33)) = cov
-    (q00, q01, q02, q03), (_, q11, q12, q13), (*_, q22, q23), (*_, q33) = q
-    m0, m1, m2, m3 = mean
+    (m0, m1, m2, m3, p00, p01, p02, p03, p10, p11, p12, p13, p20, p21, p22,
+     p23, p30, p31, p32, p33, a1, a2, c11, c12, c21, c22, theta,
+     var) = est._floats
+    (f00, f01, f02, f03, f10, f11, f12, f13, f20, f21, f22, f23, f30, f31,
+     f32, f33, q00, q01, q02, q03, q11, q12, q13, q22, q23, q33, qa11, qa12,
+     qa21, qa22, q_theta) = motion._floats
     g00 = f00 * p00 + f01 * p10 + f02 * p20 + f03 * p30
     g01 = f00 * p01 + f01 * p11 + f02 * p21 + f03 * p31
     g02 = f00 * p02 + f01 * p12 + f02 * p22 + f03 * p32
@@ -169,10 +165,10 @@ def _predict(est: DecoupledEstimate, motion: MotionModel) -> tuple:
     g31 = f30 * p01 + f31 * p11 + f32 * p21 + f33 * p31
     g32 = f30 * p02 + f31 * p12 + f32 * p22 + f33 * p32
     g33 = f30 * p03 + f31 * p13 + f32 * p23 + f33 * p33
-    kin = ([f00 * m0 + f01 * m1 + f02 * m2 + f03 * m3,
+    kin = ((f00 * m0 + f01 * m1 + f02 * m2 + f03 * m3,
             f10 * m0 + f11 * m1 + f12 * m2 + f13 * m3,
             f20 * m0 + f21 * m1 + f22 * m2 + f23 * m3,
-            f30 * m0 + f31 * m1 + f32 * m2 + f33 * m3],
+            f30 * m0 + f31 * m1 + f32 * m2 + f33 * m3),
            _psd_rows(
                g00 * f00 + g01 * f01 + g02 * f02 + g03 * f03 + q00,
                g00 * f10 + g01 * f11 + g02 * f12 + g03 * f13 + q01,
@@ -196,7 +192,7 @@ def predict(est: DecoupledEstimate, motion: MotionModel) -> DecoupledEstimate:
 
 def kalman_center_update(kin: tuple, z1: float, z2: float, noise, c: float,
                          shape: tuple, count: int = 1) -> tuple:
-    """Kalman update of the (mean, cov) lists with the mean of ``count`` points.
+    """Kalman update of (mean, upper of P) with the mean of ``count`` points.
 
     The effective noise (R + c X) / count adds to the sensor noise R
     (entries ``noise``) the spread of sources over the extent, X the
@@ -205,23 +201,22 @@ def kalman_center_update(kin: tuple, z1: float, z2: float, noise, c: float,
     and the covariance is P_jk - (u_j P_0k + v_j P_1k), formed for
     j <= k only: it is symmetric by construction.
     """
-    (m0, m1, m2, m3), ((p00, p01, p02, p03), (p10, p11, p12, p13),
-                       (*_, p22, p23), (*_, p33)) = kin
+    (m0, m1, m2, m3), (p00, p01, p02, p03, p11, p12, p13, p22, p23, p33) = kin
     r11, r12, r21, r22 = noise
     x11, x22, x12 = shape
     s11, s12 = p00 + (r11 + c * x11) / count, p01 + (r12 + c * x12) / count
-    s21, s22 = p10 + (r21 + c * x12) / count, p11 + (r22 + c * x22) / count
+    s21, s22 = p01 + (r21 + c * x12) / count, p11 + (r22 + c * x22) / count
     det = _guarded_det(s11, s12, s21, s22, SingularInnovation,
                        "kinematic innovation covariance is ill-conditioned")
     # S^-1 = [[s22, -s12], [-s21, s11]] / det.
     r1, r2 = z1 - m0, z2 - m1
-    u0, v0 = (s22 * p00 - s12 * p10) / det, (s11 * p10 - s21 * p00) / det
+    u0, v0 = (s22 * p00 - s12 * p01) / det, (s11 * p01 - s21 * p00) / det
     u1, v1 = (s22 * p01 - s12 * p11) / det, (s11 * p11 - s21 * p01) / det
     u2, v2 = (s22 * p02 - s12 * p12) / det, (s11 * p12 - s21 * p02) / det
     u3, v3 = (s22 * p03 - s12 * p13) / det, (s11 * p13 - s21 * p03) / det
-    return ([m0 + (u0 * r1 + v0 * r2), m1 + (u1 * r1 + v1 * r2),
-             m2 + (u2 * r1 + v2 * r2), m3 + (u3 * r1 + v3 * r2)],
-            _psd_rows(p00 - (u0 * p00 + v0 * p10), p01 - (u0 * p01 + v0 * p11),
+    return ((m0 + (u0 * r1 + v0 * r2), m1 + (u1 * r1 + v1 * r2),
+             m2 + (u2 * r1 + v2 * r2), m3 + (u3 * r1 + v3 * r2)),
+            _psd_rows(p00 - (u0 * p00 + v0 * p01), p01 - (u0 * p01 + v0 * p11),
                       p02 - (u0 * p02 + v0 * p12), p03 - (u0 * p03 + v0 * p13),
                       p11 - (u1 * p01 + v1 * p11), p12 - (u1 * p02 + v1 * p12),
                       p13 - (u1 * p03 + v1 * p13), p22 - (u2 * p02 + v2 * p12),
@@ -284,8 +279,10 @@ def update_axis(axis: tuple, theta: float, scatter: tuple, count: int,
                           -q21 * d1 / det, q11 * d2 / det)
     nu1, nu2 = a1 - count * e1, a2 - count * e2
     p1, p2, c11, c12, c22 = axis
-    updated = (max(p1 + (x11 * nu1 + x21 * nu2), AXIS_FLOOR),
-               max(p2 + (x12 * nu1 + x22 * nu2), AXIS_FLOOR),
+    p1, p2 = p1 + (x11 * nu1 + x21 * nu2), p2 + (x12 * nu1 + x22 * nu2)
+    # max(x, floor) written out, as in update_orientation: NaN stays NaN.
+    updated = (AXIS_FLOOR if AXIS_FLOOR > p1 else p1,
+               AXIS_FLOOR if AXIS_FLOOR > p2 else p2,
                *_psd_2x2(c11 - count * (x11 * d1),
                          0.5 * ((c12 - count * (x21 * d2))
                                 + (c12 - count * (x12 * d1))),
@@ -333,9 +330,10 @@ def update_orientation(orient: tuple, b: tuple, mom: tuple) -> tuple:
     y1, y2, y3, q = _guarded_solve(expected, m, SingularPseudoCov,
                                    "orientation pseudo-measurement covariance")
     (e1, e2, e3), (b1, b2, b3) = expected, b
+    var_post = var - var * var * q
     return (wrap_angle(theta + var * (y1 * (b1 - e1) + y2 * (b2 - e2)
                                       + y3 * (b3 - e3))),
-            max(var - var * var * q, 0.0))
+            0.0 if 0.0 > var_post else var_post)
 
 
 def _count_skip(diagnostics: Optional[StepDiagnostics],
@@ -374,8 +372,12 @@ def step_sequential(est: DecoupledEstimate, measurements: MeasurementSet,
             valid = False
         if not valid:
             raise ValueError(f"not a permutation of {UPDATE_ORDER}: {order!r}")
+    return _sequential(est, *measurements._cols, motion, cfg, diagnostics)
+
+
+def _sequential(est, col1: list, col2: list, motion, cfg, diagnostics):
+    """:func:`step_sequential` past its order check, on the scan's columns."""
     kin, axis, orient = _predict(est, motion)
-    col1, col2 = measurements._cols
     if not col1:
         return _estimate(kin, axis, orient)
     noise = cfg._noise

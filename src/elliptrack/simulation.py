@@ -317,11 +317,11 @@ def run_single(cfg: ScenarioConfig, filter_kind: str,
         tic = time.perf_counter()
         est = step(est, meas, cfg.motion, fcfg, diagnostics=diagnostics)
         total_time += time.perf_counter() - tic
-        ((x, y, _, _), _), ((l1, l2), _), (theta, _) = est._floats
-        gwd[idx] = _gwd_squared(x, y, theta, l1, l2,
-                                *truth.center.tolist(), truth.theta,
-                                *truth.axes.tolist())
-        orient[idx] = orientation_error(theta, truth.theta)
+        floats = est._floats  # layout: state.DecoupledEstimate
+        gwd[idx] = _gwd_squared(floats[0], floats[1], floats[26], floats[20],
+                                floats[21], *truth.center.tolist(),
+                                truth.theta, *truth.axes.tolist())
+        orient[idx] = orientation_error(floats[26], truth.theta)
     return RunResult(run_index, gwd, orient, total_time, diagnostics)
 
 

@@ -101,22 +101,27 @@ def _has_psd_pivots_4x4(a00, a01, a02, a03, a11, a12, a13, a22, a23, a33):
     return a33 >= 0.0
 
 
-def _psd_rows(a00, a01, a02, a03, a11, a12, a13, a22, a23, a33) -> list:
-    """The rows of the symmetric 4x4 matrix with upper triangle a00 .. a33,
-    negative eigenvalues floored at zero. The eigendecomposition runs only
-    when the scalar LDL^T pass (:func:`_has_psd_pivots_4x4`) fails, as a
-    NaN entry always does; a matrix with a non-finite entry that reaches
-    it raises :class:`NonFiniteState` instead.
+def _mirrored(upper) -> np.ndarray:
+    """The symmetric 4x4 array with upper triangle ``upper``, row by row."""
+    return np.take(upper, (0, 1, 2, 3, 1, 4, 5, 6, 2, 5, 7, 8, 3, 6, 8, 9)
+                   ).reshape(4, 4)
+
+
+def _psd_rows(a00, a01, a02, a03, a11, a12, a13, a22, a23, a33) -> tuple:
+    """The symmetric 4x4 matrix with upper triangle a00 .. a33 (row by
+    row), negative eigenvalues floored at zero, as its upper triangle. A
+    matrix that passes the scalar LDL^T pass (:func:`_has_psd_pivots_4x4`)
+    comes back as given. The eigendecomposition runs only where it fails,
+    as NaN does, and a non-finite entry there raises :class:`NonFiniteState`.
     """
-    rows = [[a00, a01, a02, a03], [a01, a11, a12, a13],
-            [a02, a12, a22, a23], [a03, a13, a23, a33]]
     if _has_psd_pivots_4x4(a00, a01, a02, a03, a11, a12, a13, a22, a23, a33):
-        return rows
-    array = np.array(rows)
+        return a00, a01, a02, a03, a11, a12, a13, a22, a23, a33
+    array = _mirrored((a00, a01, a02, a03, a11, a12, a13, a22, a23, a33))
     if not np.isfinite(array).all():
         raise NonFiniteState("a covariance overflowed to a non-finite value")
     eigval, eigvec = np.linalg.eigh(array)
-    return ((eigvec * np.maximum(eigval, 0.0)) @ eigvec.T).tolist()
+    return tuple(((eigvec * np.maximum(eigval, 0.0)) @ eigvec.T)
+                 [np.triu_indices(4)].tolist())
 
 
 def symmetrize_psd(mat: np.ndarray) -> np.ndarray:
@@ -133,7 +138,7 @@ def symmetrize_psd(mat: np.ndarray) -> np.ndarray:
     if mat.shape != (4, 4):
         raise ValueError(f"expected a 2x2 or 4x4 matrix, got shape {mat.shape}")
     sym = 0.5 * (mat + mat.T)
-    return np.array(_psd_rows(*sym[np.triu_indices(4)].tolist()))
+    return _mirrored(_psd_rows(*sym[np.triu_indices(4)].tolist()))
 
 
 def _shape_entries(theta: float, l1: float, l2: float) -> tuple:
@@ -179,13 +184,6 @@ def _reduce_through_constructor(self):
     return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
-def _flat(floats) -> list:
-    """The numbers of the nested lists and tuples ``floats``, in order."""
-    if isinstance(floats, (list, tuple)):
-        return [x for item in floats for x in _flat(item)]
-    return [floats]
-
-
 def _compared_by(form):
     """An ``__eq__`` that compares two objects of one type by ``form(obj)``,
     their floats, never by their arrays, whose ``==`` has no truth value.
@@ -201,8 +199,8 @@ def _compared_by(form):
 
 class _FloatBacked:
     """A Gaussian component: read-only ``mean`` and ``cov`` arrays, copied
-    from the constructor's input, and the floats (mean, covariance rows)
-    derived from them once, which the steps read, and ``==`` compares.
+    from the constructor's input, and the floats derived from them once,
+    ``_floats``: the mean, then the covariance row-major; ``==`` compares them.
     """
     __reduce__ = _reduce_through_constructor
     __eq__ = _compared_by(attrgetter("_floats"))
@@ -212,7 +210,8 @@ class _FloatBacked:
         mean, cov = _frozen_copy(self.mean, n), _frozen_copy(self.cov, (n, n))
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "_floats", (mean.tolist(), cov.tolist()))
+        object.__setattr__(self, "_floats",
+                           (*mean.tolist(), *cov.ravel().tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,11 +224,7 @@ class KinematicState(_FloatBacked):
 
 @dataclass(frozen=True, eq=False)
 class AxisState(_FloatBacked):
-    """Semi-axis lengths (m) with 2x2 covariance.
-
-    Both off-diagonal entries are kept as given, so a prior asymmetric
-    within rounding predicts exactly as its arrays do.
-    """
+    """Semi-axis lengths (m) with 2x2 covariance."""
     mean: np.ndarray
     cov: np.ndarray
     _DIM = 2
@@ -250,33 +245,35 @@ class OrientationState:
 class DecoupledEstimate:
     """The three independent Gaussian components of the object state.
 
-    Its one stored form is the floats ``_floats`` = (kin, axis, orient):
-    the kinematic and axis (mean, covariance rows) and (theta, var). The
-    public constructor takes them from the component states. An estimate
-    built by a step (:func:`_estimate`) holds the floats alone, and each
-    component state is built from them through its public constructor on
-    its first read and cached. ``==`` compares the floats, in order: a
-    step nests them in tuples where the constructor has lists.
+    Its one stored form is ``_floats``, one tuple of 28 floats: [0:4] the
+    kinematic mean (x, y, vx, vy), [4:20] its covariance row-major, [20:22]
+    the axis mean (l1, l2), [22:26] its covariance row-major, [26:28] theta
+    and var(theta). Every covariance entry is kept as given, so a prior
+    asymmetric within rounding predicts as its arrays do. The public
+    constructor joins the component states' floats. An estimate built by
+    a step (:func:`_estimate`) holds the floats alone, and builds each
+    component state from its slice on its first read, through the public
+    constructor. ``==`` compares the floats.
     """
     kin: KinematicState
     axis: AxisState
     orient: OrientationState
 
-    __eq__ = _compared_by(lambda est: _flat(est._floats))
+    __eq__ = _compared_by(attrgetter("_floats"))
 
     def __post_init__(self):
         object.__setattr__(self, "_floats", (
-            self.kin._floats, self.axis._floats,
-            (self.orient.mean, self.orient.var)))
+            *self.kin._floats, *self.axis._floats,
+            self.orient.mean, self.orient.var))
 
     def __getattr__(self, name):
         # Runs only for a name the instance does not hold yet.
         if name == "kin":
-            state = KinematicState(*self._floats[0])
+            state = KinematicState(self._floats[0:4], self._floats[4:20])
         elif name == "axis":
-            state = AxisState(*self._floats[1])
+            state = AxisState(self._floats[20:22], self._floats[22:26])
         elif name == "orient":
-            state = OrientationState(*self._floats[2])
+            state = OrientationState(*self._floats[26:28])
         else:
             raise AttributeError(name)
         self.__dict__[name] = state
@@ -291,9 +288,9 @@ class MotionModel:
     process noise is configurable. F_kin must be finite, Q_kin and Q_axis
     must pass :func:`_is_covariance` and Q_theta must be a finite variance
     >= 0; anything else raises :class:`ConfigError`. The arrays are
-    read-only copies, and the steps read ``_floats``, (F_kin, Q_kin,
-    Q_axis) as row tuples and Q_theta, derived from them once; ``==``
-    compares them.
+    read-only copies, and the steps read ``_floats``, the 31 floats of
+    F_kin row-major, the upper triangle of Q_kin row by row, Q_axis
+    row-major and Q_theta, derived once; ``==`` compares them.
     """
     F_kin: np.ndarray
     Q_kin: np.ndarray
@@ -313,9 +310,10 @@ class MotionModel:
         _check_numbers({"Q_theta": self.Q_theta},
                        {"Q_kin": self.Q_kin, "Q_axis": self.Q_axis},
                        {"F_kin": self.F_kin})
+        f_kin, q_kin, q_axis = arrays
         object.__setattr__(self, "_floats", (
-            *(tuple(map(tuple, array.tolist())) for array in arrays),
-            self.Q_theta))
+            *f_kin.ravel().tolist(), *q_kin[np.triu_indices(4)].tolist(),
+            *q_axis.ravel().tolist(), self.Q_theta))
 
 
 def _symmetry_tol(mat: np.ndarray) -> float:
@@ -402,7 +400,7 @@ class FilterConfig:
 
 def _axis_floats(axis: AxisState) -> tuple:
     """(p1, p2, P11, P12, P22) of an axis state; P12 averages both sides."""
-    (p1, p2), ((c11, c12), (c21, c22)) = axis._floats
+    p1, p2, c11, c12, c21, c22 = axis._floats
     return p1, p2, c11, 0.5 * (c12 + c21), c22
 
 
@@ -413,15 +411,16 @@ def _axis_state(axis: tuple) -> AxisState:
 
 
 def _estimate(kin: tuple, axis: tuple, orient: tuple) -> DecoupledEstimate:
-    """The public estimate of the (kin, axis, orient) floats of a step.
-
-    It holds the floats alone: no array or component state is built
-    until someone reads it (:class:`DecoupledEstimate`).
+    """The public estimate of a step's (kin, axis, orient) floats, its
+    covariances mirrored into the layout of :class:`DecoupledEstimate`.
+    It holds the floats alone: nothing else is built until it is read.
     """
-    p1, p2, c11, c12, c22 = axis
+    (m0, m1, m2, m3), (p00, p01, p02, p03, p11, p12, p13, p22, p23, p33) = kin
+    (p1, p2, c11, c12, c22), (theta, var) = axis, orient
     est = object.__new__(DecoupledEstimate)
-    est.__dict__["_floats"] = (kin, ((p1, p2), ((c11, c12), (c12, c22))),
-                               orient)
+    est.__dict__["_floats"] = (
+        m0, m1, m2, m3, p00, p01, p02, p03, p01, p11, p12, p13, p02, p12, p22,
+        p23, p03, p13, p23, p33, p1, p2, c11, c12, c12, c22, theta, var)
     return est
 
 

@@ -10,6 +10,8 @@ orientation moments (Cov(b) as the Kronecker square of C_s); and both
 steps on arrays of per-point terms. Solves are LAPACK's behind an
 eigenvalue condition guard, and the PSD repair is Cholesky and the
 eigenvalue floor. The module tests compare the float code with them.
+The truth trajectory and the orientation error have a reference too,
+written step by step and with numpy's ``mod``.
 """
 
 import numpy as np
@@ -371,3 +373,40 @@ def step_batch_oracle(est, measurements, motion, cfg, diagnostics):
                         orientation_moments_oracle(pred.axis, pred.orient,
                                                    centered.W, cfg.c),
                         SingularPseudoCov))
+
+
+# Truth and scoring.
+
+def generate_truth_oracle(traj, rng, start_position, start_velocity, axes,
+                          theta0):
+    """Step-by-step form of ``simulation.generate_truth``: per step, the
+    (center, velocity, theta, axes) of the truth."""
+    position = np.array(start_position, dtype=float)
+    speed = float(np.linalg.norm(start_velocity))
+    heading = float(np.arctan2(start_velocity[1], start_velocity[0])) \
+        if speed > 0.0 else traj.start_heading
+    out = []
+    for count, turn_rate in traj.segments:
+        for _ in range(count):
+            heading += turn_rate
+            v_nominal = speed * np.array([np.cos(heading), np.sin(heading)])
+            velocity = (v_nominal + np.sqrt(traj.velocity_jitter)
+                        * rng.standard_normal(2))
+            position = position + v_nominal
+            center = (position + np.sqrt(traj.position_jitter)
+                      * rng.standard_normal(2))
+            theta = (wrap_angle(np.arctan2(velocity[1], velocity[0]))
+                     if speed > 0.0 else wrap_angle(theta0))
+            out.append((center, velocity, theta,
+                        np.asarray(axes, dtype=float)))
+    return out
+
+
+def orientation_error_oracle(theta_est, theta_true):
+    """The numpy form of ``metrics.orientation_error``: np.mod of the raw
+    difference, folded at pi/2."""
+    with np.errstate(invalid="ignore"):
+        diff = np.mod(theta_est - theta_true, np.pi)
+    if diff > np.pi / 2.0:
+        diff -= np.pi
+    return float(abs(diff))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from elliptrack import (AxisState, FilterConfig, KinematicState,
                         MeasurementSet, OrientationState, StepDiagnostics,
                         predict, rot, step_batch, step_sequential)
-from elliptrack import batch
 from elliptrack.batch import (batch_update_axis, batch_update_kinematics,
                               batch_update_orientation)
 from elliptrack.errors import SingularInnovation, SingularPseudoCov
@@ -16,7 +16,7 @@ from elliptrack.measurements import (CenteredMeasurements, aligned_squares,
 from elliptrack.sequential import (axis_moments, kalman_center_update,
                                    orientation_moments, update_orientation)
 from elliptrack.measurements import _column_scatter
-from elliptrack.state import _shape_entries, shape_matrix
+from elliptrack.state import _mirrored, _shape_entries, shape_matrix
 from elliptrack.simulation import builtin_scenarios, sample_run_data
 
 from conftest import (assert_symmetric_psd, axis_moments_oracle,
@@ -45,12 +45,12 @@ class TestBatchKinematics:
         z = np.array([3.0, 1.0])
         batch = batch_update_kinematics(kin, MeasurementSet([z]), shape,
                                         default_config)
-        seq_mean, seq_cov = kalman_center_update(
-            (kin.mean.tolist(), kin.cov.tolist()), 3.0, 1.0,
-            default_config.R.ravel().tolist(), default_config.c,
+        seq_mean, seq_upper = kalman_center_update(
+            (kin.mean.tolist(), kin.cov[np.triu_indices(4)].tolist()), 3.0,
+            1.0, default_config.R.ravel().tolist(), default_config.c,
             _shape_entries(0.4, 5.0, 2.0))
         np.testing.assert_array_equal(batch.mean, seq_mean)
-        np.testing.assert_array_equal(batch.cov, seq_cov)
+        np.testing.assert_array_equal(batch.cov, _mirrored(seq_upper))
 
     def test_uses_measurement_mean(self, default_config):
         kin = KinematicState(np.zeros(4), np.diag([2.0, 2.0, 0.5, 0.5]))
@@ -195,13 +195,11 @@ class TestBatchOrientation:
                     orient, _shape_entries(orient[0], *axes), (1.0, 2.0, 0.5),
                     3, w, 0.25)
 
-    def test_a_sum_of_signed_zeros_is_positive_zero(self, monkeypatch):
+    def test_a_negative_zero_angle_comes_back_as_positive_zero(self):
         # a round object at theta = -0.0 has M = (0, -0, 0), so the weights
         # are zeros and, with every innovation negative, each summand is
-        # -0.0. Without the final wrap, which maps -0.0 to 0.0, the update
-        # returns var_post (theta / var + sum) = var_post (-0.0 + sum):
-        # +0.0 only if the sum is +0.0
-        monkeypatch.setattr(batch, "wrap_angle", lambda theta: theta)
+        # -0.0: var_post (theta / var + sum) is -0.0, and the final wrap
+        # returns +0.0
         points = [[1.0, -1.0], [-1.0, 1.0], [0.0, 0.0]]
         scatter = _column_scatter(*np.transpose(points).tolist(), 0.0, 0.0)
         theta, var = batch_update_orientation(
@@ -348,7 +346,7 @@ class TestStepBatch:
         assert diag.as_dict() == seq_diag.as_dict()
         assert diag.skipped_kinematics == 1 and diag.skipped_axis == 1
         assert out._floats == ref._floats
-        assert out._floats[:2] == predict(est, motion)._floats[:2]
+        assert out._floats[:26] == predict(est, motion)._floats[:26]
 
 
 class TestClosedFormStep:
@@ -371,6 +369,42 @@ class TestClosedFormStep:
                    diagnostics=diagnostics)
         assert diagnostics.as_dict() == StepDiagnostics().as_dict()
         assert np.all(np.isfinite(out.kin.cov)) and out.orient.var > 0.0
+
+    @pytest.mark.parametrize("scenario", ["moderate", "stationary"])
+    @pytest.mark.parametrize("step", [step_sequential, step_batch])
+    def test_a_step_makes_no_numpy_call(self, scenario, step):
+        # Every C function a seeded builtin run of steps calls (one
+        # ``c_call`` profile event each) comes from math or builtins:
+        # math.hypot, cos, sin, fsum and isfinite, abs, len and
+        # object.__new__; and no Python function of numpy runs. The one
+        # numpy path of a step, the eigh fallback of state._psd_rows,
+        # runs only where its pivot test fails, which no builtin run does.
+        cfg = builtin_scenarios(runs=1, seed=5)[scenario]
+        fcfg = cfg.filter_config()
+        _, scans = sample_run_data(cfg, 0)
+        called, modules = set(), set()
+
+        def record(frame, event, arg):
+            if event == "c_call":
+                called.add(arg)
+            elif event == "call":
+                modules.add(frame.f_globals.get("__name__", ""))
+
+        est = cfg.prior
+        sys.setprofile(record)
+        try:
+            for scan in scans:
+                est = step(est, scan, cfg.motion, fcfg)
+        finally:
+            sys.setprofile(None)
+        # a bound method (ndarray.tolist, say) names its receiver's type
+        owners = {getattr(fn, "__module__", None)
+                  or type(getattr(fn, "__self__", None)).__module__
+                  for fn in called}
+        assert {"math", "builtins"} <= owners
+        assert "elliptrack.sequential" in modules
+        assert not [name for name in owners | modules
+                    if name.startswith("numpy")]
 
     @pytest.mark.parametrize("scenario, step", [
         ("moderate", step_sequential), ("moderate", step_batch),

@@ -12,7 +12,8 @@ from elliptrack.errors import NonFiniteState, SingularInnovation
 from elliptrack.sequential import (StepDiagnostics, axis_moments,
                                    kalman_center_update, orientation_moments,
                                    update_axis, update_orientation)
-from elliptrack.state import _axis_floats, _axis_state, _shape_entries
+from elliptrack.state import (_axis_floats, _axis_state, _mirrored,
+                              _shape_entries)
 
 from conftest import assert_symmetric_psd, make_estimate, make_motion
 
@@ -104,18 +105,19 @@ class TestUpdateKinematics:
         mean = [1.0, 2.0, 0.5, 0.1]
         args = (3.0, 1.0, [1.0, 0.0, 0.0, 1.0], 0.25, (4.0, 1.0, 0.0))
         for i, j in itertools.combinations_with_replacement(range(4), 2):
-            cov = (np.eye(4) * 2.0 + 0.5).tolist()
-            cov[i][j] = cov[j][i] = value
+            cov = np.eye(4) * 2.0 + 0.5
+            cov[i, j] = cov[j, i] = value
+            kin = (mean, cov[np.triu_indices(4)].tolist())
             if j < 2:
                 with pytest.raises(SingularInnovation,
                                    match="ill-conditioned"):
-                    kalman_center_update((mean, cov), *args)
+                    kalman_center_update(kin, *args)
             elif value == math.inf and i == j:
-                _, out = kalman_center_update((mean, cov), *args)
-                assert out[i][i] == math.inf
+                _, out = kalman_center_update(kin, *args)
+                assert _mirrored(out)[i, i] == math.inf
             else:
                 with pytest.raises(NonFiniteState, match="non-finite"):
-                    kalman_center_update((mean, cov), *args)
+                    kalman_center_update(kin, *args)
 
 
 class TestAxisMoments:
@@ -180,6 +182,16 @@ class TestUpdateAxis:
         expect_1 = 2.0 + 0.25 * (3.0 - 2.0625) / (2 * 2.0625 ** 2)
         expect_2 = 1.0 + 0.125 * (1.0 - 1.3125) / (2 * 1.3125 ** 2)
         np.testing.assert_allclose(out[:2], [expect_1, expect_2], rtol=1e-12)
+
+    def test_the_length_floors_keep_nan_as_max_does(self, default_config):
+        # each length is floored as max(length, AXIS_FLOOR): a NaN length
+        # stays NaN, where x if x > AXIS_FLOOR else AXIS_FLOOR would
+        # return the floor; the covariance does not read the scatter
+        out = update_axis(self.AXIS, 0.0, (math.nan,) * 3, 1, self.W,
+                          default_config.c)
+        assert math.isnan(out[0]) and math.isnan(out[1])
+        assert out[2:] == update_axis(self.AXIS, 0.0, (1.0, 1.0, 0.0), 1,
+                                      self.W, default_config.c)[2:]
 
     def test_trace_never_increases(self, default_config):
         rng = np.random.default_rng(1)
@@ -263,6 +275,16 @@ class TestUpdateOrientation:
         out = update_orientation(orient, (20.0, 3.0, 5.0),
                                  self._moments(orient, default_config))
         assert out == orient
+
+    @pytest.mark.parametrize("var", [math.nan, -0.0])
+    def test_the_variance_floor_returns_what_max_returns(self, default_config,
+                                                         var):
+        # the floor is max(var_post, 0.0): NaN stays NaN and -0.0 (from a
+        # prior variance of -0.0) stays -0.0, where x if x > 0.0 else 0.0
+        # would return +0.0
+        mom = self._moments((0.3, 0.2), default_config)
+        _, out = update_orientation((0.3, var), (20.0, 3.0, 5.0), mom)
+        assert repr(out) == repr(var)
 
     def test_variance_shrinks_and_stays_nonnegative(self, default_config):
         rng = np.random.default_rng(3)

@@ -19,8 +19,8 @@ from elliptrack.cli import main
 from elliptrack.measurements import center_measurements
 from elliptrack.simulation import builtin_scenarios, run_scenario
 from elliptrack.errors import NonFiniteState
-from elliptrack.state import (_axis_floats, _axis_state, _estimate, _psd_rows,
-                              shape_matrix, symmetrize_psd)
+from elliptrack.state import (_axis_floats, _axis_state, _estimate, _mirrored,
+                              _psd_rows, shape_matrix, symmetrize_psd)
 
 from conftest import (_has_psd_pivots, assert_symmetric_psd, make_estimate,
                       make_motion, symmetrize_psd_oracle)
@@ -206,9 +206,7 @@ class TestSymmetrizePsdFastPath:
             entries = list(upper)
             entries[k] = value
             if value == math.inf and k in diagonal:
-                rows = np.array(_psd_rows(*entries))
-                assert rows[np.triu_indices(4)].tolist() == entries
-                assert np.array_equal(rows, rows.T)
+                assert list(_psd_rows(*entries)) == entries
             else:
                 with pytest.raises(NonFiniteState, match="non-finite"):
                     _psd_rows(*entries)
@@ -328,8 +326,9 @@ class TestResultBuild:
     ORIENT = (0.7, 0.02)
 
     def test_builder_matches_the_public_constructors(self):
-        mean, cov = [*self.KIN[0]], [row[:] for row in self.KIN[1]]
-        est = _estimate((mean, cov), self.AXIS, self.ORIENT)
+        mean = [*self.KIN[0]]
+        upper = np.array(self.KIN[1])[np.triu_indices(4)].tolist()
+        est = _estimate((mean, upper), self.AXIS, self.ORIENT)
         ref = DecoupledEstimate(KinematicState(*self.KIN),
                                 AxisState((4.0, 1.5), ((0.3, -0.05), (-0.05, 0.2))),
                                 OrientationState(*self.ORIENT))
@@ -338,7 +337,7 @@ class TestResultBuild:
             assert np.array_equal(out, expected)
         assert est.orient == ref.orient
         # the arrays are new: changing the step's lists leaves them as built
-        mean[0], cov[0][0] = 99.0, 99.0
+        mean[0], upper[0] = 99.0, 99.0
         assert np.array_equal(est.kin.mean, ref.kin.mean)
         assert np.array_equal(est.kin.cov, ref.kin.cov)
         with pytest.raises(FrozenInstanceError):
@@ -394,21 +393,90 @@ class TestResultBuild:
         assert type(orient.mean) is float and type(orient.var) is float
 
 
+class TestFlatLayout:
+    """The one float form of an estimate and of a motion model."""
+
+    # Asymmetric within the tolerance a config allows (1e-12 of the
+    # largest entry of A + A^T), so each form must keep the entry it reads.
+    KIN_COV = np.diag([2.0, 2.0, 0.5, 0.5]) + 0.1 + np.triu(
+        np.full((4, 4), 2e-12), 1)
+    AXIS_COV = np.array([[1.0, 0.25 + 1e-12], [0.25, 0.5]])
+
+    def estimate(self):
+        return make_estimate(center=(1.0, -2.0), velocity=(0.5, 3.0),
+                             axes=(4.0, 1.5), theta=0.7, kin_cov=self.KIN_COV,
+                             axis_cov=self.AXIS_COV, theta_var=0.02)
+
+    def test_an_estimate_is_28_floats_in_the_documented_order(self):
+        floats = self.estimate()._floats
+        assert type(floats) is tuple
+        assert [type(x) for x in floats] == [float] * 28
+        assert floats == (1.0, -2.0, 0.5, 3.0, *self.KIN_COV.ravel().tolist(),
+                          4.0, 1.5, *self.AXIS_COV.ravel().tolist(), 0.7, 0.02)
+
+    def test_a_motion_is_31_floats_in_the_documented_order(self):
+        transition = constant_velocity_transition(0.5)
+        motion = MotionModel(transition, self.KIN_COV, self.AXIS_COV, 0.1)
+        assert motion._floats == (*transition.ravel().tolist(),
+                                  *self.KIN_COV[np.triu_indices(4)].tolist(),
+                                  *self.AXIS_COV.ravel().tolist(), 0.1)
+
+    def test_an_asymmetric_prior_predicts_as_its_arrays_do(self):
+        # F is 0/1, so each entry of F P F^T + Q sums at most two nonzero
+        # products of P plus one of Q, in the same order as numpy: the
+        # prediction's upper triangle is the array form's, bit for bit. Its
+        # (0, 0) entry reads P02 and P20, which differ by 2e-12.
+        est, motion = self.estimate(), make_motion(q_axis=0.1)
+        out = predict(est, motion)
+        f = motion.F_kin
+        kin = f @ est.kin.cov @ f.T + motion.Q_kin
+        upper = np.triu_indices(4)
+        assert out.kin.cov[upper].tolist() == kin[upper].tolist()
+        assert np.array_equal(out.kin.cov, out.kin.cov.T)
+        axis = est.axis.cov + motion.Q_axis
+        assert out.axis.cov.tolist() == (0.5 * (axis + axis.T)).tolist()
+        assert out.axis.cov[0, 1] != axis[0, 1]
+
+    @pytest.mark.parametrize("step", [step_sequential, step_batch])
+    @pytest.mark.parametrize("count", [0, 1, 6])
+    def test_a_step_result_equals_the_public_estimate_of_its_arrays(
+            self, step, count):
+        rng = np.random.default_rng(count)
+        scan = MeasurementSet(rng.normal(size=(count, 2)) * 3.0 + [3.0, 0.0])
+        out = step(self.estimate(), scan, make_motion(),
+                   FilterConfig(R=np.eye(2)))
+        floats = out._floats
+        public = DecoupledEstimate(
+            KinematicState(out.kin.mean, out.kin.cov),
+            AxisState(out.axis.mean, out.axis.cov),
+            OrientationState(out.orient.mean, out.orient.var))
+        assert (out == public) is True
+        assert out._floats is floats and public._floats == floats
+        assert [type(x) for x in floats] == [float] * 28
+
+
 def _frozen_pairs(obj):
     """(array, the floats the steps read in its place) of every array of an
     estimate, motion, filter or scenario config."""
     if isinstance(obj, DecoupledEstimate):
-        kin, axis, _ = obj._floats
-        assert obj.orient == OrientationState(*obj._floats[2])
-        return [(obj.kin.mean, kin[0]), (obj.kin.cov, kin[1]),
-                (obj.kin.mean, obj.kin._floats[0]),
-                (obj.kin.cov, obj.kin._floats[1]),
-                (obj.axis.mean, axis[0]), (obj.axis.cov, axis[1]),
-                (obj.axis.mean, obj.axis._floats[0]),
-                (obj.axis.cov, obj.axis._floats[1])]
+        floats, kin, axis = obj._floats, obj.kin, obj.axis
+        assert obj.orient == OrientationState(*floats[26:28])
+        return [(kin.mean, floats[0:4]),
+                (kin.cov, np.reshape(floats[4:20], (4, 4))),
+                (axis.mean, floats[20:22]),
+                (axis.cov, np.reshape(floats[22:26], (2, 2))),
+                (kin.mean, kin._floats[:4]),
+                (kin.cov, np.reshape(kin._floats[4:], (4, 4))),
+                (axis.mean, axis._floats[:2]),
+                (axis.cov, np.reshape(axis._floats[2:], (2, 2)))]
     if isinstance(obj, MotionModel):
-        assert obj._floats[3] == obj.Q_theta
-        return list(zip((obj.F_kin, obj.Q_kin, obj.Q_axis), obj._floats))
+        floats = obj._floats
+        assert len(floats) == 31 and floats[30] == obj.Q_theta
+        # Q_kin keeps its upper triangle alone; every Q_kin here is
+        # symmetric, so the mirrored triangle is the array
+        return [(obj.F_kin, np.reshape(floats[0:16], (4, 4))),
+                (obj.Q_kin, _mirrored(floats[16:26])),
+                (obj.Q_axis, np.reshape(floats[26:30], (2, 2)))]
     if isinstance(obj, FilterConfig):
         return [(obj.R, np.reshape(obj._noise, (2, 2)))]
     return [*_frozen_pairs(obj.prior), *_frozen_pairs(obj.motion),
@@ -453,7 +521,7 @@ class TestReadOnlyCopies:
             with pytest.raises(ValueError):
                 mine[0] = 7.0
         transition[0, 2] = 5.0  # the caller's array is theirs to change
-        assert motion.F_kin[0, 2] == motion._floats[0][0][2] == 1.0
+        assert motion.F_kin[0, 2] == motion._floats[2] == 1.0
         assert_frozen(motion)
 
     @pytest.mark.parametrize("step", [step_sequential, step_batch])
